@@ -45,9 +45,7 @@ from .genmat import (
     SpectrumSpec,
     haar_frame,
     haar_rotated,
-    load_matrix,
     randsvd,
-    save_matrix,
     worst_coherence_stack,
 )
 from .kernels import (
@@ -73,14 +71,12 @@ from .harness import (
     sweep_c,
     sweep_n,
 )
-from .metrics import TrialRecord, cond2, eta, ortho_deviation, rel_residual
+from .metrics import cond2, eta, ortho_deviation, rel_residual
 from .transforms import (
     RowSample,
     SignDiagonal,
     coherence,
     dct_columns,
-    dct_columns_reference,
-    dct_matrix,
     rademacher_diag,
     sample_rows,
 )

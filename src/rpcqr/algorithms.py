@@ -14,13 +14,11 @@ Four routes to A = QR for a tall full-column-rank A:
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import CholeskyBreakdown, RankDeficientSampleError
 from .kernels import (
-    EPS,
     QRFactors,
     as_matrix,
     cholesky,
@@ -46,7 +44,6 @@ class PreconditionerInfo:
     R_s: np.ndarray
     sample: RowSample
     signs: SignDiagonal
-    kappa_A1: Optional[float] = None
 
 
 def cholesky_qr(A):

@@ -16,10 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-#: Unit roundoff of 64-bit IEEE arithmetic.
-U = 2.220446049250313e-16
-
 from .errors import DomainError
+from .kernels import EPS as U  # unit roundoff, defined once in kernels
 
 
 @dataclass(frozen=True)

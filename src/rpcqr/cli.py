@@ -8,7 +8,6 @@ sweep are recorded in the output and do not affect the exit code.
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .bounds import (
     PerturbationSet,
@@ -18,19 +17,18 @@ from .bounds import (
 )
 from .errors import DomainError
 from .harness import (
+    EXPERIMENTS,
+    MATRIX_KINDS,
+    METHODS,
     ConfigError,
     ExperimentConfig,
-    compare_cqr2,
     emit_csv,
     format_summary,
     load_config,
-    run_single,
-    single_rows,
-    sweep_c,
-    sweep_n,
 )
 
-_MATRIX_ALIASES = {"worst": "worst_coherence", "haar": "haar_rotated"}
+# Short --matrix names: the first word of each kind ("worst", "haar").
+_MATRIX_ALIASES = {kind.split("_")[0]: kind for kind in MATRIX_KINDS}
 FULL_SCALE_M = 6000
 
 
@@ -52,7 +50,7 @@ def _add_experiment_args(p):
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--matrix", choices=sorted(_MATRIX_ALIASES))
-    p.add_argument("--method", choices=["basic", "cqr2", "precond", "rp"])
+    p.add_argument("--method", choices=sorted(METHODS))
     p.add_argument("--out", metavar="PATH", help="CSV output path")
     p.add_argument("--full-scale", action="store_true",
                    help=f"use m={FULL_SCALE_M} (paper scale) unless --m given")
@@ -95,16 +93,11 @@ def _build_config(args, experiment):
 
 def _run_experiment(args, experiment):
     config = _build_config(args, experiment)
+    rows, summaries = EXPERIMENTS[experiment](config)
     if experiment == "single":
-        record = run_single(config)
-        rows, summaries = single_rows(config, record), None
-        print(f"method={record.method} breakdown={record.breakdown} "
-              f"deviation={record.deviation} residual={record.residual} "
-              f"kappa_A1={record.kappa_A1} eta={record.eta}")
+        print(" ".join(f"{key}={rows[0][key]}" for key in (
+            "method", "breakdown", "deviation", "residual", "kappa_A1", "eta")))
     else:
-        runner = {"sweep_c": sweep_c, "sweep_n": sweep_n,
-                  "compare_cqr2": compare_cqr2}[experiment]
-        rows, summaries = runner(config)
         print(format_summary(summaries))
     if config.output_path:
         emit_csv(rows, config.output_path)
@@ -142,13 +135,8 @@ def build_parser():
         description="Randomized preconditioned Cholesky-QR experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, experiment in [
-        ("single", "single"),
-        ("sweep-c", "sweep_c"),
-        ("sweep-n", "sweep_n"),
-        ("compare-cqr2", "compare_cqr2"),
-    ]:
-        p = sub.add_parser(name)
+    for experiment in EXPERIMENTS:
+        p = sub.add_parser(experiment.replace("_", "-"))
         _add_experiment_args(p)
         p.set_defaults(experiment=experiment)
 

@@ -9,17 +9,13 @@ Two families of tall test matrices with a prescribed condition number:
   has benign coherence.
 
 All generators are deterministic functions of (dimensions, kappa, seed).
-A small binary matrix format is provided for harness caching.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import as_matrix, householder_qr
-
-_MAGIC = b"RPQRMAT1"
+from .kernels import householder_qr
 
 
 @dataclass(frozen=True)
@@ -98,24 +94,3 @@ def haar_rotated(m, n, kappa, seed):
     Q_A = haar_frame(m, n, _seed_for(seed, 3))
     return Q_A @ R_A
 
-
-def save_matrix(path, A):
-    """Write A as magic + uint64 rows/cols + column-major float64 LE."""
-    A = as_matrix(A)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQ", A.shape[0], A.shape[1]))
-        fh.write(np.asfortranarray(A).astype("<f8").tobytes(order="F"))
-
-
-def load_matrix(path):
-    """Read a matrix written by :func:`save_matrix`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-        if data.size != rows * cols:
-            raise ValueError(f"{path}: truncated payload")
-    return data.reshape((rows, cols), order="F").astype(np.float64)

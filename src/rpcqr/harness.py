@@ -14,17 +14,18 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional
 
 import numpy as np
 
 from .algorithms import cholesky_qr, cholesky_qr2, preconditioned_cholesky_qr, rp_cholesky_qr
-from .bounds import U, ortho_estimate
+from .bounds import ortho_estimate
 from .errors import CholeskyBreakdown, RankDeficientSampleError
 from .genmat import haar_rotated, worst_coherence_stack
 from .kernels import householder_qr
-from .metrics import TrialRecord, cond2, eta, ortho_deviation, rel_residual
+from .metrics import cond2, eta, ortho_deviation, rel_residual
 
 SCHEMA_VERSION = 1
 
@@ -47,9 +48,6 @@ CSV_COLUMNS = [
     "wall_time_s",
 ]
 
-_METHOD_CODES = {"basic": 0, "cqr2": 1, "precond": 2, "rp": 3}
-_MATRIX_KINDS = ("worst_coherence", "haar_rotated")
-_EXPERIMENTS = ("single", "sweep_c", "sweep_n", "compare_cqr2")
 _MATRIX_TAG = 0xA117  # reserved tag for matrix-generation seeds
 
 
@@ -75,32 +73,31 @@ class ExperimentConfig:
     output_path: Optional[str] = None
 
     def validate(self):
-        if self.experiment not in _EXPERIMENTS:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.matrix_kind not in _MATRIX_KINDS:
+        if self.matrix_kind not in MATRIX_KINDS:
             raise ConfigError(f"unknown matrix_kind {self.matrix_kind!r}")
-        if self.method not in _METHOD_CODES:
+        if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not (self.kappa >= 1.0 and math.isfinite(self.kappa)):
+            raise ConfigError(f"kappa must be finite and >= 1, got {self.kappa}")
         needs_n = self.experiment in ("single", "sweep_c") or (
             self.experiment == "compare_cqr2" and self.n_list is None
         )
-        if needs_n:
-            if self.n is None:
-                raise ConfigError("n is required")
-            if self.n > self.m:
-                raise ConfigError("n must be <= m")
-        if self.experiment == "sweep_c":
-            if not self.c_list:
-                raise ConfigError("c_list is required for sweep_c")
-            if any(c < self.n for c in self.c_list):
-                raise ConfigError("every c in c_list must be >= n")
-        if self.experiment == "sweep_n":
-            if not self.n_list:
-                raise ConfigError("n_list is required for sweep_n")
-            if any(n > self.m for n in self.n_list):
-                raise ConfigError("every n in n_list must be <= m")
+        if needs_n and self.n is None:
+            raise ConfigError("n is required")
+        ns = [n for n in [self.n, *(self.n_list or [])] if n is not None]
+        if any(not 1 <= n <= self.m for n in ns):
+            raise ConfigError(f"every n must satisfy 1 <= n <= m={self.m}")
+        cs = [c for c in [self.c, *(self.c_list or [])] if c is not None]
+        if self.n is not None and any(c < self.n for c in cs):
+            raise ConfigError(f"every c must be >= n={self.n}")
+        if self.experiment == "sweep_c" and not self.c_list:
+            raise ConfigError("c_list is required for sweep_c")
+        if self.experiment == "sweep_n" and not self.n_list:
+            raise ConfigError("n_list is required for sweep_n")
         if self.experiment == "compare_cqr2":
             if self.matrix_kind != "haar_rotated":
                 raise ConfigError("compare_cqr2 requires matrix_kind=haar_rotated")
@@ -134,7 +131,7 @@ def derive_seed(master_seed, point_index, trial_index, method):
     """Stable per-trial seed; distinct (point, trial, method) never collide."""
     ss = np.random.SeedSequence(
         [int(master_seed), int(point_index), int(trial_index),
-         _METHOD_CODES[method]]
+         METHODS[method].code]
     )
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -147,98 +144,81 @@ def derive_matrix_seed(master_seed, point_index, trial_index=None):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def generate_matrix(kind, m, n, kappa, seed):
-    if kind == "worst_coherence":
-        return worst_coherence_stack(m, n, kappa, seed)
-    if kind == "haar_rotated":
-        return haar_rotated(m, n, kappa, seed)
-    raise ConfigError(f"unknown matrix_kind {kind!r}")
+# The tables below reach every library function through a lambda or a
+# runner, so the name is looked up when a trial runs: a rebinding of, say,
+# ``harness.rp_cholesky_qr`` by a test or a tracer takes effect.
+
+#: Test-matrix generators, called as ``make(m, n, kappa, seed)``.
+MATRIX_KINDS = {
+    "worst_coherence": lambda m, n, kappa, seed:
+        worst_coherence_stack(m, n, kappa, seed),
+    "haar_rotated": lambda m, n, kappa, seed: haar_rotated(m, n, kappa, seed),
+}
 
 
-def _run_method(A, method, c, seed, retries):
-    """Run one factorization; returns (factors, A1_or_None, R_s_or_None)."""
-    if method == "basic":
-        return cholesky_qr(A), None, None
-    if method == "cqr2":
-        return cholesky_qr2(A), None, None
-    if method == "precond":
-        # Ideal-preconditioner baseline: exact triangular factor of A.
-        R_s = householder_qr(A).R
-        f, A1 = preconditioned_cholesky_qr(A, R_s)
-        return f, A1, R_s
-    if method == "rp":
-        attempt_seed = seed
-        for attempt in range(retries + 1):
-            try:
-                f, info, A1 = rp_cholesky_qr(A, c, attempt_seed)
-                return f, A1, info.R_s
-            except RankDeficientSampleError:
-                if attempt == retries:
-                    raise
-                ss = np.random.SeedSequence([int(seed), attempt + 1])
-                attempt_seed = int(ss.generate_state(1, np.uint64)[0])
-    raise ConfigError(f"unknown method {method!r}")
+def _run_precond(A, c, seed, retries):
+    # Ideal-preconditioner baseline: exact triangular factor of A.
+    R_s = householder_qr(A).R
+    f, A1 = preconditioned_cholesky_qr(A, R_s)
+    return f, A1, R_s
 
 
-def run_trial(A, method, m, n, c, kappa_target, seed, retries=3):
-    """One factorization plus metrics; breakdowns recorded, not raised."""
+def _run_rp(A, c, seed, retries):
+    attempt_seed = seed
+    for attempt in range(retries + 1):
+        try:
+            f, info, A1 = rp_cholesky_qr(A, c, attempt_seed)
+            return f, A1, info.R_s
+        except RankDeficientSampleError:
+            if attempt == retries:
+                raise
+            ss = np.random.SeedSequence([int(seed), attempt + 1])
+            attempt_seed = int(ss.generate_state(1, np.uint64)[0])
+
+
+Method = namedtuple("Method", "code samples_c run")
+
+#: Factorization methods.  ``code`` enters every trial seed, so it must never
+#: change; ``samples_c`` marks the methods that use the sampling amount c;
+#: ``run(A, c, seed, retries)`` returns (factors, A1 or None, R_s or None).
+METHODS = {
+    "basic": Method(0, False, lambda A, c, seed, retries:
+                    (cholesky_qr(A), None, None)),
+    "cqr2": Method(1, False, lambda A, c, seed, retries:
+                   (cholesky_qr2(A), None, None)),
+    "precond": Method(2, False, _run_precond),
+    "rp": Method(3, True, _run_rp),
+}
+
+
+def run_trial(config, A, n, c, trial, method, seed):
+    """One factorization plus metrics, as a CSV row.
+
+    Breakdowns are recorded, not raised.  ``wall_time_s`` times the
+    factorization alone, retries included.
+    """
     t0 = time.perf_counter()
     try:
-        f, A1, R_s = _run_method(A, method, c, seed, retries)
-        broke = False
+        f, A1, R_s = METHODS[method].run(A, c, seed,
+                                         config.retry_on_rank_deficient)
     except (CholeskyBreakdown, RankDeficientSampleError):
-        f, A1, R_s = None, None, None
-        broke = True
+        f = A1 = R_s = None
     wall = time.perf_counter() - t0
-    uses_c = method == "rp"
-    if broke:
-        return TrialRecord(
-            method=method, m=m, n=n, c=c if uses_c else None, seed=seed,
-            deviation=None, residual=None, kappa_A1=None,
-            kappa_target=kappa_target, eta=None, breakdown=True,
-            wall_time=wall,
-        )
-    deviation = ortho_deviation(f.Q)
-    residual = rel_residual(A, f)
-    kappa_A1 = eta_val = None
-    if A1 is not None:
-        kappa_A1 = cond2(A1)
-        eta_val = eta(A, A1, R_s)
-    return TrialRecord(
-        method=method, m=m, n=n, c=c if uses_c else None, seed=seed,
-        deviation=deviation, residual=residual, kappa_A1=kappa_A1,
-        kappa_target=kappa_target, eta=eta_val, breakdown=False,
-        wall_time=wall,
+    row = dict(
+        experiment=config.experiment, matrix_kind=config.matrix_kind,
+        m=config.m, n=n, c=c if METHODS[method].samples_c else None,
+        kappa_target=float(config.kappa), trial=trial, seed=seed,
+        method=method, breakdown=f is None, deviation=None, residual=None,
+        kappa_A1=None, eta=None, estimate_5_2=None, wall_time_s=wall,
     )
-
-
-def run_single(config):
-    """Run the one-trial experiment described by ``config``."""
-    config.validate()
-    c = config.c
-    if c is None and config.method == "rp":
-        c = 3 * config.n
-    mseed = derive_matrix_seed(config.master_seed, 0)
-    A = generate_matrix(config.matrix_kind, config.m, config.n, config.kappa,
-                        mseed)
-    seed = derive_seed(config.master_seed, 0, 0, config.method)
-    return run_trial(A, config.method, config.m, config.n, c, config.kappa,
-                     seed, retries=config.retry_on_rank_deficient)
-
-
-def _point_records(config, point_index, n, c, methods):
-    records = []
-    for trial in range(config.trials):
-        mtrial = trial if config.regenerate_matrix_per_trial else None
-        mseed = derive_matrix_seed(config.master_seed, point_index, mtrial)
-        A = generate_matrix(config.matrix_kind, config.m, n, config.kappa,
-                            mseed)
-        for method in methods:
-            seed = derive_seed(config.master_seed, point_index, trial, method)
-            rec = run_trial(A, method, config.m, n, c, config.kappa, seed,
-                            retries=config.retry_on_rank_deficient)
-            records.append((point_index, trial, rec))
-    return records
+    if f is not None:
+        row["deviation"] = ortho_deviation(f.Q)
+        row["residual"] = rel_residual(A, f)
+    if A1 is not None:
+        row["kappa_A1"] = cond2(A1)
+        row["eta"] = eta(A, A1, R_s)
+        row["estimate_5_2"] = ortho_estimate(row["kappa_A1"])
+    return row
 
 
 @dataclass
@@ -262,18 +242,14 @@ def _stat_tuple(values):
     return (min(vals), max(vals), sum(vals) / len(vals), gmean)
 
 
-def summarize_point(records, n, c, method):
-    recs = [r for r in records if r.method == method]
-    ok = [r for r in recs if not r.breakdown]
-    stats = {}
-    for name in ("deviation", "residual", "kappa_A1"):
-        stats[name] = _stat_tuple([getattr(r, name) for r in ok])
-    stats["estimate_5_2"] = _stat_tuple(
-        [ortho_estimate(r.kappa_A1) for r in ok if r.kappa_A1 is not None]
-    )
+def summarize_point(rows, n, c, method):
+    rows = [r for r in rows if r["method"] == method]
+    ok = [r for r in rows if not r["breakdown"]]
+    stats = {name: _stat_tuple([r[name] for r in ok])
+             for name in ("deviation", "residual", "kappa_A1", "estimate_5_2")}
     return SweepPointSummary(
-        n=n, c=c, method=method, trials=len(recs),
-        breakdown_count=sum(r.breakdown for r in recs), stats=stats,
+        n=n, c=c, method=method, trials=len(rows),
+        breakdown_count=sum(r["breakdown"] for r in rows), stats=stats,
     )
 
 
@@ -282,14 +258,34 @@ def _run_sweep(config, points, methods):
     rows = []
     summaries = []
     for point_index, (n, c) in enumerate(points):
-        recs = _point_records(config, point_index, n, c, methods)
-        for _, trial, rec in recs:
-            rows.append(_csv_row(config, trial, rec))
-        for method in methods:
-            summaries.append(
-                summarize_point([r for _, _, r in recs], n, c, method)
-            )
+        point_rows = []
+        for trial in range(config.trials):
+            mtrial = trial if config.regenerate_matrix_per_trial else None
+            mseed = derive_matrix_seed(config.master_seed, point_index, mtrial)
+            A = MATRIX_KINDS[config.matrix_kind](config.m, n, config.kappa,
+                                                 mseed)
+            for method in methods:
+                seed = derive_seed(config.master_seed, point_index, trial,
+                                   method)
+                point_rows.append(run_trial(config, A, n, c, trial, method,
+                                            seed))
+        rows += point_rows
+        summaries += [summarize_point(point_rows, n, c, method)
+                      for method in methods]
     return rows, summaries
+
+
+def run_single(config):
+    """One trial of ``config.method``: a one-point, one-trial sweep.
+
+    A sampling method takes c = 3n rows unless ``config.c`` is set.
+    """
+    config.validate()
+    c = config.c
+    if c is None and METHODS[config.method].samples_c:
+        c = 3 * config.n
+    one = replace(config, trials=1, regenerate_matrix_per_trial=False)
+    return _run_sweep(one, [(config.n, c)], [config.method])
 
 
 def sweep_c(config):
@@ -318,6 +314,15 @@ def compare_cqr2(config):
     return _run_sweep(config, points, ["rp", "cqr2"])
 
 
+#: Experiments by name; each runner returns (rows, summaries).
+EXPERIMENTS = {
+    "single": lambda config: run_single(config),
+    "sweep_c": lambda config: sweep_c(config),
+    "sweep_n": lambda config: sweep_n(config),
+    "compare_cqr2": lambda config: compare_cqr2(config),
+}
+
+
 def _fmt(value):
     if value is None:
         return ""
@@ -326,34 +331,6 @@ def _fmt(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _csv_row(config, trial, rec):
-    estimate = None
-    if rec.kappa_A1 is not None:
-        estimate = ortho_estimate(rec.kappa_A1)
-    return {
-        "experiment": config.experiment,
-        "matrix_kind": config.matrix_kind,
-        "m": rec.m,
-        "n": rec.n,
-        "c": rec.c,
-        "kappa_target": float(rec.kappa_target),
-        "trial": trial,
-        "seed": rec.seed,
-        "method": rec.method,
-        "breakdown": rec.breakdown,
-        "deviation": rec.deviation,
-        "residual": rec.residual,
-        "kappa_A1": rec.kappa_A1,
-        "eta": rec.eta,
-        "estimate_5_2": estimate,
-        "wall_time_s": rec.wall_time,
-    }
-
-
-def single_rows(config, record):
-    return [_csv_row(config, 0, record)]
 
 
 def emit_csv(rows, path):

@@ -1,8 +1,6 @@
 """Measured accuracy quantities recorded for every experiment trial."""
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -12,26 +10,6 @@ from .kernels import (
     spectral_norm,
     sym_eigenvalues,
 )
-
-
-@dataclass
-class TrialRecord:
-    """Per-run metrics.  Fields are None where a method does not define them
-    (e.g. kappa_A1 for the unpreconditioned methods, or any metric after a
-    breakdown)."""
-
-    method: str
-    m: int
-    n: int
-    c: Optional[int]
-    seed: int
-    deviation: Optional[float]
-    residual: Optional[float]
-    kappa_A1: Optional[float]
-    kappa_target: float
-    eta: Optional[float]
-    breakdown: bool
-    wall_time: float
 
 
 def ortho_deviation(Q):

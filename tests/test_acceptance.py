@@ -21,7 +21,6 @@ from rpcqr import (
     cholesky,
     coherence,
     dct_columns,
-    dct_matrix,
     first_order_bounds,
     gram,
     growth_factors,
@@ -43,6 +42,8 @@ from rpcqr import (
 )
 from rpcqr.harness import compare_cqr2
 from rpcqr.cli import main as cli_main
+
+from dct_reference import dct_matrix
 
 mp.mp.dps = 50
 

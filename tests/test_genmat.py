@@ -8,9 +8,7 @@ from rpcqr import (
     haar_frame,
     haar_rotated,
     householder_qr,
-    load_matrix,
     randsvd,
-    save_matrix,
     singular_values,
     spectral_norm,
     worst_coherence_stack,
@@ -104,26 +102,3 @@ class TestHaarRotated:
         s1 = singular_values(worst_coherence_stack(200, 12, 1e5, seed=10))
         s2 = singular_values(haar_rotated(200, 12, 1e5, seed=10))
         assert np.max(np.abs(s1 - s2) / s1) <= 1e-10
-
-
-class TestMatrixIO:
-    def test_round_trip(self, tmp_path):
-        A = np.random.default_rng(11).standard_normal((13, 4))
-        path = tmp_path / "a.mat"
-        save_matrix(path, A)
-        assert np.array_equal(load_matrix(path), A)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.mat"
-        path.write_bytes(b"NOTAMATX" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            load_matrix(path)
-
-    def test_truncated(self, tmp_path):
-        A = np.ones((4, 4))
-        path = tmp_path / "t.mat"
-        save_matrix(path, A)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ValueError):
-            load_matrix(path)

@@ -6,9 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from rpcqr.cli import main
+import rpcqr.harness as harness
+from rpcqr import CholeskyBreakdown
+from rpcqr.cli import build_parser, main
 from rpcqr.harness import (
     CSV_COLUMNS,
+    METHODS,
     ConfigError,
     ExperimentConfig,
     compare_cqr2,
@@ -37,12 +40,29 @@ class TestConfig:
             ExperimentConfig(experiment="bogus").validate()
 
     def test_validate_rejects_c_below_n(self):
-        with pytest.raises(ConfigError):
-            small_sweep_config(c_list=[10]).validate()
+        for config in (
+            small_sweep_config(c_list=[10]),
+            ExperimentConfig(experiment="single", m=200, n=100, c=50),
+            ExperimentConfig(experiment="compare_cqr2", m=200, n=20, c=10,
+                             matrix_kind="haar_rotated"),
+        ):
+            with pytest.raises(ConfigError):
+                config.validate()
 
     def test_validate_rejects_n_above_m(self):
+        for config in (
+            ExperimentConfig(experiment="single", m=10, n=20),
+            ExperimentConfig(experiment="single", m=10, n=0),
+            ExperimentConfig(experiment="sweep_n", m=10, n_list=[0, 5]),
+            ExperimentConfig(experiment="sweep_n", m=10, n_list=[5, 20]),
+        ):
+            with pytest.raises(ConfigError):
+                config.validate()
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), 0.5])
+    def test_validate_rejects_bad_kappa(self, kappa):
         with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="single", m=10, n=20).validate()
+            small_sweep_config(kappa=kappa).validate()
 
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -85,34 +105,48 @@ class TestRunSingle:
     def test_rp_on_singular_matrix(self):
         cfg = ExperimentConfig(experiment="single", m=500, n=50, kappa=1e15,
                                c=150, method="rp", master_seed=3)
-        rec = run_single(cfg)
-        assert not rec.breakdown
-        assert rec.residual <= 1e-14
-        assert rec.kappa_A1 is not None and rec.eta is not None
+        rows, _ = run_single(cfg)
+        assert not rows[0]["breakdown"]
+        assert rows[0]["residual"] <= 1e-14
+        assert rows[0]["kappa_A1"] is not None and rows[0]["eta"] is not None
 
     def test_basic_on_orthonormal_input(self):
         cfg = ExperimentConfig(experiment="single", m=300, n=30, kappa=1.0,
                                matrix_kind="haar_rotated", method="basic",
                                master_seed=4)
-        rec = run_single(cfg)
-        assert rec.deviation <= 1e-14
-        assert rec.c is None and rec.kappa_A1 is None and rec.eta is None
+        rows, _ = run_single(cfg)
+        assert rows[0]["deviation"] <= 1e-14
+        assert rows[0]["c"] is None and rows[0]["kappa_A1"] is None
+        assert rows[0]["eta"] is None
 
     def test_deterministic_modulo_wall_time(self):
         cfg = ExperimentConfig(experiment="single", m=200, n=20, kappa=1e10,
                                c=60, method="rp", master_seed=5)
-        r1, r2 = run_single(cfg), run_single(cfg)
-        assert r1.deviation == r2.deviation
-        assert r1.residual == r2.residual
-        assert r1.kappa_A1 == r2.kappa_A1
-        assert r1.seed == r2.seed
+        (r1,), _ = run_single(cfg)
+        (r2,), _ = run_single(cfg)
+        assert r1["deviation"] == r2["deviation"]
+        assert r1["residual"] == r2["residual"]
+        assert r1["kappa_A1"] == r2["kappa_A1"]
+        assert r1["seed"] == r2["seed"]
 
     def test_basic_breakdown_recorded_not_raised(self):
         cfg = ExperimentConfig(experiment="single", m=400, n=40, kappa=1e15,
                                method="basic", master_seed=6)
-        rec = run_single(cfg)
-        assert rec.breakdown
-        assert rec.deviation is None and rec.residual is None
+        rows, _ = run_single(cfg)
+        assert rows[0]["breakdown"]
+        assert rows[0]["deviation"] is None and rows[0]["residual"] is None
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_is_one_point_one_trial_sweep(self, method):
+        single = ExperimentConfig(experiment="single", m=200, n=20,
+                                  kappa=1e10, c=60, method=method,
+                                  trials=5, master_seed=12)
+        (row,), _ = run_single(single)
+        (swept,), _ = sweep_c(small_sweep_config(
+            kappa=1e10, c_list=[60], method=method, trials=1, master_seed=12))
+        ignored = ("experiment", "wall_time_s")
+        assert {k: v for k, v in row.items() if k not in ignored} == \
+            {k: v for k, v in swept.items() if k not in ignored}
 
 
 class TestSweeps:
@@ -150,6 +184,22 @@ class TestSweeps:
         assert len(rows) == 4
         assert {s.method for s in summaries} == {"rp", "cqr2"}
 
+    def test_methods_are_looked_up_at_call_time(self, monkeypatch):
+        calls = []
+
+        def fake(A):
+            calls.append(A.shape)
+            raise CholeskyBreakdown(0, -1.0, stage=1)
+
+        monkeypatch.setattr(harness, "cholesky_qr2", fake)
+        cfg = ExperimentConfig(experiment="compare_cqr2",
+                               matrix_kind="haar_rotated", m=100, n=10,
+                               kappa=1e3, c=30, trials=2, master_seed=13)
+        rows, _ = compare_cqr2(cfg)
+        assert calls == [(100, 10)] * 2
+        assert [r["breakdown"] for r in rows if r["method"] == "cqr2"] == \
+            [True, True]
+
     def test_breakdowns_become_rows(self):
         cfg = ExperimentConfig(experiment="sweep_c", m=300, n=30,
                                kappa=1e15, c_list=[90], trials=2,
@@ -165,11 +215,9 @@ class TestEmitCsv:
     def test_schema_and_empty_cells(self, tmp_path):
         cfg = ExperimentConfig(experiment="single", m=100, n=10, kappa=1e15,
                                method="basic", master_seed=10)
-        rec = run_single(cfg)
-        from rpcqr.harness import single_rows
-
+        rows, _ = run_single(cfg)
         path = tmp_path / "out.csv"
-        emit_csv(single_rows(cfg, rec), path)
+        emit_csv(rows, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == ",".join(CSV_COLUMNS)
@@ -211,8 +259,25 @@ class TestCli:
             assert fh.readline().strip() == ",".join(CSV_COLUMNS)
 
     def test_config_error_exit_code(self, capsys):
-        rc = main(["sweep-c", "--m", "100", "--n", "200", "--c", "300"])
-        assert rc == 1
+        for argv in (
+            ["sweep-c", "--m", "100", "--n", "200", "--c", "300"],
+            ["single", "--n", "100", "--c", "50"],
+            ["compare-cqr2", "--c", "10", "--n", "20"],
+            ["single", "--n", "10", "--kappa", "nan"],
+            ["single", "--n", "10", "--kappa", "inf"],
+            ["single", "--n", "10", "--kappa", "0.5"],
+            ["single", "--n", "0"],
+            ["sweep-n", "--n", "0,10"],
+        ):
+            rc = main(argv)
+            assert rc == 1, argv
+            assert capsys.readouterr().err.startswith("error: "), argv
+
+    def test_method_choices_come_from_method_table(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        method = next(a for a in sub.choices["single"]._actions
+                      if a.dest == "method")
+        assert method.choices == sorted(METHODS)
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         rc = main(["sweep-c", "--m", "100", "--n", "10", "--c", "30",

@@ -5,8 +5,6 @@ from rpcqr import (
     NotOrthonormalError,
     coherence,
     dct_columns,
-    dct_columns_reference,
-    dct_matrix,
     haar_frame,
     householder_qr,
     rademacher_diag,
@@ -14,6 +12,8 @@ from rpcqr import (
     spectral_norm,
 )
 from rpcqr.transforms import apply_row_sample
+
+from dct_reference import dct_columns_reference, dct_matrix
 
 
 class TestRademacherDiag:
