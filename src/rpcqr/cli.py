@@ -25,6 +25,7 @@ from .harness import (
     emit_csv,
     format_summary,
     load_config,
+    run_experiment,
 )
 
 # Short --matrix names: the first word of each kind ("worst", "haar").
@@ -93,7 +94,7 @@ def _build_config(args, experiment):
 
 def _run_experiment(args, experiment):
     config = _build_config(args, experiment)
-    rows, summaries = EXPERIMENTS[experiment](config)
+    rows, summaries = run_experiment(config)
     if experiment == "single":
         print(" ".join(f"{key}={rows[0][key]}" for key in (
             "method", "breakdown", "deviation", "residual", "kappa_A1", "eta")))

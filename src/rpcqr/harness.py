@@ -3,8 +3,7 @@
 Every trial seed derives from (master_seed, sweep point index, trial index,
 method) through ``numpy.random.SeedSequence``, whose hashing is documented
 stable, so any CSV row can be replayed in isolation.  The test matrix is
-fixed per sweep point (only the sampling seed varies across trials) unless
-``regenerate_matrix_per_trial`` is set.
+fixed per sweep point; only the sampling seed varies across trials.
 
 Breakdowns never abort a sweep: they become rows with breakdown=true and
 empty metric cells.
@@ -49,6 +48,7 @@ CSV_COLUMNS = [
 ]
 
 _MATRIX_TAG = 0xA117  # reserved tag for matrix-generation seeds
+RANK_DEFICIENT_RETRIES = 3  # fresh-seed reruns of rp after a bad row sample
 
 
 class ConfigError(ValueError):
@@ -68,8 +68,6 @@ class ExperimentConfig:
     method: str = "rp"
     trials: int = 10
     master_seed: int = 0
-    retry_on_rank_deficient: int = 3
-    regenerate_matrix_per_trial: bool = False
     output_path: Optional[str] = None
 
     def validate(self):
@@ -79,30 +77,25 @@ class ExperimentConfig:
             raise ConfigError(f"unknown matrix_kind {self.matrix_kind!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
+        ints = [self.m, self.trials, self.master_seed, self.n, self.c,
+                *(self.n_list or ()), *(self.c_list or ())]
+        if any(type(v) is not int for v in ints if v is not None):
+            raise ConfigError("m, n, c, n_list, c_list, trials and "
+                              "master_seed must be integers")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
         if not (self.kappa >= 1.0 and math.isfinite(self.kappa)):
             raise ConfigError(f"kappa must be finite and >= 1, got {self.kappa}")
-        needs_n = self.experiment in ("single", "sweep_c") or (
-            self.experiment == "compare_cqr2" and self.n_list is None
-        )
-        if needs_n and self.n is None:
-            raise ConfigError("n is required")
-        ns = [n for n in [self.n, *(self.n_list or [])] if n is not None]
-        if any(not 1 <= n <= self.m for n in ns):
-            raise ConfigError(f"every n must satisfy 1 <= n <= m={self.m}")
-        cs = [c for c in [self.c, *(self.c_list or [])] if c is not None]
-        if self.n is not None and any(c < self.n for c in cs):
-            raise ConfigError(f"every c must be >= n={self.n}")
-        if self.experiment == "sweep_c" and not self.c_list:
-            raise ConfigError("c_list is required for sweep_c")
-        if self.experiment == "sweep_n" and not self.n_list:
-            raise ConfigError("n_list is required for sweep_n")
-        if self.experiment == "compare_cqr2":
-            if self.matrix_kind != "haar_rotated":
-                raise ConfigError("compare_cqr2 requires matrix_kind=haar_rotated")
-            if self.c_list is None and self.n_list is None and self.c is None:
-                raise ConfigError("compare_cqr2 needs c, c_list or n_list")
+        if (self.experiment == "compare_cqr2"
+                and self.matrix_kind != "haar_rotated"):
+            raise ConfigError("compare_cqr2 requires matrix_kind=haar_rotated")
+        for n, c in sweep_points(self):
+            if not 1 <= n <= self.m:
+                raise ConfigError(f"every n must satisfy 1 <= n <= m={self.m}")
+            if c is not None and c < n:
+                raise ConfigError(f"every c must be >= n, got c={c}, n={n}")
         return self
 
 
@@ -115,6 +108,8 @@ def load_config(path):
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid config syntax: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     if raw.pop("schema_version", None) != SCHEMA_VERSION:
         raise ConfigError(f"{path}: missing or unsupported schema_version")
     known = {f.name for f in fields(ExperimentConfig)}
@@ -136,12 +131,36 @@ def derive_seed(master_seed, point_index, trial_index, method):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def derive_matrix_seed(master_seed, point_index, trial_index=None):
-    entropy = [int(master_seed), int(point_index), _MATRIX_TAG]
-    if trial_index is not None:
-        entropy.append(int(trial_index))
-    ss = np.random.SeedSequence(entropy)
+def derive_matrix_seed(master_seed, point_index):
+    ss = np.random.SeedSequence([int(master_seed), int(point_index),
+                                 _MATRIX_TAG])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def sweep_points(config):
+    """The (n, c) points of ``config``'s experiment, in run order.
+
+    ``sweep_n``, and ``compare_cqr2`` given ``n_list``, sample c = 3n rows;
+    ``sweep_c``, and ``compare_cqr2`` given ``c_list``, sweep c at fixed n;
+    ``single`` takes ``c``, or 3n when its method samples rows.
+    """
+    experiment, n, c = config.experiment, config.n, config.c
+    compare = experiment == "compare_cqr2"
+    if experiment == "sweep_n" or (compare and config.n_list):
+        if not config.n_list:
+            raise ConfigError("n_list is required for sweep_n")
+        return [(k, 3 * k) for k in config.n_list]
+    if n is None:
+        raise ConfigError(f"n is required for {experiment}")
+    if experiment == "sweep_c" or (compare and config.c_list):
+        if not config.c_list:
+            raise ConfigError("c_list is required for sweep_c")
+        return [(n, k) for k in config.c_list]
+    if c is None and compare:
+        raise ConfigError("compare_cqr2 needs c, c_list or n_list")
+    if c is None and METHODS[config.method].samples_c:
+        c = 3 * n
+    return [(n, c)]
 
 
 # The tables below reach every library function through a lambda or a
@@ -156,21 +175,21 @@ MATRIX_KINDS = {
 }
 
 
-def _run_precond(A, c, seed, retries):
+def _run_precond(A, c, seed):
     # Ideal-preconditioner baseline: exact triangular factor of A.
     R_s = householder_qr(A).R
     f, A1 = preconditioned_cholesky_qr(A, R_s)
     return f, A1, R_s
 
 
-def _run_rp(A, c, seed, retries):
+def _run_rp(A, c, seed):
     attempt_seed = seed
-    for attempt in range(retries + 1):
+    for attempt in range(RANK_DEFICIENT_RETRIES + 1):
         try:
             f, info, A1 = rp_cholesky_qr(A, c, attempt_seed)
             return f, A1, info.R_s
         except RankDeficientSampleError:
-            if attempt == retries:
+            if attempt == RANK_DEFICIENT_RETRIES:
                 raise
             ss = np.random.SeedSequence([int(seed), attempt + 1])
             attempt_seed = int(ss.generate_state(1, np.uint64)[0])
@@ -180,12 +199,10 @@ Method = namedtuple("Method", "code samples_c run")
 
 #: Factorization methods.  ``code`` enters every trial seed, so it must never
 #: change; ``samples_c`` marks the methods that use the sampling amount c;
-#: ``run(A, c, seed, retries)`` returns (factors, A1 or None, R_s or None).
+#: ``run(A, c, seed)`` returns (factors, A1 or None, R_s or None).
 METHODS = {
-    "basic": Method(0, False, lambda A, c, seed, retries:
-                    (cholesky_qr(A), None, None)),
-    "cqr2": Method(1, False, lambda A, c, seed, retries:
-                   (cholesky_qr2(A), None, None)),
+    "basic": Method(0, False, lambda A, c, seed: (cholesky_qr(A), None, None)),
+    "cqr2": Method(1, False, lambda A, c, seed: (cholesky_qr2(A), None, None)),
     "precond": Method(2, False, _run_precond),
     "rp": Method(3, True, _run_rp),
 }
@@ -199,8 +216,7 @@ def run_trial(config, A, n, c, trial, method, seed):
     """
     t0 = time.perf_counter()
     try:
-        f, A1, R_s = METHODS[method].run(A, c, seed,
-                                         config.retry_on_rank_deficient)
+        f, A1, R_s = METHODS[method].run(A, c, seed)
     except (CholeskyBreakdown, RankDeficientSampleError):
         f = A1 = R_s = None
     wall = time.perf_counter() - t0
@@ -253,15 +269,26 @@ def summarize_point(rows, n, c, method):
     )
 
 
-def _run_sweep(config, points, methods):
-    """points: list of (n, c).  Returns (rows, summaries)."""
-    rows = []
-    summaries = []
-    for point_index, (n, c) in enumerate(points):
+#: Experiment names; each is also a CLI subcommand (``_`` becomes ``-``).
+EXPERIMENTS = ("single", "sweep_c", "sweep_n", "compare_cqr2")
+
+
+def run_experiment(config):
+    """Run ``config``'s experiment over :func:`sweep_points`.
+
+    Returns (rows, summaries).  ``compare_cqr2`` runs ``rp`` and ``cqr2``,
+    the others ``config.method``; ``single`` runs one trial.
+    """
+    config.validate()
+    if config.experiment == "single":
+        config = replace(config, trials=1)
+    methods = (["rp", "cqr2"] if config.experiment == "compare_cqr2"
+               else [config.method])
+    rows, summaries = [], []
+    for point_index, (n, c) in enumerate(sweep_points(config)):
+        mseed = derive_matrix_seed(config.master_seed, point_index)
         point_rows = []
         for trial in range(config.trials):
-            mtrial = trial if config.regenerate_matrix_per_trial else None
-            mseed = derive_matrix_seed(config.master_seed, point_index, mtrial)
             A = MATRIX_KINDS[config.matrix_kind](config.m, n, config.kappa,
                                                  mseed)
             for method in methods:
@@ -275,52 +302,8 @@ def _run_sweep(config, points, methods):
     return rows, summaries
 
 
-def run_single(config):
-    """One trial of ``config.method``: a one-point, one-trial sweep.
-
-    A sampling method takes c = 3n rows unless ``config.c`` is set.
-    """
-    config.validate()
-    c = config.c
-    if c is None and METHODS[config.method].samples_c:
-        c = 3 * config.n
-    one = replace(config, trials=1, regenerate_matrix_per_trial=False)
-    return _run_sweep(one, [(config.n, c)], [config.method])
-
-
-def sweep_c(config):
-    """Trials at each sampling amount in c_list; matrix fixed per point."""
-    config.validate()
-    points = [(config.n, c) for c in config.c_list]
-    return _run_sweep(config, points, [config.method])
-
-
-def sweep_n(config):
-    """Trials at each column count in n_list, with c = 3n samples."""
-    config.validate()
-    points = [(n, 3 * n) for n in config.n_list]
-    return _run_sweep(config, points, [config.method])
-
-
-def compare_cqr2(config):
-    """Randomized preconditioning vs the two-stage baseline, same matrices."""
-    config.validate()
-    if config.n_list:
-        points = [(n, 3 * n) for n in config.n_list]
-    elif config.c_list:
-        points = [(config.n, c) for c in config.c_list]
-    else:
-        points = [(config.n, config.c)]
-    return _run_sweep(config, points, ["rp", "cqr2"])
-
-
-#: Experiments by name; each runner returns (rows, summaries).
-EXPERIMENTS = {
-    "single": lambda config: run_single(config),
-    "sweep_c": lambda config: sweep_c(config),
-    "sweep_n": lambda config: sweep_n(config),
-    "compare_cqr2": lambda config: compare_cqr2(config),
-}
+# The entry points by experiment; ``config.experiment`` picks the points.
+run_single = sweep_c = sweep_n = compare_cqr2 = run_experiment
 
 
 def _fmt(value):

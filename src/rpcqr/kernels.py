@@ -1,15 +1,18 @@
 """Dense linear-algebra primitives used by every factorization routine.
 
-All matrices are plain ``numpy.ndarray`` of float64.  Upper triangular
-matrices carry exact zeros below the diagonal; symmetric matrices are stored
-explicitly symmetrized.  Inputs with NaN/Inf entries are rejected.
+Each kernel checks its input, then leaves the arithmetic to BLAS/LAPACK
+(Cholesky is ``dpotrf``, singular values ``gesdd``); only the spectral norm
+is a power iteration of our own.  All matrices are plain ``numpy.ndarray``
+of float64.  Upper triangular matrices carry exact zeros below the
+diagonal; symmetric matrices are stored explicitly symmetrized.  Inputs
+with NaN/Inf entries are rejected.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .errors import (
     CholeskyBreakdown,
@@ -72,26 +75,21 @@ def gram(A):
 
 
 def cholesky(G):
-    """Unblocked right-looking Cholesky of a symmetric matrix.
+    """Cholesky factor of a symmetric matrix, by LAPACK ``dpotrf``.
 
-    Returns the upper triangular factor with strictly positive diagonal.
-    Raises :class:`CholeskyBreakdown` on the first non-positive pivot, which
-    signals numerical indefiniteness.
+    Returns the upper triangular R with G = R^T R, a strictly positive
+    diagonal and exact zeros below it.  Raises :class:`CholeskyBreakdown`
+    at the first non-positive pivot, which signals numerical indefiniteness;
+    its value is recovered from the partial factor LAPACK leaves behind.
     """
-    G = np.array(_check_symmetric(G))
-    n = G.shape[0]
-    R = np.zeros_like(G)
-    for k in range(n):
-        d = G[k, k]
-        if not math.isfinite(d) or d <= 0.0:
-            raise CholeskyBreakdown(k, d)
-        r = math.sqrt(d)
-        R[k, k] = r
-        if k + 1 < n:
-            row = G[k, k + 1:] / r
-            R[k, k + 1:] = row
-            G[k + 1:, k + 1:] -= np.outer(row, row)
-    return R
+    G = _check_symmetric(G)
+    R, info = dpotrf(G, lower=False, clean=True)
+    if info > 0:
+        k = info - 1
+        raise CholeskyBreakdown(k, G[k, k] - R[:k, k] @ R[:k, k])
+    # C order: passing LAPACK's Fortran-ordered R on raised glibc's peak RSS
+    # by ~15% in paper-scale runs, with the same live arrays.
+    return np.ascontiguousarray(R)
 
 
 def tri_solve_right(A, R):
@@ -144,41 +142,40 @@ def sym_eigenvalues(S):
 def singular_values(A):
     """Singular values of a tall matrix, sorted descending.
 
-    Computed as thin QR followed by an SVD of the small triangular factor,
-    never via eigenvalues of the Gram matrix (which would square the
-    condition number and lose accuracy).
+    One LAPACK SVD of A itself (``gesdd``, which takes a QR first when A is
+    much taller than wide), never via eigenvalues of the Gram matrix (which
+    would square the condition number and lose accuracy).
     """
     A = as_matrix(A)
     if A.shape[0] < A.shape[1]:
         raise ValueError("need rows >= cols")
-    R = householder_qr(A).R
     try:
-        return np.linalg.svd(R, compute_uv=False)
+        return np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
 
 
-def spectral_norm(A, tol=1e-6, max_iter=5000, seed=0):
+def spectral_norm(A):
     """Largest singular value via power iteration on A^T A.
 
-    Uses a seeded random start and a final Rayleigh-quotient refinement.
-    The default relative tolerance of 1e-6 is plenty for metrics plotted on
-    a log scale.  Returns 0 for the zero matrix.
+    Uses a fixed-seed random start, stops at a relative change of 1e-6 (plenty
+    for metrics plotted on a log scale) or after 5000 steps, and ends with a
+    Rayleigh-quotient refinement.  Returns 0 for the zero matrix.
     """
     A = as_matrix(A)
     if not A.any():
         return 0.0
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(0))
     x = rng.standard_normal(A.shape[1])
     x /= np.linalg.norm(x)
     lam_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(5000):
         y = A.T @ (A @ x)
         lam = np.linalg.norm(y)
         if lam == 0.0:
             return 0.0
         x = y / lam
-        if abs(lam - lam_prev) <= tol * lam:
+        if abs(lam - lam_prev) <= 1e-6 * lam:
             break
         lam_prev = lam
     # Rayleigh quotient at the converged unit vector.

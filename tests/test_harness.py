@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from rpcqr.harness import (
     summarize_point,
     sweep_c,
     sweep_n,
+    sweep_points,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_sweep_config(**overrides):
@@ -81,11 +85,38 @@ class TestConfig:
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"schema_version": 1,
-                                    "experiment": "single", "n": 5,
-                                    "samples": 3}))
+        for key in ("samples", "regenerate_matrix_per_trial",
+                    "retry_on_rank_deficient"):
+            path.write_text(json.dumps({"schema_version": 1,
+                                        "experiment": "single", "n": 5,
+                                        key: 3}))
+            with pytest.raises(ConfigError):
+                load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"schema_version": 1, "experiment": "single", "n": 5, "trials": 2.5}',
+        '{"schema_version": 1, "experiment": "single", "n": 5, "m": 200.0}',
+        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '"trials": true}',
+        '{"schema_version": 1, "experiment": "sweep_n", "n_list": [5.0]}',
+        '{"schema_version": 1, "experiment": "sweep_n", "n_list": 5}',
+        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '"master_seed": -1}',
+    ])
+    def test_load_config_rejects_malformed_values(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 9)])
+    def test_shipped_configs(self, name):
+        config = load_config(CONFIGS / f"{name}.json")
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert config.experiment.replace("_", "-") in sub.choices
+        if name in ("fig3", "fig6", "fig8"):
+            assert all(c == 3 * n for n, c in sweep_points(config))
 
 
 class TestSeedDerivation:
@@ -258,7 +289,12 @@ class TestCli:
         with open(out) as fh:
             assert fh.readline().strip() == ",".join(CSV_COLUMNS)
 
-    def test_config_error_exit_code(self, capsys):
+    def test_config_error_exit_code(self, tmp_path, capsys):
+        array, fractional = tmp_path / "array.json", tmp_path / "frac.json"
+        array.write_text("[]")
+        fractional.write_text(json.dumps({
+            "schema_version": 1, "experiment": "single", "n": 10,
+            "m": 200.0}))
         for argv in (
             ["sweep-c", "--m", "100", "--n", "200", "--c", "300"],
             ["single", "--n", "100", "--c", "50"],
@@ -268,6 +304,9 @@ class TestCli:
             ["single", "--n", "10", "--kappa", "0.5"],
             ["single", "--n", "0"],
             ["sweep-n", "--n", "0,10"],
+            ["single", "--n", "10", "--seed", "-1"],
+            ["single", "--config", str(array)],
+            ["single", "--config", str(fractional)],
         ):
             rc = main(argv)
             assert rc == 1, argv

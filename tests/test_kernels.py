@@ -83,6 +83,21 @@ class TestCholesky:
         assert exc.value.pivot_index == 1
         assert exc.value.pivot_value == pytest.approx(-3.0)
 
+    @pytest.mark.parametrize("n, k", [(300, 200), (600, 513)])
+    def test_breakdown_beyond_one_lapack_block(self, n, k):
+        # SPD leading k x k block, then a pivot with Schur complement -1.
+        B = np.eye(n) + np.triu(rng(n).standard_normal((n, n))) / np.sqrt(n)
+        G = B.T @ B
+        G[k, k] -= B[k, k] ** 2 + 1.0
+        G = symmetrize(G)
+        G0 = G.copy()
+        schur = G[k, k] - G[k, :k] @ np.linalg.solve(G[:k, :k], G[:k, k])
+        with pytest.raises(CholeskyBreakdown) as exc:
+            cholesky(G)
+        assert exc.value.pivot_index == k
+        assert exc.value.pivot_value == pytest.approx(schur, rel=1e-10)
+        assert np.array_equal(G, G0)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_reconstruction(self, seed):
         # SPD shifted to stay positive definite under roundoff.
