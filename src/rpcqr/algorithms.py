@@ -24,6 +24,7 @@ from .kernels import (
     cholesky,
     gram,
     householder_qr,
+    householder_r,
     singular_values,
     spectral_norm,
     tri_solve_right,
@@ -117,7 +118,7 @@ def build_preconditioner(A, c, seed, rank_tol=0.0):
     signs = rademacher_diag(m, sign_seed)
     FA = dct_columns(signs.signs[:, None] * A)
     A_s, sample = sample_rows(FA, c, sample_seed)
-    R_s = householder_qr(A_s).R
+    R_s = householder_r(A_s)
     d = np.diag(R_s)
     threshold = rank_tol * spectral_norm(A_s) if rank_tol > 0.0 else 0.0
     if not np.isfinite(d).all() or np.min(d) <= threshold:

@@ -23,7 +23,7 @@ from .algorithms import cholesky_qr, cholesky_qr2, preconditioned_cholesky_qr, r
 from .bounds import ortho_estimate
 from .errors import CholeskyBreakdown, RankDeficientSampleError
 from .genmat import haar_rotated, worst_coherence_stack
-from .kernels import householder_qr
+from .kernels import householder_r
 from .metrics import cond2, eta, ortho_deviation, rel_residual
 
 SCHEMA_VERSION = 1
@@ -177,7 +177,7 @@ MATRIX_KINDS = {
 
 def _run_precond(A, c, seed):
     # Ideal-preconditioner baseline: exact triangular factor of A.
-    R_s = householder_qr(A).R
+    R_s = householder_r(A)
     f, A1 = preconditioned_cholesky_qr(A, R_s)
     return f, A1, R_s
 

@@ -17,7 +17,9 @@ from rpcqr import (
     spectral_norm,
     worst_coherence_stack,
 )
+from rpcqr.algorithms import _child_seeds, build_preconditioner
 from rpcqr.metrics import cond2, eta
+from rpcqr.transforms import dct_columns, rademacher_diag, sample_rows
 
 
 class TestCholeskyQR:
@@ -143,6 +145,38 @@ class TestRpCholeskyQR:
         A = worst_coherence_stack(400, 20, 1e15, seed=seed)
         f, _, _ = rp_cholesky_qr(A, 60, seed=seed + 50)
         assert rel_residual(A, f) <= 1e-13
+
+    @pytest.mark.parametrize("scale", [2.0 ** -532, 2.0 ** 532, 1e-160, 1e160])
+    def test_metrics_at_extreme_scale(self, scale):
+        # 2**+-532 ~ 1.4e+-160 scale A exactly, so every computed quantity
+        # scales exactly too; 1e+-160 round each entry, which moves the
+        # roundoff-level residual but not its order nor eta.
+        A = haar_rotated(400, 20, 1e6, seed=1)
+        f, info, A1 = rp_cholesky_qr(A, 60, seed=3)
+        res, et = rel_residual(A, f), eta(A, A1, info.R_s)
+        As = scale * A
+        fs, infos, A1s = rp_cholesky_qr(As, 60, seed=3)
+        res_s, et_s = rel_residual(As, fs), eta(As, A1s, infos.R_s)
+        assert np.isfinite(res_s) and np.isfinite(et_s)
+        assert et_s == pytest.approx(et, rel=1e-10, abs=0)
+        if np.log2(scale).is_integer():
+            assert res_s == pytest.approx(res, rel=1e-10, abs=0)
+        else:
+            assert res / 10 <= res_s <= res * 10
+
+
+class TestBuildPreconditioner:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_preconditioner_keeps_full_qr_factor(self, seed):
+        # R_s equals the triangular factor of a full Householder QR of the
+        # same seed's sample, as the preconditioner was first defined.
+        A = haar_rotated(400, 20, 1e10, seed=3)
+        sign_seed, sample_seed = _child_seeds(seed, 2)
+        signs = rademacher_diag(400, sign_seed)
+        FA = dct_columns(signs.signs[:, None] * A)
+        A_s, _ = sample_rows(FA, 60, sample_seed)
+        info = build_preconditioner(A, 60, seed)
+        assert np.array_equal(info.R_s, householder_qr(A_s).R)
 
 
 class TestSampledFrameSingularValues:

@@ -15,7 +15,7 @@ from rpcqr import (
     sym_eigenvalues,
     tri_solve_right,
 )
-from rpcqr.kernels import as_matrix, symmetrize
+from rpcqr.kernels import as_matrix, householder_r, symmetrize
 
 
 def rng(seed):
@@ -151,6 +151,20 @@ class TestTriSolveRight:
         with pytest.raises(SingularTriangularError):
             tri_solve_right(np.ones((4, 3)), R)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operand", ["A", "R_diag", "R_offdiag"])
+    def test_non_finite_operand_raises(self, bad, operand):
+        A = np.ones((4, 3))
+        R = np.triu(np.ones((3, 3)))
+        if operand == "A":
+            A[2, 1] = bad
+        elif operand == "R_diag":
+            R[1, 1] = bad
+        else:
+            R[0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tri_solve_right(A, R)
+
 
 class TestHouseholderQR:
     def test_identity_stack(self):
@@ -179,6 +193,28 @@ class TestHouseholderQR:
         assert spectral_norm(A - f.Q @ f.R) / spectral_norm(A) <= 1e-13
         s = singular_values(f.Q)
         assert np.all(s >= 1 - 1e-12) and np.all(s <= 1 + 1e-12)
+
+
+class TestHouseholderR:
+    @pytest.mark.parametrize("m, n", [(1, 1), (7, 7), (300, 20)])
+    def test_bit_equal_to_householder_qr(self, m, n):
+        A = -np.abs(rng(m + n).standard_normal((m, n)))
+        R = householder_r(A)
+        assert np.array_equal(R, householder_qr(A).R)
+        assert np.all(np.diag(R) >= 0)
+        assert np.array_equal(R, np.triu(R))
+
+    def test_zero_column(self):
+        A = rng(5).standard_normal((50, 6))
+        A[:, 2] = 0.0
+        R = householder_r(A)
+        assert np.array_equal(R, householder_qr(A).R)
+        assert np.all(np.diag(R) >= 0)
+        assert abs(R[2, 2]) <= 1e-14 * np.abs(R).max()
+
+    def test_rejects_wide(self):
+        with pytest.raises(ValueError):
+            householder_r(np.ones((2, 3)))
 
 
 class TestSymEigenvalues:
@@ -236,3 +272,17 @@ class TestSpectralNorm:
         A = rng(8).standard_normal((100, 10))
         s1 = singular_values(A)[0]
         assert spectral_norm(A) == pytest.approx(s1, rel=1e-5)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("kind", ["tall", "wide", "square", "rank1"])
+    def test_exact_at_any_scale(self, kind, scale):
+        g = rng(9)
+        A = {
+            "tall": lambda: g.standard_normal((300, 20)),
+            "wide": lambda: g.standard_normal((20, 300)),
+            "square": lambda: haar_rotated(40, 40, 1e8, seed=2),
+            "rank1": lambda: np.outer(g.standard_normal(60),
+                                      g.standard_normal(8)),
+        }[kind]() * scale
+        s1 = singular_values(A.T if kind == "wide" else A)[0]
+        assert spectral_norm(A) == pytest.approx(s1, rel=1e-12, abs=0)
