@@ -132,7 +132,7 @@ def rp_cholesky_qr(A, c, seed, rank_tol=0.0):
     """Randomized preconditioned Cholesky-QR.
 
     Deterministic for fixed (A, c, seed).  Only the triangular factor of the
-    sampled matrix is kept; its orthonormal factor is discarded.
+    sampled matrix is computed; its orthonormal factor is never formed.
     """
     info = build_preconditioner(A, c, seed, rank_tol=rank_tol)
     f, A1 = preconditioned_cholesky_qr(A, info.R_s)

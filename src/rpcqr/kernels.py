@@ -179,8 +179,8 @@ def spectral_norm(A):
 
     s is the largest absolute entry of A.  The Gram matrix of B = A / s
     (B^T B, or B B^T when A is wide) cannot overflow, and its lambda_max
-    >= 1 sits far above anything that underflows, so the result is exact to
-    a relative error of order (rows of A) times unit roundoff at any scale.
+    >= 1 sits far above anything that underflows, so at any scale the
+    relative error is of order max(m, n) times unit roundoff.
     Returns 0 for the zero matrix.  The Gram is formed here, not by
     :func:`gram`, so metric work never counts as factorization work.
     """
