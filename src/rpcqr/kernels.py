@@ -1,7 +1,8 @@
 """Dense linear-algebra primitives used by every factorization routine.
 
 Each kernel checks its input, then leaves the arithmetic to BLAS/LAPACK
-(Cholesky is ``dpotrf``, singular values ``gesdd``, the spectral norm the
+(Cholesky is ``dpotrf``, the triangular solve column blocks of ``dgemm``
+and right-side ``dtrsm``, singular values ``gesdd``, the spectral norm the
 largest eigenvalue of a scaled Gram matrix).  All matrices are plain
 ``numpy.ndarray`` of float64.  Upper triangular matrices carry exact zeros
 below the diagonal; symmetric matrices are stored explicitly symmetrized.
@@ -11,7 +12,7 @@ Inputs with NaN/Inf entries are rejected.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dpotrf
 
 from .errors import (
@@ -22,6 +23,9 @@ from .errors import (
 
 #: Unit roundoff of 64-bit IEEE arithmetic.
 EPS = float(np.finfo(np.float64).eps)
+
+# Column block of tri_solve_right; of 32 to 256, 64 was fastest at 2000x200.
+_SOLVE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,17 @@ def cholesky(G):
 
 
 def tri_solve_right(A, R):
-    """Solve X R = A for X, as back-substitution rows against R^T."""
+    """Solve X R = A for X, blocked over BLAS-3; X is Fortran-ordered.
+
+    A is copied once into a column-major X and never written.  For each
+    block of 64 columns, ``dgemm`` subtracts the solved columns' share in
+    place and a right-side ``dtrsm`` solves the diagonal block in place.
+    """
     A = as_matrix(A)
     R = _check_upper_triangular(R)
+    n = R.shape[0]
+    if A.shape[1] != n:
+        raise ValueError(f"A has {A.shape[1]} columns but R is {n}x{n}")
     d = np.diag(R)
     bad = ~np.isfinite(d) | (d == 0.0)
     if bad.any():
@@ -103,9 +115,16 @@ def tri_solve_right(A, R):
         raise SingularTriangularError(
             f"diagonal entry {d[i]!r} at index {i} is singular"
         )
-    # Both operands passed as_matrix, so scipy's finiteness pass is skipped.
-    return solve_triangular(R, A.T, trans="T", lower=False,
-                            check_finite=False).T
+    X = np.array(A, order="F")
+    for j in range(0, n, _SOLVE_BLOCK):
+        e = min(j + _SOLVE_BLOCK, n)
+        # Column slices of a Fortran array are contiguous, so f2py passes
+        # them through without a copy and both updates land in X.
+        if j:
+            dgemm(-1.0, X[:, :j], R[:j, j:e], beta=1.0, c=X[:, j:e],
+                  overwrite_c=1)
+        dtrsm(1.0, R[j:e, j:e], X[:, j:e], side=1, overwrite_b=1)
+    return X
 
 
 def _nonnegative_diagonal(R):
@@ -185,7 +204,7 @@ def spectral_norm(A):
     :func:`gram`, so metric work never counts as factorization work.
     """
     A = as_matrix(A)
-    s = float(np.abs(A).max())
+    s = float(max(A.max(), -A.min()))
     if s == 0.0:
         return 0.0
     B = A / s

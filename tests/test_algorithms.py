@@ -81,10 +81,12 @@ class TestPreconditionedCholeskyQR:
         assert eta(A, A1, R_s) == pytest.approx(1.0, abs=1e-6)
         assert rel_residual(A, f) <= 1e-13
 
-    def test_identity_preconditioner_is_bitwise_basic(self):
-        A = haar_rotated(120, 12, 1e3, seed=10)
+    # 64, 65 and 130 cross the triangular solve's 64-column blocks.
+    @pytest.mark.parametrize("n", [12, 64, 65, 130])
+    def test_identity_preconditioner_is_bitwise_basic(self, n):
+        A = haar_rotated(10 * n, n, 1e3, seed=10)
         f0 = cholesky_qr(A)
-        f1, A1 = preconditioned_cholesky_qr(A, np.eye(12))
+        f1, A1 = preconditioned_cholesky_qr(A, np.eye(n))
         assert np.array_equal(f1.Q, f0.Q)
         assert np.array_equal(f1.R, f0.R)
         assert np.array_equal(A1, A)

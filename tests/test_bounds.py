@@ -60,9 +60,9 @@ class TestGrowthFactors:
     def test_closed_form_substitution(self):
         p = PerturbationSet(eps_input=U, eps_precond=U)
         g = growth_factors(p)
-        assert g.eps_combined == pytest.approx(2 * U, rel=1e-15)
+        assert g.eps_combined == pytest.approx(2 * U, rel=1e-15, abs=0)
         assert g.growth_definiteness == pytest.approx(4 * U + 4 * U * U,
-                                                      rel=1e-12)
+                                                      rel=1e-12, abs=0)
         assert g.growth_ortho == 0.0
         assert g.growth_recover == 0.0
 
@@ -160,7 +160,8 @@ class TestFirstOrderBounds:
     def test_roundoff_example(self):
         p = PerturbationSet.roundoff()
         b = first_order_bounds(p, 10.0, eta=1.0)
-        assert b.ortho_bound == pytest.approx(8.881784197001252e-14, rel=1e-12)
+        assert b.ortho_bound == pytest.approx(8.881784197001252e-14, rel=1e-12,
+                                              abs=0)
 
     def test_zero_perturbations(self):
         b = first_order_bounds(PerturbationSet(), 100.0, eta=3.0)
@@ -248,13 +249,16 @@ class TestSamplingLowerBound:
 
 class TestOrthoEstimate:
     def test_unit_kappa(self):
-        assert ortho_estimate(1.0) == pytest.approx(8.881784197001252e-16)
+        assert ortho_estimate(1.0) == pytest.approx(8.881784197001252e-16,
+                                                   abs=0)
 
     def test_kappa_10(self):
-        assert ortho_estimate(10.0) == pytest.approx(8.881784197001252e-15)
+        assert ortho_estimate(10.0) == pytest.approx(8.881784197001252e-15,
+                                                    abs=0)
 
     def test_kappa_100(self):
-        assert ortho_estimate(100.0) == pytest.approx(8.881784197001252e-14)
+        assert ortho_estimate(100.0) == pytest.approx(8.881784197001252e-14,
+                                                     abs=0)
 
     def test_rejects_kappa_below_one(self):
         with pytest.raises(DomainError):

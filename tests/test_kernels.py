@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rpcqr import (
     EPS,
@@ -164,6 +166,40 @@ class TestTriSolveRight:
             R[0, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             tri_solve_right(A, R)
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_column_count_mismatch_raises(self, extra):
+        R = np.triu(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="columns"):
+            tri_solve_right(np.ones((5, 3 + extra)), R)
+
+    # The examples pin n at the edges of the 64-column blocks.
+    @given(
+        n=st.integers(1, 200),
+        extra_rows=st.integers(0, 40),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=63, extra_rows=0, order="C", seed=0)
+    @example(n=64, extra_rows=1, order="F", seed=1)
+    @example(n=65, extra_rows=7, order="C", seed=2)
+    @example(n=128, extra_rows=0, order="F", seed=3)
+    @example(n=129, extra_rows=3, order="C", seed=4)
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_solve_property(self, n, extra_rows, order, seed):
+        g = rng(seed)
+        A = np.array(g.standard_normal((n + extra_rows, n)), order=order)
+        # Diagonally dominant rows keep R well conditioned at any n.
+        off = np.triu(g.standard_normal((n, n)), 1)
+        signs = np.where(g.random(n) < 0.5, -1.0, 1.0)
+        R = off + np.diag(signs * (1.0 + np.abs(off).sum(axis=1)))
+        A0 = A.copy()
+        X = tri_solve_right(A, R)
+        assert np.array_equal(A, A0)
+        bound = 10 * n * EPS * np.linalg.norm(X, 2) * np.linalg.norm(R, 2)
+        assert np.linalg.norm(X @ R - A, 2) <= bound
+        other = np.array(A, order="F" if order == "C" else "C")
+        assert np.array_equal(tri_solve_right(other, R), X)
 
 
 class TestHouseholderQR:
