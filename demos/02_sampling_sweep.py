@@ -7,7 +7,7 @@ More samples -> better preconditioner -> smaller deviation, while the
 residual sits at roundoff regardless.
 """
 
-from rpcqr import ExperimentConfig, format_summary, sweep_c
+from rpcqr import ExperimentConfig, format_summary, run_experiment
 
 config = ExperimentConfig(
     experiment="sweep_c",
@@ -21,7 +21,7 @@ config = ExperimentConfig(
     master_seed=42,
 )
 
-rows, summaries = sweep_c(config)
+rows, summaries = run_experiment(config)
 print(format_summary(summaries))
 
 breakdowns = sum(r["breakdown"] for r in rows)

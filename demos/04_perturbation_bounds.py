@@ -28,7 +28,7 @@ print(f"  orthogonality growth                 {g.growth_ortho:.3e}")
 print(f"  definiteness growth                  {g.growth_definiteness:.3e}\n")
 
 for kappa_a1 in (10.0, 1e3, 1e6, 1e8):
-    b = preconditioned_bounds(g, p, kappa_a1, eta=2.0)
+    b = preconditioned_bounds(p, kappa_a1, eta=2.0)
     if b.assumption_ok:
         fo = first_order_bounds(p, kappa_a1, eta=2.0)
         print(f"kappa(A1) = {kappa_a1:8.0e}:  deviation <= {b.ortho_bound:.2e}"

@@ -18,14 +18,12 @@ from .algorithms import (
     cholesky_qr2,
     preconditioned_cholesky_qr,
     rp_cholesky_qr,
-    sampled_frame_singular_values,
 )
 from .bounds import (
     BoundSet,
     GrowthFactors,
     PerturbationSet,
     SamplingBound,
-    U,
     basic_bounds,
     first_order_bounds,
     growth_factors,
@@ -42,7 +40,6 @@ from .errors import (
     SingularTriangularError,
 )
 from .genmat import (
-    SpectrumSpec,
     haar_frame,
     haar_rotated,
     randsvd,
@@ -63,13 +60,10 @@ from .harness import (
     CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
-    compare_cqr2,
     emit_csv,
     format_summary,
     load_config,
-    run_single,
-    sweep_c,
-    sweep_n,
+    run_experiment,
 )
 from .metrics import cond2, eta, ortho_deviation, rel_residual
 from .transforms import (

@@ -23,9 +23,7 @@ from .kernels import (
     as_matrix,
     cholesky,
     gram,
-    householder_qr,
     householder_r,
-    singular_values,
     spectral_norm,
     tri_solve_right,
 )
@@ -84,7 +82,6 @@ def preconditioned_cholesky_qr(A, R_s):
     keep for condition-number diagnostics.  With R_s = I this reproduces
     :func:`cholesky_qr` bit for bit.
     """
-    A = as_matrix(A)
     A1 = tri_solve_right(A, R_s)
     f = cholesky_qr(A1)
     R = np.triu(f.R @ np.asarray(R_s, dtype=np.float64))
@@ -139,16 +136,3 @@ def rp_cholesky_qr(A, c, seed, rank_tol=0.0):
     f = QRFactors(Q=f.Q, R=f.R, method="rpcholesky")
     return f, info, A1
 
-
-def sampled_frame_singular_values(A, info):
-    """Singular values of the sampled transformed orthonormal frame.
-
-    In exact arithmetic these are the reciprocals of the reversed singular
-    values of the preconditioned matrix A1, so the two share one condition
-    number.  Used as a diagnostic cross-check.
-    """
-    A = as_matrix(A)
-    Q = householder_qr(A).Q
-    FQ = dct_columns(info.signs.signs[:, None] * Q)
-    SFQ = info.sample.scale * FQ[info.sample.indices, :]
-    return singular_values(SFQ)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import DomainError
-from .kernels import EPS as U  # unit roundoff, defined once in kernels
+from .kernels import EPS
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,12 @@ class PerturbationSet:
     def roundoff(cls, kappa_precond=1.0):
         """All stage perturbations set to unit roundoff."""
         return cls(
-            eps_input=U,
-            eps_precond=U,
-            eps_gram=U,
-            eps_cholesky=U,
-            eps_solve=U,
-            eps_recover=U,
+            eps_input=EPS,
+            eps_precond=EPS,
+            eps_gram=EPS,
+            eps_cholesky=EPS,
+            eps_solve=EPS,
+            eps_recover=EPS,
             kappa_precond=kappa_precond,
         )
 
@@ -119,15 +119,24 @@ def growth_factors(p):
     )
 
 
-def preconditioned_bounds(g, p, kappa_preconditioned, eta):
+def _check_conditioning(kappa_preconditioned, eta=1.0):
+    """kappa(A1) and eta as floats; each must be finite and >= 1."""
+    k, eta = float(kappa_preconditioned), float(eta)
+    if not math.isfinite(k) or k < 1.0:
+        raise DomainError("kappa_preconditioned must be finite and >= 1")
+    if not math.isfinite(eta) or eta < 1.0:
+        raise DomainError("eta must be finite and >= 1")
+    return k, eta
+
+
+def preconditioned_bounds(p, kappa_preconditioned, eta):
     """Full bounds for preconditioned Cholesky-QR.
 
     ``kappa_preconditioned`` is the condition number of A1 = A R_s^{-1};
     ``eta`` is the conditioning of the product A1 R_s, in [1, kappa(A1)].
     """
-    k = float(kappa_preconditioned)
-    if not math.isfinite(k) or k < 1.0:
-        raise DomainError("kappa_preconditioned must be finite and >= 1")
+    k, eta = _check_conditioning(kappa_preconditioned, eta)
+    g = growth_factors(p)
     denom = 1.0 - k * k * g.growth_definiteness
     if denom <= 0.0:
         return BoundSet(
@@ -135,7 +144,7 @@ def preconditioned_bounds(g, p, kappa_preconditioned, eta):
             ortho_bound=None,
             residual_bound=None,
             assumption_ok=False,
-            eta=float(eta),
+            eta=eta,
             kappa_preconditioned=k,
         )
     cond_factor = math.sqrt((1.0 + g.growth_definiteness) / denom)
@@ -150,16 +159,14 @@ def preconditioned_bounds(g, p, kappa_preconditioned, eta):
         ortho_bound=ortho,
         residual_bound=residual,
         assumption_ok=True,
-        eta=float(eta),
+        eta=eta,
         kappa_preconditioned=k,
     )
 
 
 def first_order_bounds(p, kappa_preconditioned, eta):
     """First-order versions of the preconditioned bounds (no assumption)."""
-    k = float(kappa_preconditioned)
-    if not math.isfinite(k) or k < 1.0:
-        raise DomainError("kappa_preconditioned must be finite and >= 1")
+    k, eta = _check_conditioning(kappa_preconditioned, eta)
     g1 = p.eps_gram + p.eps_cholesky + 2.0 * p.eps_solve
     g2 = (
         2.0 * (p.eps_input + p.eps_precond) * p.kappa_precond
@@ -176,7 +183,7 @@ def first_order_bounds(p, kappa_preconditioned, eta):
         ortho_bound=ortho,
         residual_bound=residual,
         assumption_ok=True,
-        eta=float(eta),
+        eta=eta,
         kappa_preconditioned=k,
     )
 
@@ -188,7 +195,7 @@ def basic_bounds(p, kappa):
     preconditioner: no preconditioner solve, no recovery product, eta = 1.
     """
     p0 = replace(p, eps_precond=0.0, eps_recover=0.0, kappa_precond=1.0)
-    return preconditioned_bounds(growth_factors(p0), p0, kappa, eta=1.0)
+    return preconditioned_bounds(p0, kappa, eta=1.0)
 
 
 @dataclass(frozen=True)
@@ -226,7 +233,5 @@ def ortho_estimate(kappa_preconditioned):
     couple of orders of magnitude; the guaranteed bound carries kappa(A1)^2
     instead.
     """
-    k = float(kappa_preconditioned)
-    if not math.isfinite(k) or k < 1.0:
-        raise DomainError("kappa_preconditioned must be finite and >= 1")
-    return 4.0 * U * k
+    k, _ = _check_conditioning(kappa_preconditioned)
+    return 4.0 * EPS * k

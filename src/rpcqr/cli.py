@@ -9,12 +9,7 @@ sweep are recorded in the output and do not affect the exit code.
 import argparse
 import sys
 
-from .bounds import (
-    PerturbationSet,
-    first_order_bounds,
-    growth_factors,
-    preconditioned_bounds,
-)
+from .bounds import PerturbationSet, first_order_bounds, preconditioned_bounds
 from .errors import DomainError
 from .harness import (
     EXPERIMENTS,
@@ -35,9 +30,12 @@ FULL_SCALE_M = 6000
 
 def _int_list(text):
     try:
-        return [int(v) for v in text.split(",") if v]
-    except ValueError as exc:
+        values = [int(v) for v in text.split(",") if v]
+    except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text}")
+    return values
 
 
 def _add_experiment_args(p):
@@ -120,7 +118,7 @@ def _run_bounds(args):
     if args.first_order:
         b = first_order_bounds(p, args.kappa_a1, args.eta)
     else:
-        b = preconditioned_bounds(growth_factors(p), p, args.kappa_a1, args.eta)
+        b = preconditioned_bounds(p, args.kappa_a1, args.eta)
     print(f"assumption_ok={b.assumption_ok}")
     print(f"cond_factor={b.cond_factor}")
     print(f"ortho_bound={b.ortho_bound}")

@@ -11,37 +11,9 @@ Two families of tall test matrices with a prescribed condition number:
 All generators are deterministic functions of (dimensions, kappa, seed).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernels import householder_qr
-
-
-@dataclass(frozen=True)
-class SpectrumSpec:
-    """Prescribed singular-value profile with sigma_1 = 1."""
-
-    n: int
-    kappa: float
-    mode: str = "geometric"
-
-    def values(self):
-        if self.kappa < 1.0:
-            raise ValueError("kappa must be >= 1")
-        n, kappa = self.n, self.kappa
-        if n == 1:
-            return np.array([1.0])
-        i = np.arange(n)
-        if self.mode == "geometric":
-            return kappa ** (-i / (n - 1))
-        if self.mode == "arithmetic":
-            return 1.0 - (1.0 - 1.0 / kappa) * i / (n - 1)
-        if self.mode == "one_small":
-            s = np.ones(n)
-            s[-1] = 1.0 / kappa
-            return s
-        raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def _seed_for(seed, tag):
@@ -63,10 +35,15 @@ def haar_frame(m, n, seed):
     return householder_qr(G).Q
 
 
-def randsvd(spec, seed):
-    """Square matrix with the prescribed spectrum and Haar singular vectors."""
-    n = spec.n
-    sigma = spec.values()
+def randsvd(n, kappa, seed):
+    """n x n matrix with Haar singular vectors and a geometric spectrum.
+
+    The singular values are kappa**(-i/(n-1)), i = 0..n-1, from 1 down to
+    1/kappa (just 1 when n = 1).
+    """
+    if kappa < 1.0:
+        raise ValueError("kappa must be >= 1")
+    sigma = kappa ** (-np.arange(n) / max(n - 1, 1))
     U = haar_frame(n, n, _seed_for(seed, 1))
     V = haar_frame(n, n, _seed_for(seed, 2))
     return (U * sigma) @ V.T
@@ -76,7 +53,7 @@ def worst_coherence_stack(m, n, kappa, seed):
     """Conditioned n x n block stacked on zeros; coherence exactly 1."""
     if m < n:
         raise ValueError("need m >= n")
-    R_A = randsvd(SpectrumSpec(n=n, kappa=kappa), seed)
+    R_A = randsvd(n, kappa, seed)
     A = np.zeros((m, n))
     A[:n, :] = R_A
     return A
@@ -90,7 +67,7 @@ def haar_rotated(m, n, kappa, seed):
     """
     if m < n:
         raise ValueError("need m >= n")
-    R_A = randsvd(SpectrumSpec(n=n, kappa=kappa), seed)
+    R_A = randsvd(n, kappa, seed)
     Q_A = haar_frame(m, n, _seed_for(seed, 3))
     return Q_A @ R_A
 

@@ -49,16 +49,10 @@ def as_matrix(a):
     return arr
 
 
-def symmetrize(S):
-    """Return (S + S^T)/2 so the symmetry invariant holds bit-exactly."""
-    S = as_matrix(S)
-    return (S + S.T) / 2.0
-
-
 def _check_symmetric(S):
     S = as_matrix(S)
     if S.shape[0] != S.shape[1] or not np.array_equal(S, S.T):
-        raise ValueError("matrix is not stored symmetrized; use symmetrize()")
+        raise ValueError("matrix is not stored symmetrized")
     return S
 
 

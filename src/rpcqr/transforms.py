@@ -60,26 +60,16 @@ def dct_columns(A):
     return scipy.fft.dct(A, type=2, axis=0, norm="ortho")
 
 
-def apply_row_sample(FA, indices, m=None):
-    """Scaled row extraction: row i of the result is sqrt(m/c) * FA[indices[i]]."""
-    FA = as_matrix(FA)
-    indices = np.asarray(indices, dtype=np.intp)
-    if m is None:
-        m = FA.shape[0]
-    scale = math.sqrt(m / indices.shape[0])
-    return scale * FA[indices, :], scale
-
-
 def sample_rows(FA, c, seed):
     """Sample c rows of FA uniformly with replacement, scaled by sqrt(m/c)."""
     FA = as_matrix(FA)
     if c < 1:
         raise ValueError("c must be >= 1")
-    m = FA.shape[0]
-    indices = _rng(seed).integers(0, m, size=int(c))
-    A_s, scale = apply_row_sample(FA, indices, m=m)
-    sample = RowSample(c=int(c), indices=indices, scale=scale, seed=int(seed))
-    return A_s, sample
+    m, c = FA.shape[0], int(c)
+    indices = _rng(seed).integers(0, m, size=c)
+    scale = math.sqrt(m / c)
+    sample = RowSample(c=c, indices=indices, scale=scale, seed=int(seed))
+    return scale * FA[indices, :], sample
 
 
 def coherence(Q, ortho_tol=1e-8):

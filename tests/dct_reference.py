@@ -1,10 +1,13 @@
-"""Naive O(m^2) DCT-II oracle that the tests compare the fast DCT against."""
+"""DCT oracles for the tests: the naive O(m^2) DCT-II that the fast DCT is
+compared against, and the singular values of the DCT-sketched orthonormal
+frame that the preconditioned spectrum is compared against."""
 
 import math
 
 import numpy as np
 
-from rpcqr.kernels import as_matrix
+from rpcqr.kernels import as_matrix, householder_qr, singular_values
+from rpcqr.transforms import dct_columns
 
 
 def dct_matrix(m):
@@ -27,3 +30,16 @@ def dct_columns_reference(A):
     A = as_matrix(A)
     return dct_matrix(A.shape[0]) @ A
 
+
+def sampled_frame_singular_values(A, info):
+    """Singular values of the sampled transformed orthonormal frame.
+
+    In exact arithmetic these are the reciprocals of the reversed singular
+    values of the preconditioned matrix A1, so the two share one condition
+    number.  Used as a diagnostic cross-check.
+    """
+    A = as_matrix(A)
+    Q = householder_qr(A).Q
+    FQ = dct_columns(info.signs.signs[:, None] * Q)
+    SFQ = info.sample.scale * FQ[info.sample.indices, :]
+    return singular_values(SFQ)

@@ -31,19 +31,17 @@ from rpcqr import (
     preconditioned_cholesky_qr,
     rademacher_diag,
     rp_cholesky_qr,
+    run_experiment,
     sample_rows,
-    sampled_frame_singular_values,
     sampling_lower_bound,
     singular_values,
     spectral_norm,
-    sweep_c,
     tri_solve_right,
     worst_coherence_stack,
 )
-from rpcqr.harness import compare_cqr2
 from rpcqr.cli import main as cli_main
 
-from dct_reference import dct_matrix
+from dct_reference import dct_matrix, sampled_frame_singular_values
 
 mp.mp.dps = 50
 
@@ -69,7 +67,7 @@ def sampling_sweep():
         kappa=1e15, c_list=[200, 300, 400, 600, 800], trials=10,
         method="rp", master_seed=2024,
     )
-    rows, summaries = sweep_c(cfg)
+    rows, summaries = run_experiment(cfg)
     return rows, summaries
 
 
@@ -79,7 +77,7 @@ def test_criterion_1_singular_robustness(capsys):
         kappa=1e15, c_list=[300], trials=10, method="rp", master_seed=1,
     )
     t0 = time.perf_counter()
-    rows, _ = sweep_c(cfg)
+    rows, _ = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
     clean = [r for r in rows if not r["breakdown"]]
     ok = (
@@ -126,7 +124,7 @@ def test_criterion_4_baseline_parity(capsys):
         experiment="compare_cqr2", matrix_kind="haar_rotated", m=2000, n=200,
         kappa=1e7, c_list=[600], trials=10, master_seed=4,
     )
-    rows, _ = compare_cqr2(cfg)
+    rows, _ = run_experiment(cfg)
     by_method = {"rp": [], "cqr2": []}
     for r in rows:
         by_method[r["method"]].append(r)
@@ -151,13 +149,13 @@ def test_criterion_5_breakdown_contrast(capsys):
                 master_seed=5)
     failed = {}
     for method in ("basic", "cqr2"):
-        rows, _ = sweep_c(ExperimentConfig(**base, method=method))
+        rows, _ = run_experiment(ExperimentConfig(**base, method=method))
         failed[method] = sum(
             r["breakdown"] or (r["deviation"] is not None
                                and r["deviation"] >= 1e-2)
             for r in rows
         )
-    rp_rows, _ = sweep_c(ExperimentConfig(**base, method="rp"))
+    rp_rows, _ = run_experiment(ExperimentConfig(**base, method="rp"))
     rp_breakdowns = sum(r["breakdown"] for r in rp_rows)
     ok = (failed["basic"] == 10 and failed["cqr2"] == 10
           and rp_breakdowns <= 1)
@@ -273,7 +271,7 @@ def test_criterion_9_bound_transcription(capsys):
         kappa = 10 ** rng.uniform(0, 6)
         eta = rng.uniform(1, kappa)
         g = growth_factors(p)
-        b = preconditioned_bounds(g, p, kappa, eta)
+        b = preconditioned_bounds(p, kappa, eta)
         if not b.assumption_ok:
             continue
         ef, g1, g2, g3, cond, ortho, residual = _oracle_bounds(p, kappa, eta)
@@ -291,7 +289,7 @@ def test_criterion_9_bound_transcription(capsys):
     p = PerturbationSet.roundoff(kappa_precond=37.0)
     p0 = replace(p, eps_precond=0.0, eps_recover=0.0, kappa_precond=1.0)
     b = basic_bounds(p, 1e5)
-    ref = preconditioned_bounds(growth_factors(p0), p0, 1e5, eta=1.0)
+    ref = preconditioned_bounds(p0, 1e5, eta=1.0)
     spec_ok = (b.ortho_bound == ref.ortho_bound
                and b.residual_bound == ref.residual_bound
                and b.cond_factor == ref.cond_factor)

@@ -3,6 +3,7 @@ import pytest
 
 from rpcqr import (
     CholeskyBreakdown,
+    RankDeficientSampleError,
     cholesky_qr,
     cholesky_qr2,
     haar_frame,
@@ -12,7 +13,6 @@ from rpcqr import (
     preconditioned_cholesky_qr,
     rel_residual,
     rp_cholesky_qr,
-    sampled_frame_singular_values,
     singular_values,
     spectral_norm,
     worst_coherence_stack,
@@ -20,6 +20,8 @@ from rpcqr import (
 from rpcqr.algorithms import _child_seeds, build_preconditioner
 from rpcqr.metrics import cond2, eta
 from rpcqr.transforms import dct_columns, rademacher_diag, sample_rows
+
+from dct_reference import sampled_frame_singular_values
 
 
 class TestCholeskyQR:
@@ -179,6 +181,24 @@ class TestBuildPreconditioner:
         A_s, _ = sample_rows(FA, 60, sample_seed)
         info = build_preconditioner(A, 60, seed)
         assert np.array_equal(info.R_s, householder_qr(A_s).R)
+
+    @pytest.mark.parametrize("column", [0, 4, 9])
+    def test_zero_column_is_rank_deficient(self, column):
+        A = haar_rotated(200, 10, 1e3, seed=4)
+        A[:, column] = 0.0
+        with pytest.raises(RankDeficientSampleError):
+            build_preconditioner(A, 30, seed=5)
+
+    def test_rank_tol_one_rejects_any_sample(self):
+        # min |r_ii| <= ||R_s||_2 = ||A_s||_2, so a cutoff of 1 always trips.
+        A = haar_rotated(200, 10, 1e4, seed=6)
+        with pytest.raises(RankDeficientSampleError):
+            build_preconditioner(A, 30, seed=7, rank_tol=1.0)
+
+    def test_tiny_rank_tol_keeps_the_preconditioner(self):
+        A = worst_coherence_stack(200, 10, 1e15, seed=8)
+        strict = build_preconditioner(A, 30, seed=9, rank_tol=1e-300)
+        assert np.array_equal(strict.R_s, build_preconditioner(A, 30, 9).R_s)
 
 
 class TestSampledFrameSingularValues:

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpcqr import (
+    EPS,
     DomainError,
     PerturbationSet,
-    U,
     basic_bounds,
     first_order_bounds,
     growth_factors,
@@ -58,18 +58,18 @@ class TestGrowthFactors:
                 g.growth_recover) == (0.0, 0.0, 0.0, 0.0)
 
     def test_closed_form_substitution(self):
-        p = PerturbationSet(eps_input=U, eps_precond=U)
+        p = PerturbationSet(eps_input=EPS, eps_precond=EPS)
         g = growth_factors(p)
-        assert g.eps_combined == pytest.approx(2 * U, rel=1e-15, abs=0)
-        assert g.growth_definiteness == pytest.approx(4 * U + 4 * U * U,
-                                                      rel=1e-12, abs=0)
+        assert g.eps_combined == pytest.approx(2 * EPS, rel=1e-15, abs=0)
+        assert g.growth_definiteness == pytest.approx(
+            4 * EPS + 4 * EPS * EPS, rel=1e-12, abs=0)
         assert g.growth_ortho == 0.0
         assert g.growth_recover == 0.0
 
     def test_matches_extended_precision(self):
         p = PerturbationSet(
-            eps_input=U, eps_precond=U, eps_gram=U, eps_cholesky=U,
-            eps_solve=U, eps_recover=U, kappa_precond=100.0,
+            eps_input=EPS, eps_precond=EPS, eps_gram=EPS, eps_cholesky=EPS,
+            eps_solve=EPS, eps_recover=EPS, kappa_precond=100.0,
         )
         g = growth_factors(p)
         ef, g1, g2, g3 = oracle_growth(p)
@@ -102,24 +102,23 @@ class TestGrowthFactors:
 class TestPreconditionedBounds:
     def test_exact_arithmetic(self):
         p = PerturbationSet()
-        b = preconditioned_bounds(growth_factors(p), p, 5.0, eta=2.0)
+        b = preconditioned_bounds(p, 5.0, eta=2.0)
         assert b.assumption_ok
         assert b.ortho_bound == 0.0
         assert b.residual_bound == 0.0
 
     def test_forced_assumption_violation(self):
         p = PerturbationSet(eps_gram=1e-16)
-        g = growth_factors(p)
-        b = preconditioned_bounds(g, p, 1e9, eta=1.0)
+        b = preconditioned_bounds(p, 1e9, eta=1.0)
         assert not b.assumption_ok
         assert b.ortho_bound is None and b.residual_bound is None
 
     def test_matches_extended_precision(self):
         p = PerturbationSet(
-            eps_input=U, eps_precond=U, eps_gram=U, eps_cholesky=U,
-            eps_solve=U, eps_recover=U, kappa_precond=1.0,
+            eps_input=EPS, eps_precond=EPS, eps_gram=EPS, eps_cholesky=EPS,
+            eps_solve=EPS, eps_recover=EPS, kappa_precond=1.0,
         )
-        b = preconditioned_bounds(growth_factors(p), p, 10.0, eta=5.0)
+        b = preconditioned_bounds(p, 10.0, eta=5.0)
         cond, ortho, residual = oracle_bounds(p, 10.0, 5.0)
         assert abs(b.ortho_bound - float(ortho)) <= 1e-10 * float(ortho)
         assert abs(b.residual_bound - float(residual)) <= 1e-10 * float(residual)
@@ -140,7 +139,7 @@ class TestPreconditionedBounds:
             )
             kappa = 10 ** g.uniform(0, 6)
             eta = g.uniform(1, kappa)
-            b = preconditioned_bounds(growth_factors(p), p, kappa, eta)
+            b = preconditioned_bounds(p, kappa, eta)
             want = oracle_bounds(p, kappa, eta)
             if not b.assumption_ok:
                 assert want is None or float(
@@ -176,13 +175,25 @@ class TestFirstOrderBounds:
             p = PerturbationSet(*eps, kappa_precond=g.uniform(1, 10))
             kappa = g.uniform(1, 1e3)
             eta = g.uniform(1, kappa)
-            full = preconditioned_bounds(growth_factors(p), p, kappa, eta)
+            full = preconditioned_bounds(p, kappa, eta)
             fo = first_order_bounds(p, kappa, eta)
             assert full.assumption_ok
             if full.ortho_bound > 0:
                 assert fo.ortho_bound <= full.ortho_bound * 1.01
             if full.residual_bound > 0:
                 assert fo.residual_bound <= full.residual_bound * 1.01
+
+
+@pytest.mark.parametrize("bounds", [preconditioned_bounds,
+                                    first_order_bounds])
+@pytest.mark.parametrize("kappa, eta", [
+    (10.0, math.nan), (10.0, math.inf), (10.0, -3.0), (10.0, 0.5),
+    (math.nan, 2.0), (math.inf, 2.0), (0.5, 1.0),
+])
+def test_rejects_invalid_conditioning(bounds, kappa, eta):
+    # kappa(A1) >= 1 and eta lies in [1, kappa(A1)].
+    with pytest.raises(DomainError):
+        bounds(PerturbationSet.roundoff(), kappa, eta)
 
 
 class TestBasicBounds:
@@ -194,7 +205,7 @@ class TestBasicBounds:
         p = PerturbationSet.roundoff(kappa_precond=50.0)
         b = basic_bounds(p, 1e5)
         p0 = replace(p, eps_precond=0.0, eps_recover=0.0, kappa_precond=1.0)
-        ref = preconditioned_bounds(growth_factors(p0), p0, 1e5, eta=1.0)
+        ref = preconditioned_bounds(p0, 1e5, eta=1.0)
         assert b.ortho_bound == ref.ortho_bound
         assert b.residual_bound == ref.residual_bound
         assert b.cond_factor == ref.cond_factor
@@ -203,9 +214,9 @@ class TestBasicBounds:
         p = PerturbationSet.roundoff()
         b = basic_bounds(p, 1e7)
         # Dominated by 4*u*kappa^2 over a denominator slightly below 1.
-        k2g = 1e14 * 4 * U
+        k2g = 1e14 * 4 * EPS
         assert b.ortho_bound == pytest.approx(k2g / (1 - k2g), rel=0.02)
-        assert b.ortho_bound == pytest.approx(4 * U * 1e14, rel=0.15)
+        assert b.ortho_bound == pytest.approx(4 * EPS * 1e14, rel=0.15)
 
 
 class TestSamplingLowerBound:

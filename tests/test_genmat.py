@@ -3,7 +3,6 @@ import pytest
 from scipy import stats
 
 from rpcqr import (
-    SpectrumSpec,
     coherence,
     haar_frame,
     haar_rotated,
@@ -40,29 +39,22 @@ class TestHaarFrame:
 
 class TestRandsvd:
     def test_geometric_spectrum(self):
-        s = SpectrumSpec(n=3, kappa=100.0).values()
+        s = singular_values(randsvd(3, 100.0, seed=0))
         assert np.allclose(s, [1.0, 0.1, 0.01])
 
-    def test_round_trip_spectrum(self):
-        spec = SpectrumSpec(n=20, kappa=1e6)
-        A = randsvd(spec, seed=3)
-        s = singular_values(A)
-        assert np.max(np.abs(s - spec.values()) / spec.values()) <= 1e-8
+    @pytest.mark.parametrize("n", [1, 2, 20])
+    def test_round_trip_spectrum(self, n):
+        expected = np.geomspace(1.0, 1e-6, n)
+        s = singular_values(randsvd(n, 1e6, seed=3))
+        assert np.max(np.abs(s - expected) / expected) <= 1e-8
 
     def test_kappa_one_is_orthogonal(self):
-        A = randsvd(SpectrumSpec(n=10, kappa=1.0), seed=4)
+        A = randsvd(10, 1.0, seed=4)
         assert spectral_norm(A.T @ A - np.eye(10)) <= 1e-13
 
-    @pytest.mark.parametrize("mode", ["arithmetic", "one_small"])
-    def test_other_modes(self, mode):
-        s = SpectrumSpec(n=5, kappa=10.0, mode=mode).values()
-        assert s[0] == 1.0
-        assert s[-1] == pytest.approx(0.1)
-        assert np.all(np.diff(s) <= 0)
-
-    def test_rejects_bad_mode(self):
+    def test_rejects_kappa_below_one(self):
         with pytest.raises(ValueError):
-            SpectrumSpec(n=3, kappa=2.0, mode="bogus").values()
+            randsvd(3, 0.5, seed=1)
 
 
 class TestWorstCoherenceStack:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,21 +9,19 @@ import numpy as np
 import pytest
 
 import rpcqr.harness as harness
-from rpcqr import CholeskyBreakdown
+from rpcqr import CholeskyBreakdown, RankDeficientSampleError
 from rpcqr.cli import build_parser, main
 from rpcqr.harness import (
     CSV_COLUMNS,
     METHODS,
+    RANK_DEFICIENT_RETRIES,
     ConfigError,
     ExperimentConfig,
-    compare_cqr2,
     derive_seed,
     emit_csv,
     load_config,
-    run_single,
+    run_experiment,
     summarize_point,
-    sweep_c,
-    sweep_n,
     sweep_points,
 )
 
@@ -136,7 +135,7 @@ class TestRunSingle:
     def test_rp_on_singular_matrix(self):
         cfg = ExperimentConfig(experiment="single", m=500, n=50, kappa=1e15,
                                c=150, method="rp", master_seed=3)
-        rows, _ = run_single(cfg)
+        rows, _ = run_experiment(cfg)
         assert not rows[0]["breakdown"]
         assert rows[0]["residual"] <= 1e-14
         assert rows[0]["kappa_A1"] is not None and rows[0]["eta"] is not None
@@ -145,7 +144,7 @@ class TestRunSingle:
         cfg = ExperimentConfig(experiment="single", m=300, n=30, kappa=1.0,
                                matrix_kind="haar_rotated", method="basic",
                                master_seed=4)
-        rows, _ = run_single(cfg)
+        rows, _ = run_experiment(cfg)
         assert rows[0]["deviation"] <= 1e-14
         assert rows[0]["c"] is None and rows[0]["kappa_A1"] is None
         assert rows[0]["eta"] is None
@@ -153,8 +152,8 @@ class TestRunSingle:
     def test_deterministic_modulo_wall_time(self):
         cfg = ExperimentConfig(experiment="single", m=200, n=20, kappa=1e10,
                                c=60, method="rp", master_seed=5)
-        (r1,), _ = run_single(cfg)
-        (r2,), _ = run_single(cfg)
+        (r1,), _ = run_experiment(cfg)
+        (r2,), _ = run_experiment(cfg)
         assert r1["deviation"] == r2["deviation"]
         assert r1["residual"] == r2["residual"]
         assert r1["kappa_A1"] == r2["kappa_A1"]
@@ -163,7 +162,7 @@ class TestRunSingle:
     def test_basic_breakdown_recorded_not_raised(self):
         cfg = ExperimentConfig(experiment="single", m=400, n=40, kappa=1e15,
                                method="basic", master_seed=6)
-        rows, _ = run_single(cfg)
+        rows, _ = run_experiment(cfg)
         assert rows[0]["breakdown"]
         assert rows[0]["deviation"] is None and rows[0]["residual"] is None
 
@@ -172,8 +171,8 @@ class TestRunSingle:
         single = ExperimentConfig(experiment="single", m=200, n=20,
                                   kappa=1e10, c=60, method=method,
                                   trials=5, master_seed=12)
-        (row,), _ = run_single(single)
-        (swept,), _ = sweep_c(small_sweep_config(
+        (row,), _ = run_experiment(single)
+        (swept,), _ = run_experiment(small_sweep_config(
             kappa=1e10, c_list=[60], method=method, trials=1, master_seed=12))
         ignored = ("experiment", "wall_time_s")
         assert {k: v for k, v in row.items() if k not in ignored} == \
@@ -182,7 +181,7 @@ class TestRunSingle:
 
 class TestSweeps:
     def test_sweep_c_shapes(self):
-        rows, summaries = sweep_c(small_sweep_config())
+        rows, summaries = run_experiment(small_sweep_config())
         assert len(rows) == 2 * 3
         assert len(summaries) == 2
         for s in summaries:
@@ -190,7 +189,7 @@ class TestSweeps:
             assert t[0] <= t[2] <= t[1]  # min <= mean <= max
 
     def test_sweep_single_trial_min_equals_max(self):
-        rows, summaries = sweep_c(small_sweep_config(trials=1))
+        rows, summaries = run_experiment(small_sweep_config(trials=1))
         for s in summaries:
             t = s.stats["deviation"]
             assert t[0] == t[1] == t[2]
@@ -198,7 +197,7 @@ class TestSweeps:
     def test_sweep_n_uses_3n_samples(self):
         cfg = ExperimentConfig(experiment="sweep_n", m=300, kappa=1e12,
                                n_list=[10, 20], trials=2, master_seed=7)
-        rows, summaries = sweep_n(cfg)
+        rows, summaries = run_experiment(cfg)
         assert {r["c"] for r in rows} == {30, 60}
         est = [r["estimate_5_2"] for r in rows if not r["breakdown"]]
         kap = [r["kappa_A1"] for r in rows if not r["breakdown"]]
@@ -210,7 +209,7 @@ class TestSweeps:
                                matrix_kind="haar_rotated", m=300, n=30,
                                kappa=1e5, c_list=[90], trials=2,
                                master_seed=8)
-        rows, summaries = compare_cqr2(cfg)
+        rows, summaries = run_experiment(cfg)
         assert {r["method"] for r in rows} == {"rp", "cqr2"}
         assert len(rows) == 4
         assert {s.method for s in summaries} == {"rp", "cqr2"}
@@ -226,7 +225,7 @@ class TestSweeps:
         cfg = ExperimentConfig(experiment="compare_cqr2",
                                matrix_kind="haar_rotated", m=100, n=10,
                                kappa=1e3, c=30, trials=2, master_seed=13)
-        rows, _ = compare_cqr2(cfg)
+        rows, _ = run_experiment(cfg)
         assert calls == [(100, 10)] * 2
         assert [r["breakdown"] for r in rows if r["method"] == "cqr2"] == \
             [True, True]
@@ -235,18 +234,50 @@ class TestSweeps:
         cfg = ExperimentConfig(experiment="sweep_c", m=300, n=30,
                                kappa=1e15, c_list=[90], trials=2,
                                method="basic", master_seed=9)
-        rows, summaries = sweep_c(cfg)
+        rows, summaries = run_experiment(cfg)
         assert len(rows) == 2
         assert all(r["breakdown"] for r in rows)
         assert all(r["deviation"] is None for r in rows)
         assert summaries[0].breakdown_count == 2
 
 
+class TestRankDeficientRetry:
+    CONFIG = dict(experiment="single", m=200, n=20, kappa=1e10, c=60,
+                  method="rp", master_seed=14)
+
+    def _patch(self, monkeypatch, failures):
+        seeds, original = [], harness.rp_cholesky_qr
+
+        def flaky(A, c, seed):
+            seeds.append(seed)
+            if len(seeds) <= failures:
+                raise RankDeficientSampleError("planted")
+            return original(A, c, seed)
+
+        monkeypatch.setattr(harness, "rp_cholesky_qr", flaky)
+        return seeds
+
+    def test_retry_runs_on_a_derived_seed(self, monkeypatch):
+        seeds = self._patch(monkeypatch, failures=1)
+        (row,), _ = run_experiment(ExperimentConfig(**self.CONFIG))
+        retry = np.random.SeedSequence([row["seed"], 1])
+        assert not row["breakdown"] and row["deviation"] is not None
+        assert seeds == [row["seed"],
+                         int(retry.generate_state(1, np.uint64)[0])]
+
+    def test_breakdown_after_the_last_retry(self, monkeypatch):
+        seeds = self._patch(monkeypatch, failures=math.inf)
+        (row,), _ = run_experiment(ExperimentConfig(**self.CONFIG))
+        assert row["breakdown"] and row["deviation"] is None
+        assert len(seeds) == RANK_DEFICIENT_RETRIES + 1
+        assert len(set(seeds)) == len(seeds)
+
+
 class TestEmitCsv:
     def test_schema_and_empty_cells(self, tmp_path):
         cfg = ExperimentConfig(experiment="single", m=100, n=10, kappa=1e15,
                                method="basic", master_seed=10)
-        rows, _ = run_single(cfg)
+        rows, _ = run_experiment(cfg)
         path = tmp_path / "out.csv"
         emit_csv(rows, path)
         lines = path.read_text().splitlines()
@@ -262,7 +293,7 @@ class TestEmitCsv:
             emit_csv([], tmp_path / "x.csv")
 
     def test_float_cells_round_trip(self, tmp_path):
-        rows, _ = sweep_c(small_sweep_config(trials=1))
+        rows, _ = run_experiment(small_sweep_config(trials=1))
         path = tmp_path / "out.csv"
         emit_csv(rows, path)
         with open(path) as fh:
@@ -307,10 +338,25 @@ class TestCli:
             ["single", "--n", "10", "--seed", "-1"],
             ["single", "--config", str(array)],
             ["single", "--config", str(fractional)],
+            ["bounds", "--kappa-a1", "10", "--eta", "nan"],
+            ["bounds", "--kappa-a1", "10", "--eta", "-3"],
         ):
             rc = main(argv)
             assert rc == 1, argv
             assert capsys.readouterr().err.startswith("error: "), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["single", "--n", ","],
+        ["single", "--n", "5", "--c", ","],
+        ["single", "--n", "abc"],
+    ])
+    def test_int_list_without_ints_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected comma-separated ints" in err
+        assert "Traceback" not in err
 
     def test_method_choices_come_from_method_table(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")

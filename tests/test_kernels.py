@@ -17,11 +17,17 @@ from rpcqr import (
     sym_eigenvalues,
     tri_solve_right,
 )
-from rpcqr.kernels import as_matrix, householder_r, symmetrize
+from rpcqr.kernels import as_matrix, householder_r
 
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+def symmetrize(S):
+    """Return (S + S^T)/2 so the symmetry invariant holds bit-exactly."""
+    S = as_matrix(S)
+    return (S + S.T) / 2.0
 
 
 def gram_oracle(A):

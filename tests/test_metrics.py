@@ -12,7 +12,6 @@ from rpcqr import (
     randsvd,
     rel_residual,
     rp_cholesky_qr,
-    SpectrumSpec,
     worst_coherence_stack,
 )
 
@@ -71,7 +70,7 @@ class TestCond2:
         assert cond2(A) == pytest.approx(2.0)
 
     def test_generator_round_trip(self):
-        A = randsvd(SpectrumSpec(n=20, kappa=1e6), seed=9)
+        A = randsvd(20, 1e6, seed=9)
         assert cond2(A) == pytest.approx(1e6, rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [1e-8, 1.0, 1e8])

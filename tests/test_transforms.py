@@ -11,8 +11,6 @@ from rpcqr import (
     sample_rows,
     spectral_norm,
 )
-from rpcqr.transforms import apply_row_sample
-
 from dct_reference import dct_columns_reference, dct_matrix
 
 
@@ -66,10 +64,11 @@ class TestDct:
 
 class TestSampleRows:
     def test_full_sample_is_row_permutation(self):
+        # c = m: the scale is exactly 1, so the rows are copied unchanged.
         FA = np.random.default_rng(1).standard_normal((6, 3))
-        A_s, scale = apply_row_sample(FA, np.arange(6))
-        assert scale == 1.0
-        assert np.array_equal(A_s, FA)
+        A_s, sample = sample_rows(FA, 6, seed=4)
+        assert sample.scale == 1.0
+        assert np.array_equal(A_s, FA[sample.indices])
 
     def test_rows_are_scaled_sources_bit_exact(self):
         FA = np.random.default_rng(2).standard_normal((30, 4))
