@@ -120,12 +120,18 @@ def growth_factors(p):
 
 
 def _check_conditioning(kappa_preconditioned, eta=1.0):
-    """kappa(A1) and eta as floats; each must be finite and >= 1."""
+    """kappa(A1) and eta as floats, with 1 <= eta <= kappa(A1) finite.
+
+    A measured eta may round just above a kappa(A1) of 1, hence the
+    relative allowance of 1e-10 on the upper limit.
+    """
     k, eta = float(kappa_preconditioned), float(eta)
     if not math.isfinite(k) or k < 1.0:
         raise DomainError("kappa_preconditioned must be finite and >= 1")
     if not math.isfinite(eta) or eta < 1.0:
         raise DomainError("eta must be finite and >= 1")
+    if eta > k * (1.0 + 1e-10):
+        raise DomainError(f"eta={eta} exceeds kappa_preconditioned={k}")
     return k, eta
 
 

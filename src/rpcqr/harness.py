@@ -3,7 +3,8 @@
 Every trial seed derives from (master_seed, sweep point index, trial index,
 method) through ``numpy.random.SeedSequence``, whose hashing is documented
 stable, so any CSV row can be replayed in isolation.  The test matrix is
-fixed per sweep point; only the sampling seed varies across trials.
+fixed per sweep point, so it is generated, and its norm taken, once per
+point; only the sampling seed varies across trials.
 
 Breakdowns never abort a sweep: they become rows with breakdown=true and
 empty metric cells.
@@ -23,8 +24,8 @@ from .algorithms import cholesky_qr, cholesky_qr2, preconditioned_cholesky_qr, r
 from .bounds import ortho_estimate
 from .errors import CholeskyBreakdown, RankDeficientSampleError
 from .genmat import haar_rotated, worst_coherence_stack
-from .kernels import householder_r
-from .metrics import cond2, eta, ortho_deviation, rel_residual
+from .kernels import householder_r, spectral_norm
+from .metrics import measure
 
 SCHEMA_VERSION = 1
 
@@ -208,11 +209,11 @@ METHODS = {
 }
 
 
-def run_trial(config, A, n, c, trial, method, seed):
+def run_trial(config, A, norm_A, n, c, trial, method, seed):
     """One factorization plus metrics, as a CSV row.
 
-    Breakdowns are recorded, not raised.  ``wall_time_s`` times the
-    factorization alone, retries included.
+    ``norm_A`` is ‖A‖₂.  Breakdowns are recorded, not raised.
+    ``wall_time_s`` times the factorization alone, retries included.
     """
     t0 = time.perf_counter()
     try:
@@ -228,11 +229,8 @@ def run_trial(config, A, n, c, trial, method, seed):
         kappa_A1=None, eta=None, estimate_5_2=None, wall_time_s=wall,
     )
     if f is not None:
-        row["deviation"] = ortho_deviation(f.Q)
-        row["residual"] = rel_residual(A, f)
+        row.update(measure(A, norm_A, f, A1, R_s))
     if A1 is not None:
-        row["kappa_A1"] = cond2(A1)
-        row["eta"] = eta(A, A1, R_s)
         row["estimate_5_2"] = ortho_estimate(row["kappa_A1"])
     return row
 
@@ -286,16 +284,18 @@ def run_experiment(config):
                else [config.method])
     rows, summaries = [], []
     for point_index, (n, c) in enumerate(sweep_points(config)):
-        mseed = derive_matrix_seed(config.master_seed, point_index)
+        A = MATRIX_KINDS[config.matrix_kind](
+            config.m, n, config.kappa,
+            derive_matrix_seed(config.master_seed, point_index))
+        A.setflags(write=False)  # shared by every trial of the point
+        norm_A = spectral_norm(A)
         point_rows = []
         for trial in range(config.trials):
-            A = MATRIX_KINDS[config.matrix_kind](config.m, n, config.kappa,
-                                                 mseed)
             for method in methods:
                 seed = derive_seed(config.master_seed, point_index, trial,
                                    method)
-                point_rows.append(run_trial(config, A, n, c, trial, method,
-                                            seed))
+                point_rows.append(run_trial(config, A, norm_A, n, c, trial,
+                                            method, seed))
         rows += point_rows
         summaries += [summarize_point(point_rows, n, c, method)
                       for method in methods]

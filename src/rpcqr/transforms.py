@@ -9,6 +9,7 @@ explicit integer seed; the same seed always reproduces the same draw.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +62,19 @@ def dct_columns(A):
 
 
 def sample_rows(FA, c, seed):
-    """Sample c rows of FA uniformly with replacement, scaled by sqrt(m/c)."""
+    """Sample c rows of FA uniformly with replacement, scaled by sqrt(m/c).
+
+    c must be an integer (a Python or numpy int); a float, even 30.0, is a
+    TypeError rather than being truncated.
+    """
     FA = as_matrix(FA)
+    try:
+        c = operator.index(c)
+    except TypeError:
+        raise TypeError(f"c must be an integer, got {c!r}") from None
     if c < 1:
         raise ValueError("c must be >= 1")
-    m, c = FA.shape[0], int(c)
+    m = FA.shape[0]
     indices = _rng(seed).integers(0, m, size=c)
     scale = math.sqrt(m / c)
     sample = RowSample(c=c, indices=indices, scale=scale, seed=int(seed))

@@ -140,6 +140,19 @@ class TestRpCholeskyQR:
         with pytest.raises(ValueError):
             rp_cholesky_qr(A, 5, seed=23)
 
+    @pytest.mark.parametrize("c", [30.7, 30.0])
+    def test_rejects_non_integral_c(self, c):
+        A = haar_rotated(200, 20, 1e2, seed=24)
+        with pytest.raises(TypeError, match="c must be an integer"):
+            rp_cholesky_qr(A, c, seed=2)
+
+    def test_accepts_numpy_integer_c(self):
+        A = haar_rotated(200, 20, 1e2, seed=24)
+        f, info, _ = rp_cholesky_qr(A, np.int32(30), seed=2)
+        ref, _, _ = rp_cholesky_qr(A, 30, seed=2)
+        assert info.sample.c == 30
+        assert np.array_equal(f.Q, ref.Q) and np.array_equal(f.R, ref.R)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_residual_invariant(self, seed):
         # Residual stays at roundoff level for any conditioning.

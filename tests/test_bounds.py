@@ -188,12 +188,23 @@ class TestFirstOrderBounds:
                                     first_order_bounds])
 @pytest.mark.parametrize("kappa, eta", [
     (10.0, math.nan), (10.0, math.inf), (10.0, -3.0), (10.0, 0.5),
-    (math.nan, 2.0), (math.inf, 2.0), (0.5, 1.0),
+    (math.nan, 2.0), (math.inf, 2.0), (0.5, 1.0), (10.0, 20.0),
+    (1.0, 1.0 + 1e-9),
 ])
 def test_rejects_invalid_conditioning(bounds, kappa, eta):
     # kappa(A1) >= 1 and eta lies in [1, kappa(A1)].
     with pytest.raises(DomainError):
         bounds(PerturbationSet.roundoff(), kappa, eta)
+
+
+@pytest.mark.parametrize("bounds", [preconditioned_bounds,
+                                    first_order_bounds])
+@pytest.mark.parametrize("kappa, eta", [
+    (10.0, 10.0), (1.0, 1.0), (1.0, 1.0 + 1e-11), (1e6, 1e6 * (1 + 1e-11)),
+])
+def test_accepts_eta_up_to_kappa(bounds, kappa, eta):
+    # eta = kappa(A1) is attainable; a measured eta may round just above it.
+    assert bounds(PerturbationSet.roundoff(), kappa, eta).eta == eta
 
 
 class TestBasicBounds:

@@ -9,14 +9,25 @@ import numpy as np
 import pytest
 
 import rpcqr.harness as harness
-from rpcqr import CholeskyBreakdown, RankDeficientSampleError
+from rpcqr import (
+    CholeskyBreakdown,
+    RankDeficientSampleError,
+    cholesky_qr2,
+    cond2,
+    eta,
+    ortho_deviation,
+    rel_residual,
+    rp_cholesky_qr,
+)
 from rpcqr.cli import build_parser, main
 from rpcqr.harness import (
     CSV_COLUMNS,
+    MATRIX_KINDS,
     METHODS,
     RANK_DEFICIENT_RETRIES,
     ConfigError,
     ExperimentConfig,
+    derive_matrix_seed,
     derive_seed,
     emit_csv,
     load_config,
@@ -230,6 +241,55 @@ class TestSweeps:
         assert [r["breakdown"] for r in rows if r["method"] == "cqr2"] == \
             [True, True]
 
+    def test_one_matrix_and_one_norm_per_point(self, monkeypatch):
+        counts = {"haar_rotated": 0, "spectral_norm": 0}
+
+        def counting(name):
+            original = getattr(harness, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(harness, name, counting(name))
+        cfg = ExperimentConfig(experiment="compare_cqr2",
+                               matrix_kind="haar_rotated", m=100, n=10,
+                               kappa=1e5, c_list=[30, 40], trials=3,
+                               master_seed=15)
+        rows, _ = run_experiment(cfg)
+        assert len(rows) == 2 * 3 * 2
+        assert counts == {"haar_rotated": 2, "spectral_norm": 2}
+
+    @pytest.mark.parametrize("config", [
+        dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
+             n=15, kappa=1e7, c_list=[30, 45], trials=2, master_seed=16),
+        dict(experiment="sweep_c", matrix_kind="worst_coherence", m=150,
+             n=15, kappa=1e15, c_list=[30, 45], trials=2, master_seed=17),
+    ], ids=["compare_cqr2", "sweep_c"])
+    def test_rows_replay_from_their_columns(self, config):
+        cfg = ExperimentConfig(**config)
+        rows, _ = run_experiment(cfg)
+        per_point = len(rows) // len(sweep_points(cfg))
+        for i, row in enumerate(rows):
+            # Rows come point by point; a cqr2 row's c cell is empty, so
+            # the point index is read from the row's position.
+            A = MATRIX_KINDS[row["matrix_kind"]](
+                row["m"], row["n"], row["kappa_target"],
+                derive_matrix_seed(cfg.master_seed, i // per_point))
+            assert not row["breakdown"]
+            if row["method"] == "rp":
+                f, info, A1 = rp_cholesky_qr(A, row["c"], row["seed"])
+                assert row["kappa_A1"] == cond2(A1)
+                assert row["eta"] == pytest.approx(eta(A, A1, info.R_s),
+                                                   rel=1e-14, abs=0)
+            else:
+                f = cholesky_qr2(A)
+                assert row["kappa_A1"] is None and row["eta"] is None
+            assert row["deviation"] == ortho_deviation(f.Q)
+            assert row["residual"] == rel_residual(A, f)
+
     def test_breakdowns_become_rows(self):
         cfg = ExperimentConfig(experiment="sweep_c", m=300, n=30,
                                kappa=1e15, c_list=[90], trials=2,
@@ -340,6 +400,7 @@ class TestCli:
             ["single", "--config", str(fractional)],
             ["bounds", "--kappa-a1", "10", "--eta", "nan"],
             ["bounds", "--kappa-a1", "10", "--eta", "-3"],
+            ["bounds", "--kappa-a1", "10", "--eta", "20"],
         ):
             rc = main(argv)
             assert rc == 1, argv

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rpcqr import (
+    EPS,
     QRFactors,
+    cholesky_qr2,
     cond2,
     eta,
     haar_frame,
@@ -12,8 +16,10 @@ from rpcqr import (
     randsvd,
     rel_residual,
     rp_cholesky_qr,
+    spectral_norm,
     worst_coherence_stack,
 )
+from rpcqr.metrics import measure
 
 
 class TestOrthoDeviation:
@@ -59,6 +65,52 @@ class TestRelResidual:
         f2 = QRFactors(Q=W @ f.Q, R=f.R, method=f.method)
         r2 = rel_residual(W @ A, f2)
         assert abs(r1 - r2) <= 1e-13
+
+    @given(
+        n=st.integers(1, 300),
+        extra_rows=st.integers(0, 40),
+        order=st.sampled_from("CF"),
+        exponent=st.sampled_from([-500, 0, 500]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, extra_rows=0, order="C", exponent=-500, seed=0)
+    @example(n=255, extra_rows=1, order="F", exponent=500, seed=1)
+    @example(n=257, extra_rows=0, order="C", exponent=0, seed=2)
+    @example(n=300, extra_rows=40, order="F", exponent=-500, seed=3)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_explicit_difference(self, n, extra_rows, order,
+                                         exponent, seed):
+        # A - QR is one dgemm update of a copy of A; the explicit
+        # difference of A and the product Q @ R is the reference.
+        g = np.random.default_rng(seed)
+        A = g.standard_normal((n + extra_rows, n)) * 2.0 ** exponent
+        f = householder_qr(A)
+        A = np.array(A, order=order)
+        f = QRFactors(Q=np.array(f.Q, order=order), R=f.R, method=f.method)
+        A_before = A.copy()
+        want = spectral_norm(A - f.Q @ f.R) / spectral_norm(A)
+        assert abs(rel_residual(A, f) - want) <= 4 * n * EPS
+        assert np.array_equal(A, A_before)
+
+
+class TestMeasure:
+    def test_rp_row_matches_the_single_metrics(self):
+        A = worst_coherence_stack(300, 20, 1e12, seed=13)
+        f, info, A1 = rp_cholesky_qr(A, 60, seed=14)
+        cells = measure(A, spectral_norm(A), f, A1, info.R_s)
+        assert cells["deviation"] == ortho_deviation(f.Q)
+        assert cells["residual"] == rel_residual(A, f)
+        assert cells["kappa_A1"] == cond2(A1)
+        assert cells["eta"] == pytest.approx(eta(A, A1, info.R_s),
+                                             rel=1e-14, abs=0)
+
+    def test_no_preconditioned_matrix(self):
+        A = haar_rotated(200, 20, 1e5, seed=15)
+        f = cholesky_qr2(A)
+        cells = measure(A, spectral_norm(A), f)
+        assert cells == dict(deviation=ortho_deviation(f.Q),
+                             residual=rel_residual(A, f), kappa_A1=None,
+                             eta=None)
 
 
 class TestCond2:

@@ -77,6 +77,19 @@ class TestSampleRows:
         for i, idx in enumerate(sample.indices):
             assert np.array_equal(A_s[i], sample.scale * FA[idx])
 
+    @pytest.mark.parametrize("c", [30.7, 30.0])
+    def test_rejects_non_integral_c(self, c):
+        FA = np.ones((64, 2))
+        with pytest.raises(TypeError, match="c must be an integer"):
+            sample_rows(FA, c, seed=3)
+
+    def test_accepts_numpy_integer_c(self):
+        FA = np.random.default_rng(6).standard_normal((64, 2))
+        A_s, sample = sample_rows(FA, np.int64(8), seed=3)
+        ref, _ = sample_rows(FA, 8, seed=3)
+        assert type(sample.c) is int and sample.c == 8
+        assert np.array_equal(A_s, ref)
+
     def test_deterministic_indices(self):
         FA = np.zeros((64, 2))
         _, s1 = sample_rows(FA, 8, seed=77)
