@@ -3,7 +3,8 @@
 Library layout:
 
 * :mod:`rpcqr.kernels` -- dense linear-algebra primitives
-* :mod:`rpcqr.transforms` -- sign flip / DCT smoothing and row sampling
+* :mod:`rpcqr.transforms` -- sign flip / DCT smoothing, row sampling and
+  the seed rule
 * :mod:`rpcqr.algorithms` -- the Cholesky-QR family of factorizations
 * :mod:`rpcqr.bounds` -- closed-form accuracy bound evaluators
 * :mod:`rpcqr.genmat` -- seeded test-matrix generators
@@ -65,11 +66,10 @@ from .harness import (
     load_config,
     run_experiment,
 )
-from .metrics import cond2, eta, ortho_deviation, rel_residual
+from .metrics import coherence, cond2, eta, ortho_deviation, rel_residual
 from .transforms import (
     RowSample,
     SignDiagonal,
-    coherence,
     dct_columns,
     rademacher_diag,
     sample_rows,

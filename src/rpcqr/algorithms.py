@@ -21,6 +21,7 @@ from .errors import CholeskyBreakdown, RankDeficientSampleError
 from .kernels import (
     QRFactors,
     as_matrix,
+    as_tall_matrix,
     cholesky,
     gram,
     householder_r,
@@ -30,6 +31,7 @@ from .kernels import (
 from .transforms import (
     RowSample,
     SignDiagonal,
+    child_seeds,
     dct_columns,
     rademacher_diag,
     sample_rows,
@@ -47,9 +49,7 @@ class PreconditionerInfo:
 
 def cholesky_qr(A):
     """Basic Cholesky-QR: Gram matrix, Cholesky, triangular solve."""
-    A = as_matrix(A)
-    if A.shape[0] < A.shape[1]:
-        raise ValueError("need rows >= cols")
+    A = as_tall_matrix(A)
     G = gram(A)
     R = cholesky(G)
     Q = tri_solve_right(A, R)
@@ -88,11 +88,6 @@ def preconditioned_cholesky_qr(A, R_s):
     return QRFactors(Q=f.Q, R=R, method="preconditioned"), A1
 
 
-def _child_seeds(seed, n):
-    ss = np.random.SeedSequence(int(seed))
-    return [int(s) for s in ss.generate_state(n, np.uint64)]
-
-
 def build_preconditioner(A, c, seed, rank_tol=0.0):
     """Sample-based triangular preconditioner (sign flip, DCT, row sample, QR).
 
@@ -111,7 +106,7 @@ def build_preconditioner(A, c, seed, rank_tol=0.0):
     m, n = A.shape
     if c < n:
         raise ValueError(f"need c >= cols, got c={c}, cols={n}")
-    sign_seed, sample_seed = _child_seeds(seed, 2)
+    sign_seed, sample_seed = child_seeds([seed], 2)
     signs = rademacher_diag(m, sign_seed)
     FA = dct_columns(signs.signs[:, None] * A)
     A_s, sample = sample_rows(FA, c, sample_seed)

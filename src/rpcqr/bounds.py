@@ -119,7 +119,7 @@ def growth_factors(p):
     )
 
 
-def _check_conditioning(kappa_preconditioned, eta=1.0):
+def _check_conditioning(kappa_preconditioned, eta):
     """kappa(A1) and eta as floats, with 1 <= eta <= kappa(A1) finite.
 
     A measured eta may round just above a kappa(A1) of 1, hence the
@@ -237,7 +237,9 @@ def ortho_estimate(kappa_preconditioned):
 
     Observed to track the measured deviation from orthonormality within a
     couple of orders of magnitude; the guaranteed bound carries kappa(A1)^2
-    instead.
+    instead.  A singular A1 (kappa(A1) = inf) gives an infinite estimate.
     """
-    k, _ = _check_conditioning(kappa_preconditioned)
+    k = float(kappa_preconditioned)
+    if not k >= 1.0:
+        raise DomainError("kappa_preconditioned must be >= 1")
     return 4.0 * EPS * k

@@ -26,6 +26,8 @@ from .harness import (
 # Short --matrix names: the first word of each kind ("worst", "haar").
 _MATRIX_ALIASES = {kind.split("_")[0]: kind for kind in MATRIX_KINDS}
 FULL_SCALE_M = 6000
+# The stages of a PerturbationSet, each a --eps-<stage> option of `bounds`.
+_STAGES = ("input", "precond", "gram", "cholesky", "solve", "recover")
 
 
 def _int_list(text):
@@ -106,15 +108,9 @@ def _run_experiment(args, experiment):
 
 def _run_bounds(args):
     base = args.eps if args.eps is not None else 0.0
-    p = PerturbationSet(
-        eps_input=args.eps_input if args.eps_input is not None else base,
-        eps_precond=args.eps_precond if args.eps_precond is not None else base,
-        eps_gram=args.eps_gram if args.eps_gram is not None else base,
-        eps_cholesky=args.eps_cholesky if args.eps_cholesky is not None else base,
-        eps_solve=args.eps_solve if args.eps_solve is not None else base,
-        eps_recover=args.eps_recover if args.eps_recover is not None else base,
-        kappa_precond=args.kappa_rs,
-    )
+    eps = {f"eps_{stage}": getattr(args, f"eps_{stage}") for stage in _STAGES}
+    p = PerturbationSet(kappa_precond=args.kappa_rs, **{
+        name: base if value is None else value for name, value in eps.items()})
     if args.first_order:
         b = first_order_bounds(p, args.kappa_a1, args.eta)
     else:
@@ -141,7 +137,7 @@ def build_parser():
 
     b = sub.add_parser("bounds", help="evaluate the perturbation bounds")
     b.add_argument("--eps", type=float, help="value for all stage perturbations")
-    for stage in ("input", "precond", "gram", "cholesky", "solve", "recover"):
+    for stage in _STAGES:
         b.add_argument(f"--eps-{stage}", type=float, dest=f"eps_{stage}")
     b.add_argument("--kappa-rs", type=float, default=1.0,
                    help="condition number of the preconditioner")

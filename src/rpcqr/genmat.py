@@ -14,11 +14,7 @@ All generators are deterministic functions of (dimensions, kappa, seed).
 import numpy as np
 
 from .kernels import householder_qr
-
-
-def _seed_for(seed, tag):
-    ss = np.random.SeedSequence([int(seed), int(tag)])
-    return int(ss.generate_state(1, np.uint64)[0])
+from .transforms import child_seeds, philox
 
 
 def haar_frame(m, n, seed):
@@ -28,10 +24,7 @@ def haar_frame(m, n, seed):
     distributionally equal to the leading n columns of a full Haar matrix,
     at O(m n^2) cost instead of O(m^3).
     """
-    if m < n:
-        raise ValueError("need m >= n")
-    rng = np.random.Generator(np.random.Philox(_seed_for(seed, 0)))
-    G = rng.standard_normal((m, n))
+    G = philox(child_seeds([seed, 0])[0]).standard_normal((m, n))
     return householder_qr(G).Q
 
 
@@ -44,8 +37,8 @@ def randsvd(n, kappa, seed):
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
     sigma = kappa ** (-np.arange(n) / max(n - 1, 1))
-    U = haar_frame(n, n, _seed_for(seed, 1))
-    V = haar_frame(n, n, _seed_for(seed, 2))
+    U = haar_frame(n, n, child_seeds([seed, 1])[0])
+    V = haar_frame(n, n, child_seeds([seed, 2])[0])
     return (U * sigma) @ V.T
 
 
@@ -65,9 +58,7 @@ def haar_rotated(m, n, kappa, seed):
     Shares the conditioned block (and hence the singular values) with
     :func:`worst_coherence_stack` at the same seed.
     """
-    if m < n:
-        raise ValueError("need m >= n")
     R_A = randsvd(n, kappa, seed)
-    Q_A = haar_frame(m, n, _seed_for(seed, 3))
+    Q_A = haar_frame(m, n, child_seeds([seed, 3])[0])
     return Q_A @ R_A
 

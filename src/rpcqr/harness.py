@@ -1,10 +1,10 @@
 """Seeded experiment sweeps and CSV emission.
 
 Every trial seed derives from (master_seed, sweep point index, trial index,
-method) through ``numpy.random.SeedSequence``, whose hashing is documented
-stable, so any CSV row can be replayed in isolation.  The test matrix is
-fixed per sweep point, so it is generated, and its norm taken, once per
-point; only the sampling seed varies across trials.
+method) through :func:`rpcqr.transforms.child_seeds`, whose hashing is
+documented stable, so any CSV row can be replayed in isolation.  The test
+matrix is fixed per sweep point, so it is generated, and its norm taken,
+once per point; only the sampling seed varies across trials.
 
 Breakdowns never abort a sweep: they become rows with breakdown=true and
 empty metric cells.
@@ -13,19 +13,18 @@ empty metric cells.
 import csv
 import json
 import math
+import numbers
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional
 
-import numpy as np
-
 from .algorithms import cholesky_qr, cholesky_qr2, preconditioned_cholesky_qr, rp_cholesky_qr
-from .bounds import ortho_estimate
 from .errors import CholeskyBreakdown, RankDeficientSampleError
 from .genmat import haar_rotated, worst_coherence_stack
 from .kernels import householder_r, spectral_norm
 from .metrics import measure
+from .transforms import child_seeds
 
 SCHEMA_VERSION = 1
 
@@ -87,11 +86,16 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
-        if not (self.kappa >= 1.0 and math.isfinite(self.kappa)):
-            raise ConfigError(f"kappa must be finite and >= 1, got {self.kappa}")
+        k = self.kappa
+        if (isinstance(k, bool) or not isinstance(k, numbers.Real)
+                or not (k >= 1.0 and math.isfinite(k))):
+            raise ConfigError(f"kappa must be a finite number >= 1, got {k!r}")
         if (self.experiment == "compare_cqr2"
                 and self.matrix_kind != "haar_rotated"):
             raise ConfigError("compare_cqr2 requires matrix_kind=haar_rotated")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ConfigError(
+                f"output_path must be a string, got {self.output_path!r}")
         for n, c in sweep_points(self):
             if not 1 <= n <= self.m:
                 raise ConfigError(f"every n must satisfy 1 <= n <= m={self.m}")
@@ -125,17 +129,13 @@ def load_config(path):
 
 def derive_seed(master_seed, point_index, trial_index, method):
     """Stable per-trial seed; distinct (point, trial, method) never collide."""
-    ss = np.random.SeedSequence(
-        [int(master_seed), int(point_index), int(trial_index),
-         METHODS[method].code]
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
+    return child_seeds([master_seed, point_index, trial_index,
+                        METHODS[method].code])[0]
 
 
 def derive_matrix_seed(master_seed, point_index):
-    ss = np.random.SeedSequence([int(master_seed), int(point_index),
-                                 _MATRIX_TAG])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Seed of the test matrix shared by every trial of a sweep point."""
+    return child_seeds([master_seed, point_index, _MATRIX_TAG])[0]
 
 
 def sweep_points(config):
@@ -192,8 +192,7 @@ def _run_rp(A, c, seed):
         except RankDeficientSampleError:
             if attempt == RANK_DEFICIENT_RETRIES:
                 raise
-            ss = np.random.SeedSequence([int(seed), attempt + 1])
-            attempt_seed = int(ss.generate_state(1, np.uint64)[0])
+            attempt_seed = child_seeds([seed, attempt + 1])[0]
 
 
 Method = namedtuple("Method", "code samples_c run")
@@ -230,8 +229,6 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
     )
     if f is not None:
         row.update(measure(A, norm_A, f, A1, R_s))
-    if A1 is not None:
-        row["estimate_5_2"] = ortho_estimate(row["kappa_A1"])
     return row
 
 

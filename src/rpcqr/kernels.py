@@ -49,6 +49,15 @@ def as_matrix(a):
     return arr
 
 
+def as_tall_matrix(a):
+    """:func:`as_matrix`, for a matrix with at least as many rows as columns."""
+    arr = as_matrix(a)
+    m, n = arr.shape
+    if m < n:
+        raise ValueError(f"need rows >= cols, got {m}x{n}")
+    return arr
+
+
 def _check_symmetric(S):
     S = as_matrix(S)
     if S.shape[0] != S.shape[1] or not np.array_equal(S, S.T):
@@ -135,10 +144,7 @@ def householder_qr(A):
     comparable across algorithms.  Backed by LAPACK; rank deficiency shows up
     as tiny diagonal entries of R, not as an error.
     """
-    A = as_matrix(A)
-    m, n = A.shape
-    if m < n:
-        raise ValueError(f"need rows >= cols, got {m}x{n}")
+    A = as_tall_matrix(A)
     Q, R = np.linalg.qr(A, mode="reduced")
     s, R = _nonnegative_diagonal(R)
     return QRFactors(Q=Q * s, R=R, method="householder")
@@ -150,10 +156,7 @@ def householder_r(A):
     Same LAPACK ``geqrf`` and the same sign normalization, so the result is
     bit-identical to ``householder_qr(A).R`` at half the flops.
     """
-    A = as_matrix(A)
-    m, n = A.shape
-    if m < n:
-        raise ValueError(f"need rows >= cols, got {m}x{n}")
+    A = as_tall_matrix(A)
     return _nonnegative_diagonal(np.linalg.qr(A, mode="r"))[1]
 
 
@@ -178,9 +181,7 @@ def singular_values(A):
     much taller than wide), never via eigenvalues of the Gram matrix (which
     would square the condition number and lose accuracy).
     """
-    A = as_matrix(A)
-    if A.shape[0] < A.shape[1]:
-        raise ValueError("need rows >= cols")
+    A = as_tall_matrix(A)
     try:
         return np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:

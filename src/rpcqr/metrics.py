@@ -1,7 +1,8 @@
 """Measured accuracy quantities recorded for every experiment trial.
 
-:func:`measure` fills a CSV row in one pass, with the arithmetic of the
-single-quantity functions but ‖A‖ taken once per test matrix by the caller.
+:func:`measure` fills a CSV row's metric cells in one pass, with the
+arithmetic of the single-quantity functions but ‖A‖ taken once per test
+matrix by the caller.
 """
 
 import math
@@ -9,12 +10,17 @@ import math
 import numpy as np
 from scipy.linalg.blas import dgemm
 
+from .bounds import ortho_estimate
+from .errors import NotOrthonormalError
 from .kernels import (
     as_matrix,
     singular_values,
     spectral_norm,
     sym_eigenvalues,
 )
+
+#: Largest deviation from orthonormality :func:`coherence` accepts.
+ORTHO_TOL = 1e-8
 
 
 def ortho_deviation(Q):
@@ -30,6 +36,20 @@ def ortho_deviation(Q):
     return float(max(abs(w[0]), abs(w[-1])))
 
 
+def coherence(Q):
+    """Largest squared row norm of a matrix with orthonormal columns.
+
+    Lies in [n/m, 1]; equals 1 when the column space is aligned with
+    coordinate axes (worst case for uniform sampling).  Raises
+    :class:`NotOrthonormalError` if :func:`ortho_deviation` > ``ORTHO_TOL``.
+    """
+    Q = as_matrix(Q)
+    if ortho_deviation(Q) > ORTHO_TOL:
+        raise NotOrthonormalError("columns deviate from orthonormality by "
+                                  f"more than {ORTHO_TOL:g}")
+    return float(np.max(np.einsum("ij,ij->i", Q, Q)))
+
+
 def _residual(A, f, norm_A):
     # A - QR in one dgemm update of a Fortran copy of A: no QR temporary
     # and no separate subtraction pass.
@@ -42,8 +62,9 @@ def _cond(s):
     return math.inf if s[-1] == 0.0 else float(s[0] / s[-1])
 
 
-def _eta(norm_A1, R_s, norm_A):
-    return norm_A1 * spectral_norm(R_s) / norm_A
+def _eta(s, R_s, norm_A):
+    # s are A1's singular values, so s[0] = ‖A1‖₂.
+    return float(s[0]) * spectral_norm(R_s) / norm_A
 
 
 def rel_residual(A, f):
@@ -59,23 +80,25 @@ def cond2(A):
 
 def eta(A, A1, R_s):
     """Conditioning of the product A1 * R_s; lies in [1, kappa(A1)]."""
-    return _eta(spectral_norm(A1), R_s, spectral_norm(A))
+    return _eta(singular_values(A1), R_s, spectral_norm(A))
 
 
 def measure(A, norm_A, f, A1=None, R_s=None):
     """The metric cells of one trial row, given ``norm_A`` = ‖A‖₂.
 
-    Returns ``deviation``, ``residual``, ``kappa_A1`` and ``eta`` as
-    :func:`ortho_deviation`, :func:`rel_residual`, :func:`cond2` and
-    :func:`eta` define them; the last two are ``None`` without an A1.  η
-    takes σ₁(A₁) from the SVD behind κ(A₁), so it can differ from
-    :func:`eta` in the last bits.
+    Returns ``deviation``, ``residual``, ``kappa_A1``, ``eta`` and
+    ``estimate_5_2`` as :func:`ortho_deviation`, :func:`rel_residual`,
+    :func:`cond2`, :func:`eta` and :func:`~rpcqr.bounds.ortho_estimate`
+    define them; the last three are ``None`` without an A1.  One SVD of A1
+    serves κ(A₁) and η.
     """
     A = as_matrix(A)
     cells = dict(deviation=ortho_deviation(f.Q),
-                 residual=_residual(A, f, norm_A), kappa_A1=None, eta=None)
+                 residual=_residual(A, f, norm_A), kappa_A1=None, eta=None,
+                 estimate_5_2=None)
     if A1 is not None:
         s = singular_values(A1)
         cells["kappa_A1"] = _cond(s)
-        cells["eta"] = _eta(float(s[0]), R_s, norm_A)
+        cells["eta"] = _eta(s, R_s, norm_A)
+        cells["estimate_5_2"] = ortho_estimate(cells["kappa_A1"])
     return cells

@@ -5,7 +5,10 @@ coherence of a matrix's column space, after which uniform row sampling with
 replacement becomes reliable.
 
 All randomness comes from numpy's counter-based Philox generator, keyed by an
-explicit integer seed; the same seed always reproduces the same draw.
+explicit integer seed; the same seed always reproduces the same draw.  Every
+seed derived from other integers is a word of :func:`child_seeds` (numpy
+documents ``SeedSequence`` hashing as stable), and every generator comes from
+:func:`philox`.
 """
 
 import math
@@ -15,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import NotOrthonormalError
-from .kernels import as_matrix, sym_eigenvalues
+from .kernels import as_matrix
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,14 @@ class RowSample:
     seed: int
 
 
-def _rng(seed):
+def child_seeds(key, n=1):
+    """The first n uint64 words of ``SeedSequence(key)``, as Python ints."""
+    ss = np.random.SeedSequence([int(k) for k in key])
+    return [int(s) for s in ss.generate_state(n, np.uint64)]
+
+
+def philox(seed):
+    """The Philox generator keyed by the integer ``seed``."""
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
@@ -50,7 +59,7 @@ def rademacher_diag(m, seed):
     """Draw m independent +-1 signs (a zero draw maps to +1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    u = _rng(seed).random(m)
+    u = philox(seed).random(m)
     signs = np.where(u - 0.5 >= 0.0, 1, -1).astype(np.int64)
     return SignDiagonal(m=int(m), signs=signs, seed=int(seed))
 
@@ -75,26 +84,7 @@ def sample_rows(FA, c, seed):
     if c < 1:
         raise ValueError("c must be >= 1")
     m = FA.shape[0]
-    indices = _rng(seed).integers(0, m, size=c)
+    indices = philox(seed).integers(0, m, size=c)
     scale = math.sqrt(m / c)
     sample = RowSample(c=c, indices=indices, scale=scale, seed=int(seed))
     return scale * FA[indices, :], sample
-
-
-def coherence(Q, ortho_tol=1e-8):
-    """Largest squared row norm of a matrix with orthonormal columns.
-
-    Lies in [n/m, 1]; equals 1 when the column space is aligned with
-    coordinate axes (worst case for uniform sampling).  Raises
-    :class:`NotOrthonormalError` if ``Q`` fails the orthonormality check.
-    """
-    Q = as_matrix(Q)
-    n = Q.shape[1]
-    G = Q.T @ Q
-    dev = sym_eigenvalues((G + G.T) / 2.0 - np.eye(n))
-    if max(abs(dev[0]), abs(dev[-1])) > ortho_tol:
-        raise NotOrthonormalError(
-            "columns deviate from orthonormality by more than "
-            f"{ortho_tol:g}"
-        )
-    return float(np.max(np.einsum("ij,ij->i", Q, Q)))

@@ -17,9 +17,14 @@ from rpcqr import (
     spectral_norm,
     worst_coherence_stack,
 )
-from rpcqr.algorithms import _child_seeds, build_preconditioner
+from rpcqr.algorithms import build_preconditioner
 from rpcqr.metrics import cond2, eta
-from rpcqr.transforms import dct_columns, rademacher_diag, sample_rows
+from rpcqr.transforms import (
+    child_seeds,
+    dct_columns,
+    rademacher_diag,
+    sample_rows,
+)
 
 from dct_reference import sampled_frame_singular_values
 
@@ -188,7 +193,7 @@ class TestBuildPreconditioner:
         # R_s equals the triangular factor of a full Householder QR of the
         # same seed's sample, as the preconditioner was first defined.
         A = haar_rotated(400, 20, 1e10, seed=3)
-        sign_seed, sample_seed = _child_seeds(seed, 2)
+        sign_seed, sample_seed = child_seeds([seed], 2)
         signs = rademacher_diag(400, sign_seed)
         FA = dct_columns(signs.signs[:, None] * A)
         A_s, _ = sample_rows(FA, 60, sample_seed)

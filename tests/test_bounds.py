@@ -285,3 +285,12 @@ class TestOrthoEstimate:
     def test_rejects_kappa_below_one(self):
         with pytest.raises(DomainError):
             ortho_estimate(0.5)
+
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            ortho_estimate(math.nan)
+
+    def test_infinite_kappa(self):
+        # A numerically singular A1 has kappa = inf; its row still gets an
+        # estimate, while the bound evaluators keep rejecting it.
+        assert ortho_estimate(math.inf) == math.inf

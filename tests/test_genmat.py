@@ -22,6 +22,10 @@ class TestHaarFrame:
     def test_deterministic(self):
         assert np.array_equal(haar_frame(64, 4, seed=1), haar_frame(64, 4, seed=1))
 
+    def test_golden_entry(self):
+        # Pins the Gaussian's seed (child word 0 of [seed, 0]) and Philox.
+        assert haar_frame(6, 2, seed=3)[0, 0] == 0.1496855818656071
+
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(haar_frame(64, 4, seed=1),
                                   haar_frame(64, 4, seed=2))

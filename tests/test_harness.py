@@ -16,6 +16,7 @@ from rpcqr import (
     cond2,
     eta,
     ortho_deviation,
+    ortho_estimate,
     rel_residual,
     rp_cholesky_qr,
 )
@@ -113,6 +114,12 @@ class TestConfig:
         '{"schema_version": 1, "experiment": "sweep_n", "n_list": 5}',
         '{"schema_version": 1, "experiment": "single", "n": 5, '
         '"master_seed": -1}',
+        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '"output_path": 1}',
+        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '"kappa": true}',
+        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '"kappa": "1e7"}',
     ])
     def test_load_config_rejects_malformed_values(self, tmp_path, text):
         path = tmp_path / "cfg.json"
@@ -132,6 +139,10 @@ class TestConfig:
 class TestSeedDerivation:
     def test_stable(self):
         assert derive_seed(1, 2, 3, "rp") == derive_seed(1, 2, 3, "rp")
+
+    def test_golden_values(self):
+        assert derive_seed(0, 0, 0, "rp") == 7559663011601410144
+        assert derive_matrix_seed(101, 0) == 15300423673866037780
 
     def test_no_collisions_across_axes(self):
         seeds = {
@@ -282,8 +293,8 @@ class TestSweeps:
             if row["method"] == "rp":
                 f, info, A1 = rp_cholesky_qr(A, row["c"], row["seed"])
                 assert row["kappa_A1"] == cond2(A1)
-                assert row["eta"] == pytest.approx(eta(A, A1, info.R_s),
-                                                   rel=1e-14, abs=0)
+                assert row["eta"] == eta(A, A1, info.R_s)
+                assert row["estimate_5_2"] == ortho_estimate(cond2(A1))
             else:
                 f = cholesky_qr2(A)
                 assert row["kappa_A1"] is None and row["eta"] is None
@@ -324,6 +335,12 @@ class TestRankDeficientRetry:
         assert not row["breakdown"] and row["deviation"] is not None
         assert seeds == [row["seed"],
                          int(retry.generate_state(1, np.uint64)[0])]
+
+    def test_golden_retry_seed(self, monkeypatch):
+        seeds = self._patch(monkeypatch, failures=1)
+        A = MATRIX_KINDS["worst_coherence"](200, 20, 1e10, 5)
+        harness.METHODS["rp"].run(A, 60, 7)
+        assert seeds == [7, 6635463128224577688]
 
     def test_breakdown_after_the_last_retry(self, monkeypatch):
         seeds = self._patch(monkeypatch, failures=math.inf)
@@ -430,6 +447,13 @@ class TestCli:
                    "--trials", "1",
                    "--out", str(tmp_path / "no_dir" / "x.csv")])
         assert rc == 2
+
+    def test_singular_preconditioned_matrix_is_a_row(self, capsys):
+        # The 10 sampled rows hold 7 distinct ones, so sigma_n(A1) = 0.
+        rc = main(["single", "--m", "50", "--n", "10", "--c", "10",
+                   "--matrix", "haar", "--seed", "3"])
+        assert rc == 0
+        assert "kappa_A1=inf" in capsys.readouterr().out
 
     def test_bounds_subcommand(self, capsys):
         rc = main(["bounds", "--eps", "1e-16", "--kappa-a1", "10",

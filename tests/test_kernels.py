@@ -8,6 +8,7 @@ from rpcqr import (
     CholeskyBreakdown,
     SingularTriangularError,
     cholesky,
+    cholesky_qr,
     gram,
     haar_frame,
     haar_rotated,
@@ -55,6 +56,13 @@ class TestMatrixValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             as_matrix(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("entry", [cholesky_qr, householder_qr,
+                                       householder_r, singular_values],
+                             ids=lambda f: f.__name__)
+    def test_tall_entry_points_reject_wide(self, entry):
+        with pytest.raises(ValueError, match=r"^need rows >= cols, got 3x5$"):
+            entry(np.ones((3, 5)))
 
 
 class TestGram:

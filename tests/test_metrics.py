@@ -13,6 +13,7 @@ from rpcqr import (
     haar_rotated,
     householder_qr,
     ortho_deviation,
+    ortho_estimate,
     randsvd,
     rel_residual,
     rp_cholesky_qr,
@@ -101,8 +102,8 @@ class TestMeasure:
         assert cells["deviation"] == ortho_deviation(f.Q)
         assert cells["residual"] == rel_residual(A, f)
         assert cells["kappa_A1"] == cond2(A1)
-        assert cells["eta"] == pytest.approx(eta(A, A1, info.R_s),
-                                             rel=1e-14, abs=0)
+        assert cells["eta"] == eta(A, A1, info.R_s)
+        assert cells["estimate_5_2"] == ortho_estimate(cond2(A1))
 
     def test_no_preconditioned_matrix(self):
         A = haar_rotated(200, 20, 1e5, seed=15)
@@ -110,7 +111,7 @@ class TestMeasure:
         cells = measure(A, spectral_norm(A), f)
         assert cells == dict(deviation=ortho_deviation(f.Q),
                              residual=rel_residual(A, f), kappa_A1=None,
-                             eta=None)
+                             eta=None, estimate_5_2=None)
 
 
 class TestCond2:

@@ -11,7 +11,21 @@ from rpcqr import (
     sample_rows,
     spectral_norm,
 )
+from rpcqr.transforms import child_seeds
 from dct_reference import dct_columns_reference, dct_matrix
+
+
+class TestSeedRule:
+    def test_golden_child_seeds(self):
+        # The sign and sample seeds of build_preconditioner(A, c, seed=7).
+        assert child_seeds([7], 2) == [16920295385781661272,
+                                       610735763742393210]
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 7])
+    def test_one_word_key_equals_the_int_key(self, seed):
+        ss = np.random.SeedSequence(seed)
+        assert child_seeds([seed], 2) == [
+            int(s) for s in ss.generate_state(2, np.uint64)]
 
 
 class TestRademacherDiag:
