@@ -31,7 +31,7 @@ for name, algorithm in [("Cholesky-QR", cholesky_qr),
         print(f"{name:14s} breakdown: pivot {exc.pivot_index} "
               f"went nonpositive ({exc.pivot_value:.2e})")
 
-f, info, A1 = rp_cholesky_qr(A, c=3 * n, seed=1)
+f, _, A1 = rp_cholesky_qr(A, c=3 * n, seed=1)
 print(f"{'randomized':14s} deviation {ortho_deviation(f.Q):.2e}, "
       f"residual {rel_residual(A, f):.2e}")
 print(f"\npreconditioned matrix: kappa(A1) = {cond2(A1):.2f} "

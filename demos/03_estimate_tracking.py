@@ -25,7 +25,7 @@ print(f"{'c':>5} {'deviation':>12} {'4*u*kappa(A1)':>14} {'ratio':>8}")
 ratios = []
 for c in (100, 150, 200, 300, 400):
     for trial in range(5):
-        f, info, A1 = rp_cholesky_qr(A, c, seed=1000 * c + trial)
+        f, _, A1 = rp_cholesky_qr(A, c, seed=1000 * c + trial)
         dev = ortho_deviation(f.Q)
         est = ortho_estimate(cond2(A1))
         ratios.append(dev / est)

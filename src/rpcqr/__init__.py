@@ -13,7 +13,6 @@ Library layout:
 """
 
 from .algorithms import (
-    PreconditionerInfo,
     build_preconditioner,
     cholesky_qr,
     cholesky_qr2,
@@ -67,12 +66,6 @@ from .harness import (
     run_experiment,
 )
 from .metrics import coherence, cond2, eta, ortho_deviation, rel_residual
-from .transforms import (
-    RowSample,
-    SignDiagonal,
-    dct_columns,
-    rademacher_diag,
-    sample_rows,
-)
+from .transforms import dct_columns, rademacher_diag, sample_rows
 
 __version__ = "0.1.0"

@@ -13,8 +13,6 @@ Four routes to A = QR for a tall full-column-rank A:
   accurate even for numerically singular A.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CholeskyBreakdown, RankDeficientSampleError
@@ -28,23 +26,7 @@ from .kernels import (
     spectral_norm,
     tri_solve_right,
 )
-from .transforms import (
-    RowSample,
-    SignDiagonal,
-    child_seeds,
-    dct_columns,
-    rademacher_diag,
-    sample_rows,
-)
-
-
-@dataclass
-class PreconditionerInfo:
-    """The realized randomized preconditioner of one rp_cholesky_qr run."""
-
-    R_s: np.ndarray
-    sample: RowSample
-    signs: SignDiagonal
+from .transforms import child_seeds, dct_columns, rademacher_diag, sample_rows
 
 
 def cholesky_qr(A):
@@ -91,10 +73,11 @@ def preconditioned_cholesky_qr(A, R_s):
 def build_preconditioner(A, c, seed, rank_tol=0.0):
     """Sample-based triangular preconditioner (sign flip, DCT, row sample, QR).
 
-    Raises :class:`RankDeficientSampleError` when the triangular factor of
-    the sampled matrix is unusable (a diagonal entry that is non-finite,
-    zero, or at most ``rank_tol`` times the sampled matrix's norm);
-    retrying with a new seed is the caller's decision.
+    Returns R_s, the triangular factor of the sample.  The sign flip and the
+    sample draw on the two words of ``child_seeds([seed], 2)``, so ``seed``
+    names all the randomness.  Raises :class:`RankDeficientSampleError` when
+    R_s is unusable (a diagonal entry that is non-finite, zero, or at most
+    ``rank_tol`` times the sampled matrix's norm).
 
     ``rank_tol`` defaults to 0 on purpose: for numerically singular inputs
     the smallest diagonal entry legitimately sits at roundoff level, and the
@@ -107,9 +90,8 @@ def build_preconditioner(A, c, seed, rank_tol=0.0):
     if c < n:
         raise ValueError(f"need c >= cols, got c={c}, cols={n}")
     sign_seed, sample_seed = child_seeds([seed], 2)
-    signs = rademacher_diag(m, sign_seed)
-    FA = dct_columns(signs.signs[:, None] * A)
-    A_s, sample = sample_rows(FA, c, sample_seed)
+    FA = dct_columns(rademacher_diag(m, sign_seed)[:, None] * A)
+    A_s = sample_rows(FA, c, sample_seed)
     R_s = householder_r(A_s)
     d = np.diag(R_s)
     threshold = rank_tol * spectral_norm(A_s) if rank_tol > 0.0 else 0.0
@@ -117,17 +99,18 @@ def build_preconditioner(A, c, seed, rank_tol=0.0):
         raise RankDeficientSampleError(
             f"sampled matrix numerically rank deficient (c={c})"
         )
-    return PreconditionerInfo(R_s=R_s, sample=sample, signs=signs)
+    return R_s
 
 
 def rp_cholesky_qr(A, c, seed, rank_tol=0.0):
     """Randomized preconditioned Cholesky-QR.
 
-    Deterministic for fixed (A, c, seed).  Only the triangular factor of the
-    sampled matrix is computed; its orthonormal factor is never formed.
+    Returns (factors, R_s, A1): the factors of A, the preconditioner and
+    A1 = A R_s^{-1}.  Deterministic for fixed (A, c, seed).  Only the
+    triangular factor of the sampled matrix is computed; its orthonormal
+    factor is never formed.
     """
-    info = build_preconditioner(A, c, seed, rank_tol=rank_tol)
-    f, A1 = preconditioned_cholesky_qr(A, info.R_s)
-    f = QRFactors(Q=f.Q, R=f.R, method="rpcholesky")
-    return f, info, A1
+    R_s = build_preconditioner(A, c, seed, rank_tol=rank_tol)
+    f, A1 = preconditioned_cholesky_qr(A, R_s)
+    return QRFactors(Q=f.Q, R=f.R, method="rpcholesky"), R_s, A1
 

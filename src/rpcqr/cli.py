@@ -25,7 +25,6 @@ from .harness import (
 
 # Short --matrix names: the first word of each kind ("worst", "haar").
 _MATRIX_ALIASES = {kind.split("_")[0]: kind for kind in MATRIX_KINDS}
-FULL_SCALE_M = 6000
 # The stages of a PerturbationSet, each a --eps-<stage> option of `bounds`.
 _STAGES = ("input", "precond", "gram", "cholesky", "solve", "recover")
 
@@ -53,8 +52,6 @@ def _add_experiment_args(p):
     p.add_argument("--matrix", choices=sorted(_MATRIX_ALIASES))
     p.add_argument("--method", choices=sorted(METHODS))
     p.add_argument("--out", metavar="PATH", help="CSV output path")
-    p.add_argument("--full-scale", action="store_true",
-                   help=f"use m={FULL_SCALE_M} (paper scale) unless --m given")
 
 
 def _build_config(args, experiment):
@@ -63,8 +60,6 @@ def _build_config(args, experiment):
         config.experiment = experiment
     else:
         config = ExperimentConfig(experiment=experiment)
-    if args.full_scale and args.m is None:
-        config.m = FULL_SCALE_M
     if args.m is not None:
         config.m = args.m
     if args.n is not None:

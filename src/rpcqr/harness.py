@@ -48,7 +48,6 @@ CSV_COLUMNS = [
 ]
 
 _MATRIX_TAG = 0xA117  # reserved tag for matrix-generation seeds
-RANK_DEFICIENT_RETRIES = 3  # fresh-seed reruns of rp after a bad row sample
 
 
 class ConfigError(ValueError):
@@ -77,6 +76,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown matrix_kind {self.matrix_kind!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
+        if any(not isinstance(v, list) for v in (self.n_list, self.c_list)
+               if v is not None):
+            raise ConfigError("n_list and c_list must be lists of integers")
         ints = [self.m, self.trials, self.master_seed, self.n, self.c,
                 *(self.n_list or ()), *(self.c_list or ())]
         if any(type(v) is not int for v in ints if v is not None):
@@ -143,25 +145,37 @@ def sweep_points(config):
 
     ``sweep_n``, and ``compare_cqr2`` given ``n_list``, sample c = 3n rows;
     ``sweep_c``, and ``compare_cqr2`` given ``c_list``, sweep c at fixed n;
-    ``single`` takes ``c``, or 3n when its method samples rows.
+    ``single`` takes ``c``, or 3n when its method samples rows.  Setting
+    one of ``n``, ``c``, ``n_list`` and ``c_list`` that the rule ignores is
+    a ConfigError, so no key is silently dropped.
     """
     experiment, n, c = config.experiment, config.n, config.c
     compare = experiment == "compare_cqr2"
     if experiment == "sweep_n" or (compare and config.n_list):
         if not config.n_list:
             raise ConfigError("n_list is required for sweep_n")
-        return [(k, 3 * k) for k in config.n_list]
+        return _only(config, ("n_list",), [(k, 3 * k) for k in config.n_list])
     if n is None:
         raise ConfigError(f"n is required for {experiment}")
     if experiment == "sweep_c" or (compare and config.c_list):
         if not config.c_list:
             raise ConfigError("c_list is required for sweep_c")
-        return [(n, k) for k in config.c_list]
+        return _only(config, ("n", "c_list"), [(n, k) for k in config.c_list])
     if c is None and compare:
         raise ConfigError("compare_cqr2 needs c, c_list or n_list")
     if c is None and METHODS[config.method].samples_c:
         c = 3 * n
-    return [(n, c)]
+    return _only(config, ("n", "c"), [(n, c)])
+
+
+def _only(config, used, points):
+    """``points``, unless ``config`` sets a point key outside ``used``."""
+    unused = [k for k in ("n", "c", "n_list", "c_list")
+              if k not in used and getattr(config, k) is not None]
+    if unused:
+        raise ConfigError(f"{config.experiment} reads {' and '.join(used)}, "
+                          f"so it would ignore {' and '.join(unused)}")
+    return points
 
 
 # The tables below reach every library function through a lambda or a
@@ -180,45 +194,34 @@ def _run_precond(A, c, seed):
     # Ideal-preconditioner baseline: exact triangular factor of A.
     R_s = householder_r(A)
     f, A1 = preconditioned_cholesky_qr(A, R_s)
-    return f, A1, R_s
-
-
-def _run_rp(A, c, seed):
-    attempt_seed = seed
-    for attempt in range(RANK_DEFICIENT_RETRIES + 1):
-        try:
-            f, info, A1 = rp_cholesky_qr(A, c, attempt_seed)
-            return f, A1, info.R_s
-        except RankDeficientSampleError:
-            if attempt == RANK_DEFICIENT_RETRIES:
-                raise
-            attempt_seed = child_seeds([seed, attempt + 1])[0]
+    return f, R_s, A1
 
 
 Method = namedtuple("Method", "code samples_c run")
 
 #: Factorization methods.  ``code`` enters every trial seed, so it must never
 #: change; ``samples_c`` marks the methods that use the sampling amount c;
-#: ``run(A, c, seed)`` returns (factors, A1 or None, R_s or None).
+#: ``run(A, c, seed)`` returns (factors, R_s or None, A1 or None), the order
+#: of ``rp_cholesky_qr``, which runs once, on exactly the row's seed.
 METHODS = {
     "basic": Method(0, False, lambda A, c, seed: (cholesky_qr(A), None, None)),
     "cqr2": Method(1, False, lambda A, c, seed: (cholesky_qr2(A), None, None)),
     "precond": Method(2, False, _run_precond),
-    "rp": Method(3, True, _run_rp),
+    "rp": Method(3, True, lambda A, c, seed: rp_cholesky_qr(A, c, seed)),
 }
 
 
 def run_trial(config, A, norm_A, n, c, trial, method, seed):
     """One factorization plus metrics, as a CSV row.
 
-    ``norm_A`` is ‖A‖₂.  Breakdowns are recorded, not raised.
-    ``wall_time_s`` times the factorization alone, retries included.
+    ``norm_A`` is ‖A‖₂.  Breakdowns, and rank-deficient row samples, are
+    recorded, not raised.  ``wall_time_s`` times the factorization alone.
     """
     t0 = time.perf_counter()
     try:
-        f, A1, R_s = METHODS[method].run(A, c, seed)
+        f, R_s, A1 = METHODS[method].run(A, c, seed)
     except (CholeskyBreakdown, RankDeficientSampleError):
-        f = A1 = R_s = None
+        f = R_s = A1 = None
     wall = time.perf_counter() - t0
     row = dict(
         experiment=config.experiment, matrix_kind=config.matrix_kind,

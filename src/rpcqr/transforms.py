@@ -13,35 +13,11 @@ documents ``SeedSequence`` hashing as stable), and every generator comes from
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
 from .kernels import as_matrix
-
-
-@dataclass(frozen=True)
-class SignDiagonal:
-    """Diagonal of independent random signs, reproducible from ``seed``."""
-
-    m: int
-    signs: np.ndarray  # entries in {-1, +1}
-    seed: int
-
-
-@dataclass(frozen=True)
-class RowSample:
-    """Realized row sample: indices drawn i.i.d. uniform with replacement.
-
-    ``scale`` is sqrt(m/c); each sampled row is multiplied by it so the
-    sample is an unbiased sketch of the source Gram matrix.
-    """
-
-    c: int
-    indices: np.ndarray
-    scale: float
-    seed: int
 
 
 def child_seeds(key, n=1):
@@ -56,12 +32,11 @@ def philox(seed):
 
 
 def rademacher_diag(m, seed):
-    """Draw m independent +-1 signs (a zero draw maps to +1)."""
+    """m independent +-1 signs, as int64 (a zero draw maps to +1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     u = philox(seed).random(m)
-    signs = np.where(u - 0.5 >= 0.0, 1, -1).astype(np.int64)
-    return SignDiagonal(m=int(m), signs=signs, seed=int(seed))
+    return np.where(u - 0.5 >= 0.0, 1, -1).astype(np.int64)
 
 
 def dct_columns(A):
@@ -73,8 +48,10 @@ def dct_columns(A):
 def sample_rows(FA, c, seed):
     """Sample c rows of FA uniformly with replacement, scaled by sqrt(m/c).
 
-    c must be an integer (a Python or numpy int); a float, even 30.0, is a
-    TypeError rather than being truncated.
+    Each row is drawn with probability 1/m, so the scale sqrt(m/c) makes
+    the sample an unbiased sketch of the source Gram matrix.  c must be an
+    integer (a Python or numpy int); a float, even 30.0, is a TypeError
+    rather than being truncated.
     """
     FA = as_matrix(FA)
     try:
@@ -85,6 +62,4 @@ def sample_rows(FA, c, seed):
         raise ValueError("c must be >= 1")
     m = FA.shape[0]
     indices = philox(seed).integers(0, m, size=c)
-    scale = math.sqrt(m / c)
-    sample = RowSample(c=c, indices=indices, scale=scale, seed=int(seed))
-    return scale * FA[indices, :], sample
+    return math.sqrt(m / c) * FA[indices, :]

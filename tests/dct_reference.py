@@ -7,7 +7,12 @@ import math
 import numpy as np
 
 from rpcqr.kernels import as_matrix, householder_qr, singular_values
-from rpcqr.transforms import dct_columns
+from rpcqr.transforms import (
+    child_seeds,
+    dct_columns,
+    rademacher_diag,
+    sample_rows,
+)
 
 
 def dct_matrix(m):
@@ -31,15 +36,17 @@ def dct_columns_reference(A):
     return dct_matrix(A.shape[0]) @ A
 
 
-def sampled_frame_singular_values(A, info):
+def sampled_frame_singular_values(A, c, seed):
     """Singular values of the sampled transformed orthonormal frame.
 
-    In exact arithmetic these are the reciprocals of the reversed singular
-    values of the preconditioned matrix A1, so the two share one condition
-    number.  Used as a diagnostic cross-check.
+    The sketch is rebuilt from ``seed`` as ``rp_cholesky_qr(A, c, seed)``
+    draws it: signs and sample from the two words of
+    ``child_seeds([seed], 2)``.  In exact arithmetic these are the
+    reciprocals of the reversed singular values of that run's A1, so the two
+    share one condition number.  Used as a diagnostic cross-check.
     """
     A = as_matrix(A)
     Q = householder_qr(A).Q
-    FQ = dct_columns(info.signs.signs[:, None] * Q)
-    SFQ = info.sample.scale * FQ[info.sample.indices, :]
-    return singular_values(SFQ)
+    sign_seed, sample_seed = child_seeds([seed], 2)
+    FQ = dct_columns(rademacher_diag(A.shape[0], sign_seed)[:, None] * Q)
+    return singular_values(sample_rows(FQ, c, sample_seed))

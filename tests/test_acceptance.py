@@ -171,8 +171,8 @@ def test_criterion_6_reciprocal_spectrum(capsys):
     worst_pair = worst_cond = 0.0
     for seed in range(20):
         A = haar_rotated(m, n, 1e2, seed=seed)
-        _, info, A1 = rp_cholesky_qr(A, c, seed=1000 + seed)
-        s = sampled_frame_singular_values(A, info)
+        _, _, A1 = rp_cholesky_qr(A, c, seed=1000 + seed)
+        s = sampled_frame_singular_values(A, c, 1000 + seed)
         s1 = singular_values(A1)
         worst_pair = max(worst_pair, np.max(np.abs(s * s1[::-1] - 1.0)))
         k1 = s1[0] / s1[-1]
@@ -217,11 +217,11 @@ def test_criterion_8_sampling_lower_bound(capsys):
         A = haar_rotated(m, n, 1e3, seed=seed)
         Q = householder_qr(A).Q
         signs = rademacher_diag(m, seed=10_000 + seed)
-        smoothed_frame = dct_columns(signs.signs[:, None] * Q)
+        smoothed_frame = dct_columns(signs[:, None] * Q)
         mu = coherence(smoothed_frame)
         c = min(sampling_lower_bound(m, n, mu, 0.5, 0.01).c_min, 10 * m)
-        FA = dct_columns(signs.signs[:, None] * A)
-        A_s, _ = sample_rows(FA, c, seed=20_000 + seed)
+        FA = dct_columns(signs[:, None] * A)
+        A_s = sample_rows(FA, c, seed=20_000 + seed)
         R_s = householder_qr(A_s).R
         try:
             _, A1 = preconditioned_cholesky_qr(A, R_s)

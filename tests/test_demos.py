@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def run_fresh(argv, cwd=None):
+    """Run ``python argv...`` in a fresh interpreter on this checkout."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_demos_found():
@@ -15,9 +27,17 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run([sys.executable, str(demo)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_fresh([str(demo)])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_blocks_found():
+    assert README_BLOCKS, "no ```python block in README.md"
+
+
+@pytest.mark.parametrize("code", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_block_runs(code, tmp_path):
+    # Each block stands alone, as a reader would paste it.
+    proc = run_fresh(["-c", code], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

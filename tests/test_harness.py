@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +24,6 @@ from rpcqr.harness import (
     CSV_COLUMNS,
     MATRIX_KINDS,
     METHODS,
-    RANK_DEFICIENT_RETRIES,
     ConfigError,
     ExperimentConfig,
     derive_matrix_seed,
@@ -120,12 +118,38 @@ class TestConfig:
         '"kappa": true}',
         '{"schema_version": 1, "experiment": "single", "n": 5, '
         '"kappa": "1e7"}',
+        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
+        '"c_list": 20}',
+        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
+        '"c_list": [20], "n_list": [5]}',
+        '{"schema_version": 1, "experiment": "compare_cqr2", '
+        '"matrix_kind": "haar_rotated", "n": 5, "c_list": [20], '
+        '"n_list": [5]}',
     ])
     def test_load_config_rejects_malformed_values(self, tmp_path, text):
         path = tmp_path / "cfg.json"
         path.write_text(text)
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("config, key", [
+        (dict(experiment="sweep_n", n_list=[5], n=7), "n"),
+        (dict(experiment="sweep_n", n_list=[5], c=50), "c"),
+        (dict(experiment="sweep_n", n_list=[5], c_list=[20]), "c_list"),
+        (dict(experiment="sweep_c", n=5, c_list=[20], n_list=[5]), "n_list"),
+        (dict(experiment="sweep_c", n=5, c_list=[20], c=30), "c"),
+        (dict(experiment="single", n=5, n_list=[5]), "n_list"),
+        (dict(experiment="single", n=5, c_list=[20, 30]), "c_list"),
+        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=5,
+              c_list=[20], n_list=[5]), "c_list"),
+        (dict(experiment="sweep_n", n_list=5), "n_list"),
+        (dict(experiment="sweep_c", n=5, c_list=20), "c_list"),
+        (dict(experiment="sweep_c", n=5, c_list="20"), "c_list"),
+    ])
+    def test_validate_names_an_ignored_or_malformed_point_key(self, config,
+                                                              key):
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            ExperimentConfig(**config).validate()
 
     @pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 9)])
     def test_shipped_configs(self, name):
@@ -291,9 +315,9 @@ class TestSweeps:
                 derive_matrix_seed(cfg.master_seed, i // per_point))
             assert not row["breakdown"]
             if row["method"] == "rp":
-                f, info, A1 = rp_cholesky_qr(A, row["c"], row["seed"])
+                f, R_s, A1 = rp_cholesky_qr(A, row["c"], row["seed"])
                 assert row["kappa_A1"] == cond2(A1)
-                assert row["eta"] == eta(A, A1, info.R_s)
+                assert row["eta"] == eta(A, A1, R_s)
                 assert row["estimate_5_2"] == ortho_estimate(cond2(A1))
             else:
                 f = cholesky_qr2(A)
@@ -312,42 +336,22 @@ class TestSweeps:
         assert summaries[0].breakdown_count == 2
 
 
-class TestRankDeficientRetry:
-    CONFIG = dict(experiment="single", m=200, n=20, kappa=1e10, c=60,
-                  method="rp", master_seed=14)
+class TestRankDeficientSample:
+    def test_is_a_breakdown_row_after_one_call_on_the_row_seed(
+            self, monkeypatch):
+        seeds = []
 
-    def _patch(self, monkeypatch, failures):
-        seeds, original = [], harness.rp_cholesky_qr
-
-        def flaky(A, c, seed):
+        def deficient(A, c, seed):
             seeds.append(seed)
-            if len(seeds) <= failures:
-                raise RankDeficientSampleError("planted")
-            return original(A, c, seed)
+            raise RankDeficientSampleError("planted")
 
-        monkeypatch.setattr(harness, "rp_cholesky_qr", flaky)
-        return seeds
-
-    def test_retry_runs_on_a_derived_seed(self, monkeypatch):
-        seeds = self._patch(monkeypatch, failures=1)
-        (row,), _ = run_experiment(ExperimentConfig(**self.CONFIG))
-        retry = np.random.SeedSequence([row["seed"], 1])
-        assert not row["breakdown"] and row["deviation"] is not None
-        assert seeds == [row["seed"],
-                         int(retry.generate_state(1, np.uint64)[0])]
-
-    def test_golden_retry_seed(self, monkeypatch):
-        seeds = self._patch(monkeypatch, failures=1)
-        A = MATRIX_KINDS["worst_coherence"](200, 20, 1e10, 5)
-        harness.METHODS["rp"].run(A, 60, 7)
-        assert seeds == [7, 6635463128224577688]
-
-    def test_breakdown_after_the_last_retry(self, monkeypatch):
-        seeds = self._patch(monkeypatch, failures=math.inf)
-        (row,), _ = run_experiment(ExperimentConfig(**self.CONFIG))
+        monkeypatch.setattr(harness, "rp_cholesky_qr", deficient)
+        (row,), _ = run_experiment(ExperimentConfig(
+            experiment="single", m=200, n=20, kappa=1e10, c=60,
+            method="rp", master_seed=14))
         assert row["breakdown"] and row["deviation"] is None
-        assert len(seeds) == RANK_DEFICIENT_RETRIES + 1
-        assert len(set(seeds)) == len(seeds)
+        assert row["kappa_A1"] is None and row["eta"] is None
+        assert seeds == [row["seed"]]
 
 
 class TestEmitCsv:
@@ -412,6 +416,10 @@ class TestCli:
             ["single", "--n", "10", "--kappa", "0.5"],
             ["single", "--n", "0"],
             ["sweep-n", "--n", "0,10"],
+            ["sweep-c", "--config", str(CONFIGS / "fig1.json"),
+             "--n", "10,20"],
+            ["single", "--n", "10", "--c", "20,30"],
+            ["sweep-n", "--n", "7", "--c", "50"],
             ["single", "--n", "10", "--seed", "-1"],
             ["single", "--config", str(array)],
             ["single", "--config", str(fractional)],

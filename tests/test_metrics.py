@@ -97,12 +97,12 @@ class TestRelResidual:
 class TestMeasure:
     def test_rp_row_matches_the_single_metrics(self):
         A = worst_coherence_stack(300, 20, 1e12, seed=13)
-        f, info, A1 = rp_cholesky_qr(A, 60, seed=14)
-        cells = measure(A, spectral_norm(A), f, A1, info.R_s)
+        f, R_s, A1 = rp_cholesky_qr(A, 60, seed=14)
+        cells = measure(A, spectral_norm(A), f, A1, R_s)
         assert cells["deviation"] == ortho_deviation(f.Q)
         assert cells["residual"] == rel_residual(A, f)
         assert cells["kappa_A1"] == cond2(A1)
-        assert cells["eta"] == eta(A, A1, info.R_s)
+        assert cells["eta"] == eta(A, A1, R_s)
         assert cells["estimate_5_2"] == ortho_estimate(cond2(A1))
 
     def test_no_preconditioned_matrix(self):
@@ -153,6 +153,6 @@ class TestEta:
     @pytest.mark.parametrize("seed", range(5))
     def test_within_theoretical_range(self, seed):
         A = worst_coherence_stack(300, 20, 1e8, seed=seed)
-        f, info, A1 = rp_cholesky_qr(A, 60, seed=seed + 100)
-        e = eta(A, A1, info.R_s)
+        f, R_s, A1 = rp_cholesky_qr(A, 60, seed=seed + 100)
+        e = eta(A, A1, R_s)
         assert 1.0 - 1e-6 <= e <= cond2(A1) * (1.0 + 1e-6)
