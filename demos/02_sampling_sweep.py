@@ -21,8 +21,8 @@ config = ExperimentConfig(
     master_seed=42,
 )
 
-rows, summaries = run_experiment(config)
-print(format_summary(summaries))
+rows = run_experiment(config)
+print(format_summary(config, rows))
 
 breakdowns = sum(r["breakdown"] for r in rows)
 print(f"\n{len(rows)} trials, {breakdowns} breakdowns")

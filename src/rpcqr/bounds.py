@@ -13,7 +13,7 @@ the transcription with an extended-precision oracle.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .errors import DomainError
@@ -42,15 +42,8 @@ class PerturbationSet:
     kappa_precond: float = 1.0
 
     def __post_init__(self):
-        vals = (
-            self.eps_input,
-            self.eps_precond,
-            self.eps_gram,
-            self.eps_cholesky,
-            self.eps_solve,
-            self.eps_recover,
-        )
-        if any(not math.isfinite(v) or v < 0.0 for v in vals):
+        eps = [getattr(self, name) for name in _stage_fields()]
+        if any(not math.isfinite(v) or v < 0.0 for v in eps):
             raise DomainError("perturbations must be finite and nonnegative")
         if not math.isfinite(self.kappa_precond) or self.kappa_precond < 1.0:
             raise DomainError("kappa_precond must be finite and >= 1")
@@ -58,15 +51,14 @@ class PerturbationSet:
     @classmethod
     def roundoff(cls, kappa_precond=1.0):
         """All stage perturbations set to unit roundoff."""
-        return cls(
-            eps_input=EPS,
-            eps_precond=EPS,
-            eps_gram=EPS,
-            eps_cholesky=EPS,
-            eps_solve=EPS,
-            eps_recover=EPS,
-            kappa_precond=kappa_precond,
-        )
+        return cls(kappa_precond=kappa_precond,
+                   **dict.fromkeys(_stage_fields(), EPS))
+
+
+def _stage_fields():
+    """Names of PerturbationSet's stage perturbations, its ``eps_`` fields."""
+    return [f.name for f in fields(PerturbationSet)
+            if f.name.startswith("eps_")]
 
 
 @dataclass(frozen=True)
@@ -87,19 +79,19 @@ class GrowthFactors:
     growth_recover: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BoundSet:
-    """Evaluated bounds.
+    """Evaluated bounds, built by keyword; printed in field order.
 
     ``cond_factor`` is the multiplier of kappa(R2) bounding the conditioning
     of the computed triangular factor.  The bound fields are ``None`` when
     the positive-definiteness assumption fails (``assumption_ok`` False).
     """
 
+    assumption_ok: bool
     cond_factor: Optional[float]
     ortho_bound: Optional[float]
     residual_bound: Optional[float]
-    assumption_ok: bool
     eta: float
     kappa_preconditioned: float
 
@@ -145,14 +137,9 @@ def preconditioned_bounds(p, kappa_preconditioned, eta):
     g = growth_factors(p)
     denom = 1.0 - k * k * g.growth_definiteness
     if denom <= 0.0:
-        return BoundSet(
-            cond_factor=None,
-            ortho_bound=None,
-            residual_bound=None,
-            assumption_ok=False,
-            eta=eta,
-            kappa_preconditioned=k,
-        )
+        return BoundSet(assumption_ok=False, cond_factor=None,
+                        ortho_bound=None, residual_bound=None, eta=eta,
+                        kappa_preconditioned=k)
     cond_factor = math.sqrt((1.0 + g.growth_definiteness) / denom)
     ortho = k * k * g.growth_ortho / denom
     residual = (
@@ -160,14 +147,9 @@ def preconditioned_bounds(p, kappa_preconditioned, eta):
         + (p.eps_precond + (1.0 + g.eps_combined) * p.eps_solve) * eta
         + g.growth_recover * cond_factor * eta * k
     )
-    return BoundSet(
-        cond_factor=cond_factor,
-        ortho_bound=ortho,
-        residual_bound=residual,
-        assumption_ok=True,
-        eta=eta,
-        kappa_preconditioned=k,
-    )
+    return BoundSet(assumption_ok=True, cond_factor=cond_factor,
+                    ortho_bound=ortho, residual_bound=residual, eta=eta,
+                    kappa_preconditioned=k)
 
 
 def first_order_bounds(p, kappa_preconditioned, eta):
@@ -184,14 +166,9 @@ def first_order_bounds(p, kappa_preconditioned, eta):
     residual = p.eps_input + (
         p.eps_precond + p.eps_solve + p.eps_recover * k
     ) * eta
-    return BoundSet(
-        cond_factor=cond_factor,
-        ortho_bound=ortho,
-        residual_bound=residual,
-        assumption_ok=True,
-        eta=eta,
-        kappa_preconditioned=k,
-    )
+    return BoundSet(assumption_ok=True, cond_factor=cond_factor,
+                    ortho_bound=ortho, residual_bound=residual, eta=eta,
+                    kappa_preconditioned=k)
 
 
 def basic_bounds(p, kappa):

@@ -8,6 +8,7 @@ sweep are recorded in the output and do not affect the exit code.
 
 import argparse
 import sys
+from dataclasses import fields, replace
 
 from .bounds import PerturbationSet, first_order_bounds, preconditioned_bounds
 from .errors import DomainError
@@ -25,8 +26,6 @@ from .harness import (
 
 # Short --matrix names: the first word of each kind ("worst", "haar").
 _MATRIX_ALIASES = {kind.split("_")[0]: kind for kind in MATRIX_KINDS}
-# The stages of a PerturbationSet, each a --eps-<stage> option of `bounds`.
-_STAGES = ("input", "precond", "gram", "cholesky", "solve", "recover")
 
 
 def _int_list(text):
@@ -40,6 +39,7 @@ def _int_list(text):
 
 
 def _add_experiment_args(p):
+    # Each dest but --config's names the ExperimentConfig field it sets.
     p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=_int_list,
@@ -48,53 +48,44 @@ def _add_experiment_args(p):
                    help="sampling amount (comma-separated list for sweep-c)")
     p.add_argument("--kappa", type=float)
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--matrix", choices=sorted(_MATRIX_ALIASES))
+    p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
+    p.add_argument("--matrix", choices=sorted(_MATRIX_ALIASES),
+                   dest="matrix_kind")
     p.add_argument("--method", choices=sorted(METHODS))
-    p.add_argument("--out", metavar="PATH", help="CSV output path")
+    p.add_argument("--out", metavar="PATH", dest="output_path",
+                   help="CSV output path")
 
 
-def _build_config(args, experiment):
-    if args.config:
-        config = load_config(args.config)
-        config.experiment = experiment
-    else:
-        config = ExperimentConfig(experiment=experiment)
-    if args.m is not None:
-        config.m = args.m
-    if args.n is not None:
-        if experiment == "sweep_n" or len(args.n) > 1:
-            config.n_list = args.n
-        else:
-            config.n = args.n[0]
-    if args.c is not None:
-        if experiment == "sweep_c" or len(args.c) > 1:
-            config.c_list = args.c
-        else:
-            config.c = args.c[0]
-    if args.kappa is not None:
-        config.kappa = args.kappa
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.matrix is not None:
-        config.matrix_kind = _MATRIX_ALIASES[args.matrix]
-    if args.method is not None:
-        config.method = args.method
-    if args.out is not None:
-        config.output_path = args.out
-    return config.validate()
+def _build_config(args):
+    """``--config``'s file (or the defaults), overridden by the given flags.
+
+    ``--n``/``--c`` set ``n_list``/``c_list`` for their own sweep or when
+    given several values, and ``n``/``c`` otherwise.
+    """
+    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name, None) is not None}
+    for key in ("n", "c"):
+        if key in flags:
+            values = flags.pop(key)
+            if args.experiment == f"sweep_{key}" or len(values) > 1:
+                flags[f"{key}_list"] = values
+            else:
+                flags[key] = values[0]
+    if "matrix_kind" in flags:
+        flags["matrix_kind"] = _MATRIX_ALIASES[flags["matrix_kind"]]
+    base = (load_config(args.config) if args.config
+            else ExperimentConfig(args.experiment))
+    return replace(base, **flags).validate()
 
 
-def _run_experiment(args, experiment):
-    config = _build_config(args, experiment)
-    rows, summaries = run_experiment(config)
-    if experiment == "single":
+def _run_experiment(args):
+    config = _build_config(args)
+    rows = run_experiment(config)
+    if config.experiment == "single":
         print(" ".join(f"{key}={rows[0][key]}" for key in (
             "method", "breakdown", "deviation", "residual", "kappa_A1", "eta")))
     else:
-        print(format_summary(summaries))
+        print(format_summary(config, rows))
     if config.output_path:
         emit_csv(rows, config.output_path)
         print(f"wrote {len(rows)} rows to {config.output_path}")
@@ -103,19 +94,15 @@ def _run_experiment(args, experiment):
 
 def _run_bounds(args):
     base = args.eps if args.eps is not None else 0.0
-    eps = {f"eps_{stage}": getattr(args, f"eps_{stage}") for stage in _STAGES}
     p = PerturbationSet(kappa_precond=args.kappa_rs, **{
-        name: base if value is None else value for name, value in eps.items()})
+        name: base if value is None else value
+        for name, value in vars(args).items() if name.startswith("eps_")})
     if args.first_order:
         b = first_order_bounds(p, args.kappa_a1, args.eta)
     else:
         b = preconditioned_bounds(p, args.kappa_a1, args.eta)
-    print(f"assumption_ok={b.assumption_ok}")
-    print(f"cond_factor={b.cond_factor}")
-    print(f"ortho_bound={b.ortho_bound}")
-    print(f"residual_bound={b.residual_bound}")
-    print(f"eta={b.eta}")
-    print(f"kappa_preconditioned={b.kappa_preconditioned}")
+    for f in fields(b):
+        print(f"{f.name}={getattr(b, f.name)}")
     return 0
 
 
@@ -132,8 +119,9 @@ def build_parser():
 
     b = sub.add_parser("bounds", help="evaluate the perturbation bounds")
     b.add_argument("--eps", type=float, help="value for all stage perturbations")
-    for stage in _STAGES:
-        b.add_argument(f"--eps-{stage}", type=float, dest=f"eps_{stage}")
+    for f in fields(PerturbationSet):  # --eps-<stage>, dest eps_<stage>
+        if f.name.startswith("eps_"):
+            b.add_argument("--" + f.name.replace("_", "-"), type=float)
     b.add_argument("--kappa-rs", type=float, default=1.0,
                    help="condition number of the preconditioner")
     b.add_argument("--kappa-a1", type=float, required=True,
@@ -149,7 +137,7 @@ def main(argv=None):
     try:
         if args.command == "bounds":
             return _run_bounds(args)
-        return _run_experiment(args, args.experiment)
+        return _run_experiment(args)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

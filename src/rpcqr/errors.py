@@ -34,7 +34,8 @@ class NotOrthonormalError(Exception):
 class RankDeficientSampleError(Exception):
     """The sampled row matrix is numerically rank deficient.
 
-    The caller decides whether to retry with a fresh seed.
+    The harness records it as a breakdown row, on the row's own seed; no
+    code retries with another seed.
     """
 
 

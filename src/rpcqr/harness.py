@@ -16,7 +16,7 @@ import math
 import numbers
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional
 
 from .algorithms import cholesky_qr, cholesky_qr2, preconditioned_cholesky_qr, rp_cholesky_qr
@@ -147,10 +147,12 @@ def sweep_points(config):
     ``sweep_c``, and ``compare_cqr2`` given ``c_list``, sweep c at fixed n;
     ``single`` takes ``c``, or 3n when its method samples rows.  Setting
     one of ``n``, ``c``, ``n_list`` and ``c_list`` that the rule ignores is
-    a ConfigError, so no key is silently dropped.
+    a ConfigError, so no key is silently dropped; so is a c or ``c_list``
+    for a ``single`` or ``sweep_c`` whose method samples no rows.
     """
     experiment, n, c = config.experiment, config.n, config.c
     compare = experiment == "compare_cqr2"
+    samples = compare or METHODS[config.method].samples_c
     if experiment == "sweep_n" or (compare and config.n_list):
         if not config.n_list:
             raise ConfigError("n_list is required for sweep_n")
@@ -160,12 +162,15 @@ def sweep_points(config):
     if experiment == "sweep_c" or (compare and config.c_list):
         if not config.c_list:
             raise ConfigError("c_list is required for sweep_c")
+        if not samples:
+            raise ConfigError(f"method {config.method} samples no rows, so "
+                              f"sweep_c would ignore c_list")
         return _only(config, ("n", "c_list"), [(n, k) for k in config.c_list])
     if c is None and compare:
         raise ConfigError("compare_cqr2 needs c, c_list or n_list")
-    if c is None and METHODS[config.method].samples_c:
+    if c is None and samples:
         c = 3 * n
-    return _only(config, ("n", "c"), [(n, c)])
+    return _only(config, ("n", "c") if samples else ("n",), [(n, c)])
 
 
 def _only(config, used, points):
@@ -235,76 +240,45 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
     return row
 
 
-@dataclass
-class SweepPointSummary:
-    """Min/arith-mean/geo-mean/max statistics for one sweep point+method."""
-
-    n: int
-    c: Optional[int]
-    method: str
-    trials: int
-    breakdown_count: int
-    stats: dict = field(default_factory=dict)  # metric -> (min, max, mean, gmean)
-
-
-def _stat_tuple(values):
-    vals = [v for v in values if v is not None and math.isfinite(v)]
-    if not vals:
-        return None
-    gmean = math.exp(sum(math.log(v) for v in vals) / len(vals)) \
-        if all(v > 0 for v in vals) else None
-    return (min(vals), max(vals), sum(vals) / len(vals), gmean)
-
-
-def summarize_point(rows, n, c, method):
-    rows = [r for r in rows if r["method"] == method]
-    ok = [r for r in rows if not r["breakdown"]]
-    stats = {name: _stat_tuple([r[name] for r in ok])
-             for name in ("deviation", "residual", "kappa_A1", "estimate_5_2")}
-    return SweepPointSummary(
-        n=n, c=c, method=method, trials=len(rows),
-        breakdown_count=sum(r["breakdown"] for r in rows), stats=stats,
-    )
-
-
 #: Experiment names; each is also a CLI subcommand (``_`` becomes ``-``).
 EXPERIMENTS = ("single", "sweep_c", "sweep_n", "compare_cqr2")
 
 
 def run_experiment(config):
-    """Run ``config``'s experiment over :func:`sweep_points`.
+    """Run ``config``'s experiment over :func:`sweep_points`; return its rows.
 
-    Returns (rows, summaries).  ``compare_cqr2`` runs ``rp`` and ``cqr2``,
-    the others ``config.method``; ``single`` runs one trial.
+    ``compare_cqr2`` runs ``rp`` and ``cqr2``, the others ``config.method``;
+    ``single`` runs one trial.  Rows come point by point, trial by trial.
     """
     config.validate()
     if config.experiment == "single":
         config = replace(config, trials=1)
     methods = (["rp", "cqr2"] if config.experiment == "compare_cqr2"
                else [config.method])
-    rows, summaries = [], []
+    rows = []
     for point_index, (n, c) in enumerate(sweep_points(config)):
         A = MATRIX_KINDS[config.matrix_kind](
             config.m, n, config.kappa,
             derive_matrix_seed(config.master_seed, point_index))
         A.setflags(write=False)  # shared by every trial of the point
         norm_A = spectral_norm(A)
-        point_rows = []
         for trial in range(config.trials):
             for method in methods:
                 seed = derive_seed(config.master_seed, point_index, trial,
                                    method)
-                point_rows.append(run_trial(config, A, norm_A, n, c, trial,
-                                            method, seed))
-        rows += point_rows
-        summaries += [summarize_point(point_rows, n, c, method)
-                      for method in methods]
-    return rows, summaries
+                rows.append(run_trial(config, A, norm_A, n, c, trial,
+                                      method, seed))
+    return rows
 
 
-# Kept only for the benchmark (perfbench/), which calls these names and
-# monkeypatches ``sweep_c``; ``config.experiment`` still picks the points.
-sweep_c = compare_cqr2 = run_experiment
+# Kept only for the benchmark (perfbench/), which calls these names,
+# unpacks ``rows, _`` and monkeypatches ``sweep_c``; ``config.experiment``
+# still picks the points.  Both go with ROADMAP item 1.
+def sweep_c(config):
+    return run_experiment(config), None
+
+
+compare_cqr2 = sweep_c
 
 
 def _fmt(value):
@@ -331,24 +305,44 @@ def emit_csv(rows, path):
         raise OSError(f"{path}: cannot write CSV: {exc}") from exc
 
 
-def format_summary(summaries):
-    """Human-readable per-point summary table (printed by the CLI)."""
+def _mean(values, geometric):
+    """Mean of the finite ``values``, or None if there are none (or, for a
+    geometric mean, if one is <= 0)."""
+    vals = [v for v in values if v is not None and math.isfinite(v)]
+    if not vals or (geometric and min(vals) <= 0):
+        return None
+    if geometric:
+        return math.exp(sum(math.log(v) for v in vals) / len(vals))
+    return sum(vals) / len(vals)
+
+
+def format_summary(config, rows):
+    """Per-point, per-method table of ``rows`` (printed by the CLI).
+
+    ``rows`` is :func:`run_experiment`'s result for ``config``: each sweep
+    point owns the same number of consecutive rows.
+    """
+    points = sweep_points(config)
+    per_point = len(rows) // len(points)
     lines = [
         f"{'n':>6} {'c':>6} {'method':>8} {'broke':>5} "
         f"{'dev(gmean)':>12} {'res(gmean)':>12} {'kA1(mean)':>12} "
         f"{'est(gmean)':>12}"
     ]
-    for s in summaries:
-        def pick(name, idx):
-            t = s.stats.get(name)
-            if t is None or t[idx] is None:
-                return "-"
-            return f"{t[idx]:.3e}"
+    for i, (n, c) in enumerate(points):
+        point = rows[i * per_point:(i + 1) * per_point]
+        for method in dict.fromkeys(r["method"] for r in point):
+            mine = [r for r in point if r["method"] == method]
+            ok = [r for r in mine if not r["breakdown"]]
 
-        lines.append(
-            f"{s.n:>6} {s.c if s.c is not None else '-':>6} {s.method:>8} "
-            f"{s.breakdown_count:>5} {pick('deviation', 3):>12} "
-            f"{pick('residual', 3):>12} {pick('kappa_A1', 2):>12} "
-            f"{pick('estimate_5_2', 3):>12}"
-        )
+            def cell(name, geometric=True):
+                value = _mean([r[name] for r in ok], geometric)
+                return "-" if value is None else f"{value:.3e}"
+
+            lines.append(
+                f"{n:>6} {c if c is not None else '-':>6} {method:>8} "
+                f"{len(mine) - len(ok):>5} {cell('deviation'):>12} "
+                f"{cell('residual'):>12} {cell('kappa_A1', False):>12} "
+                f"{cell('estimate_5_2'):>12}"
+            )
     return "\n".join(lines)

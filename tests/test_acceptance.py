@@ -67,8 +67,7 @@ def sampling_sweep():
         kappa=1e15, c_list=[200, 300, 400, 600, 800], trials=10,
         method="rp", master_seed=2024,
     )
-    rows, summaries = run_experiment(cfg)
-    return rows, summaries
+    return run_experiment(cfg)
 
 
 def test_criterion_1_singular_robustness(capsys):
@@ -77,7 +76,7 @@ def test_criterion_1_singular_robustness(capsys):
         kappa=1e15, c_list=[300], trials=10, method="rp", master_seed=1,
     )
     t0 = time.perf_counter()
-    rows, _ = run_experiment(cfg)
+    rows = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
     clean = [r for r in rows if not r["breakdown"]]
     ok = (
@@ -94,7 +93,7 @@ def test_criterion_1_singular_robustness(capsys):
 
 
 def test_criterion_2_sampling_sweep_shape(capsys, sampling_sweep):
-    rows, _ = sampling_sweep
+    rows = sampling_sweep
     by_c = {}
     for r in rows:
         if not r["breakdown"]:
@@ -109,7 +108,7 @@ def test_criterion_2_sampling_sweep_shape(capsys, sampling_sweep):
 
 
 def test_criterion_3_estimate_tracking(capsys, sampling_sweep):
-    rows, _ = sampling_sweep
+    rows = sampling_sweep
     clean = [r for r in rows if not r["breakdown"]]
     ratios = [r["deviation"] / (4.0 * EPS * r["kappa_A1"]) for r in clean]
     hits = sum(1e-2 <= x <= 1e2 for x in ratios)
@@ -124,7 +123,7 @@ def test_criterion_4_baseline_parity(capsys):
         experiment="compare_cqr2", matrix_kind="haar_rotated", m=2000, n=200,
         kappa=1e7, c_list=[600], trials=10, master_seed=4,
     )
-    rows, _ = run_experiment(cfg)
+    rows = run_experiment(cfg)
     by_method = {"rp": [], "cqr2": []}
     for r in rows:
         by_method[r["method"]].append(r)
@@ -144,18 +143,18 @@ def test_criterion_4_baseline_parity(capsys):
 
 
 def test_criterion_5_breakdown_contrast(capsys):
-    base = dict(experiment="sweep_c", matrix_kind="worst_coherence",
-                m=1000, n=50, kappa=1e15, c_list=[150], trials=10,
-                master_seed=5)
+    # rp samples c = 3n = 150 rows.
+    base = dict(experiment="sweep_n", matrix_kind="worst_coherence",
+                m=1000, n_list=[50], kappa=1e15, trials=10, master_seed=5)
     failed = {}
     for method in ("basic", "cqr2"):
-        rows, _ = run_experiment(ExperimentConfig(**base, method=method))
+        rows = run_experiment(ExperimentConfig(**base, method=method))
         failed[method] = sum(
             r["breakdown"] or (r["deviation"] is not None
                                and r["deviation"] >= 1e-2)
             for r in rows
         )
-    rp_rows, _ = run_experiment(ExperimentConfig(**base, method="rp"))
+    rp_rows = run_experiment(ExperimentConfig(**base, method="rp"))
     rp_breakdowns = sum(r["breakdown"] for r in rp_rows)
     ok = (failed["basic"] == 10 and failed["cqr2"] == 10
           and rp_breakdowns <= 1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rpcqr import (
     CholeskyBreakdown,
@@ -216,6 +218,83 @@ class TestBuildPreconditioner:
         A = worst_coherence_stack(200, 10, 1e15, seed=8)
         strict = build_preconditioner(A, 30, seed=9, rank_tol=1e-300)
         assert np.array_equal(strict, build_preconditioner(A, 30, 9))
+
+
+def _q_or_error(A, c, seed):
+    """rp_cholesky_qr's Q, or the type of the error it raised."""
+    try:
+        return rp_cholesky_qr(A, c, seed)[0].Q
+    except (CholeskyBreakdown, RankDeficientSampleError) as exc:
+        return type(exc)
+
+
+def _same(x, y):
+    if isinstance(x, type) or isinstance(y, type):
+        return x is y
+    return np.array_equal(x, y)
+
+
+@st.composite
+def rp_cases(draw):
+    """(A, c, seed): m >= n >= 1, n <= c <= m + 8, either matrix kind."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(n, 60))
+    c = draw(st.integers(n, m + 8))
+    make = draw(st.sampled_from([worst_coherence_stack, haar_rotated]))
+    kappa = 10.0 ** draw(st.floats(0.0, 15.0))
+    A = make(m, n, kappa, draw(st.integers(0, 2**32 - 1)))
+    return A, c, draw(st.integers(0, 2**63 - 1))
+
+
+class TestRpCholeskyQRProperties:
+    """Q depends on the values of A and on (c, seed), and on nothing else."""
+
+    @given(rp_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_memory_order_and_repeat(self, case):
+        A, c, seed = case
+        Q = _q_or_error(A, c, seed)
+        assert _same(Q, _q_or_error(A, c, seed))
+        assert _same(Q, _q_or_error(np.asfortranarray(A), c, seed))
+
+    @given(rp_cases(), st.sampled_from([np.float32, np.int64]))
+    @settings(max_examples=40, deadline=None)
+    def test_input_dtype_is_cast_to_float64(self, case, dtype):
+        A, c, seed = case
+        A = (A * 2.0**10).astype(dtype)  # integers: rounded toward zero
+        assert _same(_q_or_error(A, c, seed),
+                     _q_or_error(A.astype(np.float64), c, seed))
+
+    @given(rp_cases(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_column_scaling(self, case, data):
+        A, c, seed = case
+        k = data.draw(st.lists(st.integers(-30, 30), min_size=A.shape[1],
+                               max_size=A.shape[1]))
+        assert _same(_q_or_error(A, c, seed),
+                     _q_or_error(A * 2.0 ** np.array(k), c, seed))
+
+    @given(rp_cases(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_zero_column_is_rank_deficient_for_every_seed(self, case, data):
+        A, c, seed = case
+        A = A.copy()
+        A[:, data.draw(st.integers(0, A.shape[1] - 1))] = 0.0
+        with pytest.raises(RankDeficientSampleError):
+            rp_cholesky_qr(A, c, seed)
+
+    @given(rp_cases(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_duplicated_column_gives_factors_or_a_typed_error(self, case,
+                                                             data):
+        A, c, seed = case
+        n = A.shape[1]
+        assume(n >= 2)
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                  max_size=2, unique=True))
+        A = A.copy()
+        A[:, j] = A[:, i]
+        _q_or_error(A, c, seed)  # any other exception fails the test
 
 
 class TestSampledFrameSingularValues:

@@ -17,7 +17,7 @@ def rows():
     cfg = ExperimentConfig(experiment="compare_cqr2",
                            matrix_kind="haar_rotated", m=100, n=10,
                            kappa=1e5, c_list=[30], trials=2, master_seed=18)
-    return run_experiment(cfg)[0]
+    return run_experiment(cfg)
 
 
 def write(tmp_path, name, rows):

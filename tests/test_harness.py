@@ -1,7 +1,9 @@
 import csv
 import json
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +31,9 @@ from rpcqr.harness import (
     derive_matrix_seed,
     derive_seed,
     emit_csv,
+    format_summary,
     load_config,
     run_experiment,
-    summarize_point,
     sweep_points,
 )
 
@@ -145,6 +147,9 @@ class TestConfig:
         (dict(experiment="sweep_n", n_list=5), "n_list"),
         (dict(experiment="sweep_c", n=5, c_list=20), "c_list"),
         (dict(experiment="sweep_c", n=5, c_list="20"), "c_list"),
+        (dict(experiment="single", n=5, c=50, method="basic"), "c"),
+        (dict(experiment="sweep_c", n=5, c_list=[20, 30], method="cqr2"),
+         "c_list"),
     ])
     def test_validate_names_an_ignored_or_malformed_point_key(self, config,
                                                               key):
@@ -181,7 +186,7 @@ class TestRunSingle:
     def test_rp_on_singular_matrix(self):
         cfg = ExperimentConfig(experiment="single", m=500, n=50, kappa=1e15,
                                c=150, method="rp", master_seed=3)
-        rows, _ = run_experiment(cfg)
+        rows = run_experiment(cfg)
         assert not rows[0]["breakdown"]
         assert rows[0]["residual"] <= 1e-14
         assert rows[0]["kappa_A1"] is not None and rows[0]["eta"] is not None
@@ -190,7 +195,7 @@ class TestRunSingle:
         cfg = ExperimentConfig(experiment="single", m=300, n=30, kappa=1.0,
                                matrix_kind="haar_rotated", method="basic",
                                master_seed=4)
-        rows, _ = run_experiment(cfg)
+        rows = run_experiment(cfg)
         assert rows[0]["deviation"] <= 1e-14
         assert rows[0]["c"] is None and rows[0]["kappa_A1"] is None
         assert rows[0]["eta"] is None
@@ -198,8 +203,8 @@ class TestRunSingle:
     def test_deterministic_modulo_wall_time(self):
         cfg = ExperimentConfig(experiment="single", m=200, n=20, kappa=1e10,
                                c=60, method="rp", master_seed=5)
-        (r1,), _ = run_experiment(cfg)
-        (r2,), _ = run_experiment(cfg)
+        (r1,) = run_experiment(cfg)
+        (r2,) = run_experiment(cfg)
         assert r1["deviation"] == r2["deviation"]
         assert r1["residual"] == r2["residual"]
         assert r1["kappa_A1"] == r2["kappa_A1"]
@@ -208,18 +213,23 @@ class TestRunSingle:
     def test_basic_breakdown_recorded_not_raised(self):
         cfg = ExperimentConfig(experiment="single", m=400, n=40, kappa=1e15,
                                method="basic", master_seed=6)
-        rows, _ = run_experiment(cfg)
+        rows = run_experiment(cfg)
         assert rows[0]["breakdown"]
         assert rows[0]["deviation"] is None and rows[0]["residual"] is None
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_is_one_point_one_trial_sweep(self, method):
+        # A method that samples no rows takes no c, so its single run
+        # matches the first point of a sweep over n instead.
+        samples = METHODS[method].samples_c
         single = ExperimentConfig(experiment="single", m=200, n=20,
-                                  kappa=1e10, c=60, method=method,
-                                  trials=5, master_seed=12)
-        (row,), _ = run_experiment(single)
-        (swept,), _ = run_experiment(small_sweep_config(
-            kappa=1e10, c_list=[60], method=method, trials=1, master_seed=12))
+                                  kappa=1e10, c=60 if samples else None,
+                                  method=method, trials=5, master_seed=12)
+        (row,) = run_experiment(single)
+        sweep = (small_sweep_config(c_list=[60]) if samples else
+                 ExperimentConfig(experiment="sweep_n", m=200, n_list=[20]))
+        (swept,) = run_experiment(replace(sweep, kappa=1e10, method=method,
+                                          trials=1, master_seed=12))
         ignored = ("experiment", "wall_time_s")
         assert {k: v for k, v in row.items() if k not in ignored} == \
             {k: v for k, v in swept.items() if k not in ignored}
@@ -227,23 +237,15 @@ class TestRunSingle:
 
 class TestSweeps:
     def test_sweep_c_shapes(self):
-        rows, summaries = run_experiment(small_sweep_config())
+        cfg = small_sweep_config()
+        rows = run_experiment(cfg)
         assert len(rows) == 2 * 3
-        assert len(summaries) == 2
-        for s in summaries:
-            t = s.stats["deviation"]
-            assert t[0] <= t[2] <= t[1]  # min <= mean <= max
-
-    def test_sweep_single_trial_min_equals_max(self):
-        rows, summaries = run_experiment(small_sweep_config(trials=1))
-        for s in summaries:
-            t = s.stats["deviation"]
-            assert t[0] == t[1] == t[2]
+        assert len(format_summary(cfg, rows).splitlines()) == 1 + 2
 
     def test_sweep_n_uses_3n_samples(self):
         cfg = ExperimentConfig(experiment="sweep_n", m=300, kappa=1e12,
                                n_list=[10, 20], trials=2, master_seed=7)
-        rows, summaries = run_experiment(cfg)
+        rows = run_experiment(cfg)
         assert {r["c"] for r in rows} == {30, 60}
         est = [r["estimate_5_2"] for r in rows if not r["breakdown"]]
         kap = [r["kappa_A1"] for r in rows if not r["breakdown"]]
@@ -255,10 +257,29 @@ class TestSweeps:
                                matrix_kind="haar_rotated", m=300, n=30,
                                kappa=1e5, c_list=[90], trials=2,
                                master_seed=8)
-        rows, summaries = run_experiment(cfg)
+        rows = run_experiment(cfg)
         assert {r["method"] for r in rows} == {"rp", "cqr2"}
         assert len(rows) == 4
-        assert {s.method for s in summaries} == {"rp", "cqr2"}
+        assert [line.split()[2] for line in
+                format_summary(cfg, rows).splitlines()[1:]] == ["rp", "cqr2"]
+
+    @pytest.mark.parametrize("entry, config", [
+        ("sweep_c", dict(experiment="sweep_c", m=100, n=10, kappa=1e10,
+                         c_list=[20, 30], trials=2, master_seed=19)),
+        ("compare_cqr2", dict(experiment="compare_cqr2",
+                              matrix_kind="haar_rotated", m=100, n=10,
+                              kappa=1e5, c_list=[30], trials=2,
+                              master_seed=20)),
+    ])
+    def test_benchmark_entry_points(self, entry, config):
+        # perfbench/ calls these names and unpacks ``rows, _``.
+        cfg = ExperimentConfig(**config)
+        rows, rest = getattr(harness, entry)(cfg)
+        assert rest is None
+        expected = run_experiment(cfg)
+        for row in rows + expected:
+            del row["wall_time_s"]
+        assert rows == expected and len(rows) == 4
 
     def test_methods_are_looked_up_at_call_time(self, monkeypatch):
         calls = []
@@ -271,7 +292,7 @@ class TestSweeps:
         cfg = ExperimentConfig(experiment="compare_cqr2",
                                matrix_kind="haar_rotated", m=100, n=10,
                                kappa=1e3, c=30, trials=2, master_seed=13)
-        rows, _ = run_experiment(cfg)
+        rows = run_experiment(cfg)
         assert calls == [(100, 10)] * 2
         assert [r["breakdown"] for r in rows if r["method"] == "cqr2"] == \
             [True, True]
@@ -293,7 +314,7 @@ class TestSweeps:
                                matrix_kind="haar_rotated", m=100, n=10,
                                kappa=1e5, c_list=[30, 40], trials=3,
                                master_seed=15)
-        rows, _ = run_experiment(cfg)
+        rows = run_experiment(cfg)
         assert len(rows) == 2 * 3 * 2
         assert counts == {"haar_rotated": 2, "spectral_norm": 2}
 
@@ -305,7 +326,7 @@ class TestSweeps:
     ], ids=["compare_cqr2", "sweep_c"])
     def test_rows_replay_from_their_columns(self, config):
         cfg = ExperimentConfig(**config)
-        rows, _ = run_experiment(cfg)
+        rows = run_experiment(cfg)
         per_point = len(rows) // len(sweep_points(cfg))
         for i, row in enumerate(rows):
             # Rows come point by point; a cqr2 row's c cell is empty, so
@@ -326,14 +347,14 @@ class TestSweeps:
             assert row["residual"] == rel_residual(A, f)
 
     def test_breakdowns_become_rows(self):
-        cfg = ExperimentConfig(experiment="sweep_c", m=300, n=30,
-                               kappa=1e15, c_list=[90], trials=2,
-                               method="basic", master_seed=9)
-        rows, summaries = run_experiment(cfg)
+        cfg = ExperimentConfig(experiment="sweep_n", m=300, n_list=[30],
+                               kappa=1e15, trials=2, method="basic",
+                               master_seed=9)
+        rows = run_experiment(cfg)
         assert len(rows) == 2
         assert all(r["breakdown"] for r in rows)
         assert all(r["deviation"] is None for r in rows)
-        assert summaries[0].breakdown_count == 2
+        assert format_summary(cfg, rows).splitlines()[1].split()[3] == "2"
 
 
 class TestRankDeficientSample:
@@ -346,7 +367,7 @@ class TestRankDeficientSample:
             raise RankDeficientSampleError("planted")
 
         monkeypatch.setattr(harness, "rp_cholesky_qr", deficient)
-        (row,), _ = run_experiment(ExperimentConfig(
+        (row,) = run_experiment(ExperimentConfig(
             experiment="single", m=200, n=20, kappa=1e10, c=60,
             method="rp", master_seed=14))
         assert row["breakdown"] and row["deviation"] is None
@@ -358,7 +379,7 @@ class TestEmitCsv:
     def test_schema_and_empty_cells(self, tmp_path):
         cfg = ExperimentConfig(experiment="single", m=100, n=10, kappa=1e15,
                                method="basic", master_seed=10)
-        rows, _ = run_experiment(cfg)
+        rows = run_experiment(cfg)
         path = tmp_path / "out.csv"
         emit_csv(rows, path)
         lines = path.read_text().splitlines()
@@ -374,7 +395,7 @@ class TestEmitCsv:
             emit_csv([], tmp_path / "x.csv")
 
     def test_float_cells_round_trip(self, tmp_path):
-        rows, _ = run_experiment(small_sweep_config(trials=1))
+        rows = run_experiment(small_sweep_config(trials=1))
         path = tmp_path / "out.csv"
         emit_csv(rows, path)
         with open(path) as fh:
@@ -420,6 +441,10 @@ class TestCli:
              "--n", "10,20"],
             ["single", "--n", "10", "--c", "20,30"],
             ["sweep-n", "--n", "7", "--c", "50"],
+            ["single", "--method", "basic", "--m", "100", "--n", "10",
+             "--c", "50"],
+            ["sweep-c", "--method", "cqr2", "--m", "100", "--n", "10",
+             "--c", "20,30"],
             ["single", "--n", "10", "--seed", "-1"],
             ["single", "--config", str(array)],
             ["single", "--config", str(fractional)],
@@ -470,9 +495,47 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ortho_bound=" in out and "assumption_ok=True" in out
 
+    @pytest.mark.parametrize("argv, lines", [
+        (["--eps", "2.2e-16", "--kappa-rs", "10", "--kappa-a1", "1e3",
+          "--eta", "2", "--eps-gram", "1e-15"],
+         ["assumption_ok=True", "cond_factor=1.000000005010005",
+          "ortho_bound=1.6600000166332154e-09",
+          "residual_bound=4.4110000220440433e-13", "eta=2.0",
+          "kappa_preconditioned=1000.0"]),
+        (["--eps", "2.2e-16", "--kappa-rs", "1e15", "--kappa-a1", "1e3",
+          "--eta", "2"],
+         ["assumption_ok=False", "cond_factor=None", "ortho_bound=None",
+          "residual_bound=None", "eta=2.0", "kappa_preconditioned=1000.0"]),
+    ], ids=["assumption_holds", "assumption_fails"])
+    def test_bounds_output_golden(self, argv, lines, capsys):
+        assert main(["bounds", *argv]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
+    def test_summary_table_golden(self, capsys):
+        # 2 points x 2 trials; cqr2 breaks down on the first point's matrix
+        # only, and its lines carry the point's c.
+        rc = main(["compare-cqr2", "--matrix", "haar", "--m", "100",
+                   "--n", "10", "--c", "20,30", "--kappa", "1e9",
+                   "--trials", "2", "--seed", "2"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("     n      c   method broke   dev(gmean)   "
+                            "res(gmean)    kA1(mean)   est(gmean)")
+        assert [line.split()[:4] for line in lines[1:]] == [
+            ["10", "20", "rp", "0"], ["10", "20", "cqr2", "2"],
+            ["10", "30", "rp", "0"], ["10", "30", "cqr2", "0"]]
+        assert [line for line in lines if "cqr2" in line] == [
+            "    10     20     cqr2     2" + "            -" * 4,
+            "    10     30     cqr2     0    9.009e-16    1.561e-16"
+            + "            -" * 2,
+        ]
+        for line in (lines[1], lines[3]):  # rp: four finite statistics
+            assert all(re.fullmatch(r"\d\.\d{3}e[-+]\d\d", cell)
+                       for cell in line.split()[4:])
+
     def test_breakdowns_do_not_affect_exit_code(self, tmp_path):
         out = tmp_path / "b.csv"
-        rc = main(["sweep-c", "--m", "300", "--n", "30", "--c", "90",
+        rc = main(["sweep-n", "--m", "300", "--n", "30",
                    "--kappa", "1e15", "--method", "basic", "--trials", "2",
                    "--seed", "2", "--out", str(out)])
         assert rc == 0
