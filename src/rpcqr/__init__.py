@@ -2,7 +2,8 @@
 
 Library layout:
 
-* :mod:`rpcqr.kernels` -- dense linear-algebra primitives
+* :mod:`rpcqr.kernels` -- internal dense linear-algebra primitives, which
+  trust their callers: each exported function checks its own arguments
 * :mod:`rpcqr.transforms` -- sign flip / DCT smoothing, row sampling and
   the seed rule
 * :mod:`rpcqr.algorithms` -- the Cholesky-QR family of factorizations
@@ -45,17 +46,7 @@ from .genmat import (
     randsvd,
     worst_coherence_stack,
 )
-from .kernels import (
-    EPS,
-    QRFactors,
-    cholesky,
-    gram,
-    householder_qr,
-    singular_values,
-    spectral_norm,
-    sym_eigenvalues,
-    tri_solve_right,
-)
+from .kernels import EPS, QRFactors
 from .harness import (
     CSV_COLUMNS,
     ConfigError,

@@ -15,7 +15,11 @@ Four routes to A = QR for a tall full-column-rank A:
 
 import numpy as np
 
-from .errors import CholeskyBreakdown, RankDeficientSampleError
+from .errors import (
+    CholeskyBreakdown,
+    RankDeficientSampleError,
+    SingularTriangularError,
+)
 from .kernels import (
     QRFactors,
     as_matrix,
@@ -57,6 +61,24 @@ def cholesky_qr2(A):
     return QRFactors(Q=f2.Q, R=R, method="cqr2")
 
 
+def _as_preconditioner(R_s, n):
+    """R_s, checked to be n x n upper triangular with a nonzero diagonal."""
+    R_s = as_matrix(R_s)
+    k = R_s.shape[0]
+    if R_s.shape[1] != k:
+        raise ValueError("triangular factor must be square")
+    if np.any(np.tril(R_s, -1) != 0.0):
+        raise ValueError("strictly lower part must be exactly zero")
+    if k != n:
+        raise ValueError(f"A has {n} columns but R is {k}x{k}")
+    zero = np.diag(R_s) == 0.0
+    if zero.any():
+        i = int(np.argmax(zero))
+        raise SingularTriangularError(
+            f"diagonal entry {R_s[i, i]!r} at index {i} is singular")
+    return R_s
+
+
 def preconditioned_cholesky_qr(A, R_s):
     """Cholesky-QR of the preconditioned matrix A1 = A R_s^{-1}.
 
@@ -64,9 +86,11 @@ def preconditioned_cholesky_qr(A, R_s):
     keep for condition-number diagnostics.  With R_s = I this reproduces
     :func:`cholesky_qr` bit for bit.
     """
+    A = as_tall_matrix(A)
+    R_s = _as_preconditioner(R_s, A.shape[1])
     A1 = tri_solve_right(A, R_s)
     f = cholesky_qr(A1)
-    R = np.triu(f.R @ np.asarray(R_s, dtype=np.float64))
+    R = np.triu(f.R @ R_s)
     return QRFactors(Q=f.Q, R=R, method="preconditioned"), A1
 
 

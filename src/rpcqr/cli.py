@@ -80,15 +80,21 @@ def _build_config(args):
 
 def _run_experiment(args):
     config = _build_config(args)
+    path = config.output_path
+    if path:  # an unwritable path fails before any trial runs
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise OSError(f"{path}: cannot write CSV: {exc}") from exc
     rows = run_experiment(config)
     if config.experiment == "single":
         print(" ".join(f"{key}={rows[0][key]}" for key in (
             "method", "breakdown", "deviation", "residual", "kappa_A1", "eta")))
     else:
         print(format_summary(config, rows))
-    if config.output_path:
-        emit_csv(rows, config.output_path)
-        print(f"wrote {len(rows)} rows to {config.output_path}")
+    if path:
+        emit_csv(rows, path)
+        print(f"wrote {len(rows)} rows to {path}")
     return 0
 
 

@@ -2,18 +2,18 @@
 
 
 class CholeskyBreakdown(Exception):
-    """Cholesky hit a non-positive (or non-finite) pivot.
+    """Cholesky hit a non-positive or a non-finite pivot.
 
-    The Gram matrix was numerically indefinite.  ``pivot_index`` is 0-based;
-    ``stage`` is set when the breakdown happened inside a multi-stage
-    algorithm (1 or 2 for the two-stage variant).
+    The Gram matrix was numerically indefinite, or it overflowed.
+    ``pivot_index`` is 0-based; ``stage`` is set when the breakdown happened
+    inside a multi-stage algorithm (1 or 2 for the two-stage variant).
     """
 
     def __init__(self, pivot_index, pivot_value, stage=None):
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
         self.stage = stage
-        msg = f"non-positive pivot {pivot_value!r} at index {pivot_index}"
+        msg = f"unusable pivot {pivot_value!r} at index {pivot_index}"
         if stage is not None:
             msg += f" (stage {stage})"
         super().__init__(msg)

@@ -13,7 +13,7 @@ All generators are deterministic functions of (dimensions, kappa, seed).
 
 import numpy as np
 
-from .kernels import householder_qr
+from .kernels import as_tall_matrix, householder_qr
 from .transforms import child_seeds, philox
 
 
@@ -22,10 +22,10 @@ def haar_frame(m, n, seed):
 
     Thin QR of a standard Gaussian with the R-diagonal sign correction is
     distributionally equal to the leading n columns of a full Haar matrix,
-    at O(m n^2) cost instead of O(m^3).
+    at O(m n^2) cost instead of O(m^3).  Needs 1 <= n <= m.
     """
     G = philox(child_seeds([seed, 0])[0]).standard_normal((m, n))
-    return householder_qr(G).Q
+    return householder_qr(as_tall_matrix(G)).Q
 
 
 def randsvd(n, kappa, seed):

@@ -95,6 +95,8 @@ class ExperimentConfig:
         if (self.experiment == "compare_cqr2"
                 and self.matrix_kind != "haar_rotated"):
             raise ConfigError("compare_cqr2 requires matrix_kind=haar_rotated")
+        if self.experiment == "compare_cqr2" and self.method != "rp":
+            raise ConfigError(f"compare_cqr2 ignores method={self.method}")
         if not isinstance(self.output_path, (str, type(None))):
             raise ConfigError(
                 f"output_path must be a string, got {self.output_path!r}")

@@ -1,12 +1,14 @@
 """Dense linear-algebra primitives used by every factorization routine.
 
-Each kernel checks its input, then leaves the arithmetic to BLAS/LAPACK
-(Cholesky is ``dpotrf``, the triangular solve column blocks of ``dgemm``
-and right-side ``dtrsm``, singular values ``gesdd``, the spectral norm the
-largest eigenvalue of a scaled Gram matrix).  All matrices are plain
-``numpy.ndarray`` of float64.  Upper triangular matrices carry exact zeros
-below the diagonal; symmetric matrices are stored explicitly symmetrized.
-Inputs with NaN/Inf entries are rejected.
+Internal: the kernels trust their callers and check nothing, and the
+package exports only :data:`EPS` and :class:`QRFactors` from here.  Each
+public function checks its own arguments once, at entry, with
+:func:`as_matrix` or :func:`as_tall_matrix`.  The arithmetic is BLAS/LAPACK
+(Cholesky ``dpotrf``, the triangular solve column blocks of ``dgemm`` and
+right-side ``dtrsm``, singular values ``gesdd``, the spectral norm the
+largest eigenvalue of a scaled Gram matrix).  Matrices are float64 arrays;
+upper triangular ones carry exact zeros below the diagonal, symmetric ones
+are stored explicitly symmetrized.
 """
 
 from dataclasses import dataclass
@@ -15,13 +17,11 @@ import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dpotrf
 
-from .errors import (
-    CholeskyBreakdown,
-    NoConvergenceError,
-    SingularTriangularError,
-)
+from .errors import CholeskyBreakdown, NoConvergenceError
 
-#: Unit roundoff of 64-bit IEEE arithmetic.
+#: Machine epsilon of float64, 2**-52: the library's unit roundoff u (1/u ~
+#: 4.5e15), twice the usual round-to-nearest u = 2**-53.  Kept, as a change
+#: would move every ``estimate_5_2`` cell.
 EPS = float(np.finfo(np.float64).eps)
 
 # Column block of tri_solve_right; of 32 to 256, 64 was fastest at 2000x200.
@@ -58,25 +58,8 @@ def as_tall_matrix(a):
     return arr
 
 
-def _check_symmetric(S):
-    S = as_matrix(S)
-    if S.shape[0] != S.shape[1] or not np.array_equal(S, S.T):
-        raise ValueError("matrix is not stored symmetrized")
-    return S
-
-
-def _check_upper_triangular(R):
-    R = as_matrix(R)
-    if R.shape[0] != R.shape[1]:
-        raise ValueError("triangular factor must be square")
-    if np.any(np.tril(R, -1) != 0.0):
-        raise ValueError("strictly lower part must be exactly zero")
-    return R
-
-
 def gram(A):
     """Form the symmetrized cross-product A^T A."""
-    A = as_matrix(A)
     G = A.T @ A
     return (G + G.T) / 2.0
 
@@ -86,13 +69,14 @@ def cholesky(G):
 
     Returns the upper triangular R with G = R^T R, a strictly positive
     diagonal and exact zeros below it.  Raises :class:`CholeskyBreakdown`
-    at the first non-positive pivot, which signals numerical indefiniteness;
-    its value is recovered from the partial factor LAPACK leaves behind.
+    at the first non-positive pivot (numerical indefiniteness) or
+    non-finite one (an overflowed Gram, which ``dpotrf`` lets pass); its
+    value is recovered from the partial factor LAPACK leaves behind.
     """
-    G = _check_symmetric(G)
     R, info = dpotrf(G, lower=False, clean=True)
-    if info > 0:
-        k = info - 1
+    bad = np.flatnonzero(~np.isfinite(np.diag(R)))
+    if info > 0 or bad.size:
+        k = info - 1 if info > 0 else int(bad[0])
         raise CholeskyBreakdown(k, G[k, k] - R[:k, k] @ R[:k, k])
     # C order: passing LAPACK's Fortran-ordered R on raised glibc's peak RSS
     # by ~15% in paper-scale runs, with the same live arrays.
@@ -106,18 +90,7 @@ def tri_solve_right(A, R):
     block of 64 columns, ``dgemm`` subtracts the solved columns' share in
     place and a right-side ``dtrsm`` solves the diagonal block in place.
     """
-    A = as_matrix(A)
-    R = _check_upper_triangular(R)
     n = R.shape[0]
-    if A.shape[1] != n:
-        raise ValueError(f"A has {A.shape[1]} columns but R is {n}x{n}")
-    d = np.diag(R)
-    bad = ~np.isfinite(d) | (d == 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SingularTriangularError(
-            f"diagonal entry {d[i]!r} at index {i} is singular"
-        )
     X = np.array(A, order="F")
     for j in range(0, n, _SOLVE_BLOCK):
         e = min(j + _SOLVE_BLOCK, n)
@@ -144,7 +117,6 @@ def householder_qr(A):
     comparable across algorithms.  Backed by LAPACK; rank deficiency shows up
     as tiny diagonal entries of R, not as an error.
     """
-    A = as_tall_matrix(A)
     Q, R = np.linalg.qr(A, mode="reduced")
     s, R = _nonnegative_diagonal(R)
     return QRFactors(Q=Q * s, R=R, method="householder")
@@ -156,7 +128,6 @@ def householder_r(A):
     Same LAPACK ``geqrf`` and the same sign normalization, so the result is
     bit-identical to ``householder_qr(A).R`` at half the flops.
     """
-    A = as_tall_matrix(A)
     return _nonnegative_diagonal(np.linalg.qr(A, mode="r"))[1]
 
 
@@ -166,7 +137,6 @@ def sym_eigenvalues(S):
     Backed by the LAPACK symmetric eigensolver; a convergence failure is
     surfaced as :class:`NoConvergenceError` (pathological input).
     """
-    S = _check_symmetric(S)
     try:
         w = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:
@@ -181,7 +151,6 @@ def singular_values(A):
     much taller than wide), never via eigenvalues of the Gram matrix (which
     would square the condition number and lose accuracy).
     """
-    A = as_tall_matrix(A)
     try:
         return np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -198,7 +167,6 @@ def spectral_norm(A):
     Returns 0 for the zero matrix.  The Gram is formed here, not by
     :func:`gram`, so metric work never counts as factorization work.
     """
-    A = as_matrix(A)
     s = float(max(A.max(), -A.min()))
     if s == 0.0:
         return 0.0

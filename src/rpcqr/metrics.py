@@ -14,6 +14,7 @@ from .bounds import ortho_estimate
 from .errors import NotOrthonormalError
 from .kernels import (
     as_matrix,
+    as_tall_matrix,
     singular_values,
     spectral_norm,
     sym_eigenvalues,
@@ -70,17 +71,19 @@ def _eta(s, R_s, norm_A):
 def rel_residual(A, f):
     """Relative two-norm residual ‖A - QR‖₂ / ‖A‖₂ of a factorization."""
     A = as_matrix(A)
+    as_matrix(f.Q), as_matrix(f.R)  # finite factors too
     return _residual(A, f, spectral_norm(A))
 
 
 def cond2(A):
     """Two-norm condition number sigma_1/sigma_n (inf if sigma_n = 0)."""
-    return _cond(singular_values(A))
+    return _cond(singular_values(as_tall_matrix(A)))
 
 
 def eta(A, A1, R_s):
     """Conditioning of the product A1 * R_s; lies in [1, kappa(A1)]."""
-    return _eta(singular_values(A1), R_s, spectral_norm(A))
+    s = singular_values(as_tall_matrix(A1))
+    return _eta(s, as_matrix(R_s), spectral_norm(as_matrix(A)))
 
 
 def measure(A, norm_A, f, A1=None, R_s=None):
@@ -90,9 +93,8 @@ def measure(A, norm_A, f, A1=None, R_s=None):
     ``estimate_5_2`` as :func:`ortho_deviation`, :func:`rel_residual`,
     :func:`cond2`, :func:`eta` and :func:`~rpcqr.bounds.ortho_estimate`
     define them; the last three are ``None`` without an A1.  One SVD of A1
-    serves κ(A₁) and η.
+    serves κ(A₁) and η.  Unlike those, it checks none of its arguments.
     """
-    A = as_matrix(A)
     cells = dict(deviation=ortho_deviation(f.Q),
                  residual=_residual(A, f, norm_A), kappa_A1=None, eta=None,
                  estimate_5_2=None)

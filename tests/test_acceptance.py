@@ -18,14 +18,11 @@ from rpcqr import (
     ExperimentConfig,
     PerturbationSet,
     basic_bounds,
-    cholesky,
     coherence,
     dct_columns,
     first_order_bounds,
-    gram,
     growth_factors,
     haar_rotated,
-    householder_qr,
     ortho_deviation,
     preconditioned_bounds,
     preconditioned_cholesky_qr,
@@ -34,12 +31,17 @@ from rpcqr import (
     run_experiment,
     sample_rows,
     sampling_lower_bound,
-    singular_values,
-    spectral_norm,
-    tri_solve_right,
     worst_coherence_stack,
 )
 from rpcqr.cli import main as cli_main
+from rpcqr.kernels import (
+    cholesky,
+    gram,
+    householder_qr,
+    singular_values,
+    spectral_norm,
+    tri_solve_right,
+)
 
 from dct_reference import dct_matrix, sampled_frame_singular_values
 

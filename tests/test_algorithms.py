@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,22 +7,23 @@ from hypothesis import strategies as st
 
 from rpcqr import (
     CholeskyBreakdown,
+    QRFactors,
     RankDeficientSampleError,
+    SingularTriangularError,
     cholesky_qr,
     cholesky_qr2,
     haar_frame,
     haar_rotated,
-    householder_qr,
     ortho_deviation,
     preconditioned_cholesky_qr,
+    randsvd,
     rel_residual,
     rp_cholesky_qr,
-    singular_values,
-    spectral_norm,
     worst_coherence_stack,
 )
 from rpcqr.algorithms import build_preconditioner
-from rpcqr.metrics import cond2, eta
+from rpcqr.kernels import householder_qr, singular_values, spectral_norm
+from rpcqr.metrics import coherence, cond2, eta
 from rpcqr.transforms import (
     child_seeds,
     dct_columns,
@@ -51,6 +54,19 @@ class TestCholeskyQR:
         except CholeskyBreakdown:
             return
         assert ortho_deviation(f.Q) >= 1e-2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", [cholesky_qr, cholesky_qr2])
+    def test_overflowed_gram_is_a_breakdown(self, method):
+        # A column norm past sqrt(max float) overflows the Gram matrix;
+        # dpotrf factors it with info = 0 and a NaN pivot, which must not
+        # come back as a NaN Q.
+        A = haar_rotated(50, 5, 10.0, seed=3)
+        A[:, 2] *= 1e160
+        with pytest.raises(CholeskyBreakdown) as exc:
+            method(A)
+        assert exc.value.pivot_index == 2
+        assert not np.isfinite(exc.value.pivot_value)
 
     @pytest.mark.parametrize("kappa", [1e0, 1e4, 1e8])
     def test_residual_small_when_no_breakdown(self, kappa):
@@ -112,6 +128,32 @@ class TestPreconditionedCholeskyQR:
         f2, A2 = preconditioned_cholesky_qr(A, 7.5 * R_s)
         assert cond2(A1) == pytest.approx(cond2(A2), rel=1e-12)
         assert np.max(np.abs(f1.Q - f2.Q)) <= 1e-12
+
+    def test_singular_diag_raises(self):
+        R = np.triu(np.ones((3, 3)))
+        R[1, 1] = 0.0
+        with pytest.raises(SingularTriangularError):
+            preconditioned_cholesky_qr(np.ones((4, 3)), R)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operand", ["A", "R_diag", "R_offdiag"])
+    def test_non_finite_operand_raises(self, bad, operand):
+        A = np.ones((4, 3))
+        R = np.triu(np.ones((3, 3)))
+        if operand == "A":
+            A[2, 1] = bad
+        elif operand == "R_diag":
+            R[1, 1] = bad
+        else:
+            R[0, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            preconditioned_cholesky_qr(A, R)
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_column_count_mismatch_raises(self, extra):
+        R = np.triu(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="columns"):
+            preconditioned_cholesky_qr(np.ones((5, 3 + extra)), R)
 
 
 class TestRpCholeskyQR:
@@ -213,6 +255,11 @@ class TestBuildPreconditioner:
         A = haar_rotated(200, 10, 1e4, seed=6)
         with pytest.raises(RankDeficientSampleError):
             build_preconditioner(A, 30, seed=7, rank_tol=1.0)
+
+    def test_rejects_a_wide_sample(self):
+        with pytest.raises(ValueError,
+                           match=r"^need c >= cols, got c=2, cols=3$"):
+            build_preconditioner(np.ones((4, 3)), 2, seed=0)
 
     def test_tiny_rank_tol_keeps_the_preconditioner(self):
         A = worst_coherence_stack(200, 10, 1e15, seed=8)
@@ -316,3 +363,116 @@ class TestSampledFrameSingularValues:
         _, _, A1 = rp_cholesky_qr(A, 8, seed=29)
         s = sampled_frame_singular_values(A, 8, 29)
         assert s[0] * singular_values(A1)[0] == pytest.approx(1.0, rel=1e-10)
+
+
+# Every rejection of a public entry point, with its exact type and message.
+# One bad value per case: the other arguments stay valid.
+_A = haar_rotated(8, 3, 10.0, seed=0)
+_R_S = np.triu(np.ones((3, 3))) + np.eye(3)
+_F = householder_qr(_A)
+
+#: (entry point, argument, call with that argument replaced, its valid
+#: value, whether the argument must be tall).
+_MATRIX_ARGS = [
+    ("cholesky_qr", "A", lambda X: cholesky_qr(X), _A, True),
+    ("cholesky_qr2", "A", lambda X: cholesky_qr2(X), _A, True),
+    ("preconditioned_cholesky_qr", "A",
+     lambda X: preconditioned_cholesky_qr(X, _R_S), _A, True),
+    ("preconditioned_cholesky_qr", "R_s",
+     lambda X: preconditioned_cholesky_qr(_A, X), _R_S, False),
+    ("build_preconditioner", "A", lambda X: build_preconditioner(X, 6, 1),
+     _A, False),
+    ("rp_cholesky_qr", "A", lambda X: rp_cholesky_qr(X, 6, 1), _A, True),
+    ("dct_columns", "A", dct_columns, _A, False),
+    ("sample_rows", "FA", lambda X: sample_rows(X, 6, 1), _A, False),
+    ("ortho_deviation", "Q", ortho_deviation, _F.Q, False),
+    ("coherence", "Q", coherence, _F.Q, False),
+    ("rel_residual", "A", lambda X: rel_residual(X, _F), _A, False),
+    ("cond2", "A", cond2, _A, True),
+    ("eta", "A", lambda X: eta(X, _A, _R_S), _A, False),
+    ("eta", "A1", lambda X: eta(_A, X, _R_S), _A, True),
+    ("eta", "R_s", lambda X: eta(_A, _A, X), _R_S, False),
+]
+
+
+def _bad_values(X, tall):
+    """(name, bad value, error type, message) for a matrix argument X."""
+    m, n = X.shape
+    for v in (np.nan, np.inf, -np.inf):
+        Y = X.copy()
+        Y[0, -1] = v
+        yield str(v), Y, ValueError, "matrix entries must be finite"
+    yield ("0-row", np.zeros((0, n)), ValueError,
+           f"matrix dimensions must be >= 1, got (0, {n})")
+    yield ("0-col", np.zeros((m, 0)), ValueError,
+           f"matrix dimensions must be >= 1, got ({m}, 0)")
+    yield "1-d", np.ones(m), ValueError, "expected a 2-d array, got ndim=1"
+    if tall:
+        wide = np.random.default_rng(0).standard_normal((n - 1, n))
+        yield ("wide", wide, ValueError,
+               f"need rows >= cols, got {n - 1}x{n}")
+
+
+def _below_diagonal():
+    R = _R_S.copy()
+    R[2, 0] = 1e-300
+    return R
+
+
+def _zero_diagonal():
+    R = _R_S.copy()
+    R[1, 1] = 0.0
+    return R
+
+
+def _rejections():
+    for entry, arg, call, X, tall in _MATRIX_ARGS:
+        for name, bad, exc, msg in _bad_values(X, tall):
+            yield pytest.param(lambda c=call, b=bad: c(b), exc, msg,
+                               id=f"{entry}-{arg}-{name}")
+    pcqr = preconditioned_cholesky_qr
+    for name, R, exc, msg in [
+        ("non-square", np.triu(np.ones((3, 4))), ValueError,
+         "triangular factor must be square"),
+        ("column-mismatch", np.eye(4), ValueError,
+         "A has 3 columns but R is 4x4"),
+        ("below-diagonal", _below_diagonal(), ValueError,
+         "strictly lower part must be exactly zero"),
+        ("zero-diagonal", _zero_diagonal(), SingularTriangularError,
+         "diagonal entry np.float64(0.0) at index 1 is singular"),
+    ]:
+        yield pytest.param(lambda R=R: pcqr(_A, R), exc, msg,
+                           id=f"preconditioned_cholesky_qr-R_s-{name}")
+    for name, v in [("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)]:
+        for field in ("Q", "R"):
+            factor = getattr(_F, field).copy()
+            factor[0, -1] = v
+            f = QRFactors(**{**vars(_F), field: factor})
+            yield pytest.param(lambda f=f: rel_residual(_A, f), ValueError,
+                               "matrix entries must be finite",
+                               id=f"rel_residual-f.{field}-{name}")
+    dims = "matrix dimensions must be >= 1, got"
+    for entry, call, cases in [
+        ("haar_frame", lambda m, n: haar_frame(m, n, 1),
+         [((0, 3), f"{dims} (0, 3)"), ((3, 0), f"{dims} (3, 0)"),
+          ((2, 5), "need rows >= cols, got 2x5")]),
+        ("haar_rotated", lambda m, n: haar_rotated(m, n, 10.0, 1),
+         [((0, 3), f"{dims} (0, 3)"), ((3, 0), f"{dims} (0, 0)"),
+          ((2, 5), "need rows >= cols, got 2x5")]),
+        ("worst_coherence_stack",
+         lambda m, n: worst_coherence_stack(m, n, 10.0, 1),
+         [((0, 3), "need m >= n"), ((3, 0), f"{dims} (0, 0)"),
+          ((2, 5), "need m >= n")]),
+        ("randsvd", lambda m, n: randsvd(n, 10.0, 1),
+         [((0, 0), f"{dims} (0, 0)")]),
+    ]:
+        for (m, n), msg in cases:
+            yield pytest.param(lambda c=call, m=m, n=n: c(m, n), ValueError,
+                               msg, id=f"{entry}-{m}x{n}")
+
+
+@pytest.mark.parametrize("call, exc, message", _rejections())
+def test_public_entry_point_rejects_bad_input(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is exc

@@ -6,12 +6,10 @@ from rpcqr import (
     coherence,
     haar_frame,
     haar_rotated,
-    householder_qr,
     randsvd,
-    singular_values,
-    spectral_norm,
     worst_coherence_stack,
 )
+from rpcqr.kernels import householder_qr, singular_values, spectral_norm
 
 
 class TestHaarFrame:

@@ -150,6 +150,8 @@ class TestConfig:
         (dict(experiment="single", n=5, c=50, method="basic"), "c"),
         (dict(experiment="sweep_c", n=5, c_list=[20, 30], method="cqr2"),
          "c_list"),
+        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=5,
+              c=20, method="basic"), "method"),
     ])
     def test_validate_names_an_ignored_or_malformed_point_key(self, config,
                                                               key):
@@ -446,6 +448,9 @@ class TestCli:
             ["sweep-c", "--method", "cqr2", "--m", "100", "--n", "10",
              "--c", "20,30"],
             ["single", "--n", "10", "--seed", "-1"],
+            ["compare-cqr2", "--method", "basic", "--matrix", "haar",
+             "--m", "200", "--n", "10", "--c", "30", "--trials", "1",
+             "--kappa", "1e3"],
             ["single", "--config", str(array)],
             ["single", "--config", str(fractional)],
             ["bounds", "--kappa-a1", "10", "--eta", "nan"],
@@ -480,6 +485,20 @@ class TestCli:
                    "--trials", "1",
                    "--out", str(tmp_path / "no_dir" / "x.csv")])
         assert rc == 2
+
+    def test_unwritable_out_fails_before_any_trial(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_trials(config):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("rpcqr.cli.run_experiment", no_trials)
+        path = tmp_path / "no_dir" / "x.csv"
+        rc = main(["sweep-c", "--m", "400", "--n", "20", "--c", "40,60",
+                   "--trials", "3", "--out", str(path)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: cannot write CSV: ")
 
     def test_singular_preconditioned_matrix_is_a_row(self, capsys):
         # The 10 sampled rows hold 7 distinct ones, so sigma_n(A1) = 0.

@@ -6,11 +6,10 @@ from rpcqr import (
     coherence,
     dct_columns,
     haar_frame,
-    householder_qr,
     rademacher_diag,
     sample_rows,
-    spectral_norm,
 )
+from rpcqr.kernels import householder_qr, spectral_norm
 from rpcqr.transforms import child_seeds, philox
 from dct_reference import dct_columns_reference, dct_matrix
 
