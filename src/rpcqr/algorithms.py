@@ -30,14 +30,17 @@ from .kernels import (
     spectral_norm,
     tri_solve_right,
 )
-from .transforms import child_seeds, dct_columns, rademacher_diag, sample_rows
+from .transforms import _dct_columns, _sample_rows, child_seeds, rademacher_diag
 
 
 def cholesky_qr(A):
     """Basic Cholesky-QR: Gram matrix, Cholesky, triangular solve."""
-    A = as_tall_matrix(A)
-    G = gram(A)
-    R = cholesky(G)
+    return _cholesky_qr(as_tall_matrix(A))
+
+
+# The private bodies trust arguments that their public callers checked.
+def _cholesky_qr(A):
+    R = cholesky(gram(A))
     Q = tri_solve_right(A, R)
     return QRFactors(Q=Q, R=R, method="basic")
 
@@ -53,12 +56,11 @@ def cholesky_qr2(A):
         exc.stage = 1
         raise
     try:
-        f2 = cholesky_qr(f1.Q)
+        f2 = _cholesky_qr(f1.Q)
     except CholeskyBreakdown as exc:
         exc.stage = 2
         raise
-    R = np.triu(f2.R @ f1.R)
-    return QRFactors(Q=f2.Q, R=R, method="cqr2")
+    return QRFactors(Q=f2.Q, R=np.triu(f2.R @ f1.R), method="cqr2")
 
 
 def _as_preconditioner(R_s, n):
@@ -87,11 +89,13 @@ def preconditioned_cholesky_qr(A, R_s):
     :func:`cholesky_qr` bit for bit.
     """
     A = as_tall_matrix(A)
-    R_s = _as_preconditioner(R_s, A.shape[1])
+    return _preconditioned_cholesky_qr(A, _as_preconditioner(R_s, A.shape[1]))
+
+
+def _preconditioned_cholesky_qr(A, R_s):
     A1 = tri_solve_right(A, R_s)
-    f = cholesky_qr(A1)
-    R = np.triu(f.R @ R_s)
-    return QRFactors(Q=f.Q, R=R, method="preconditioned"), A1
+    f = _cholesky_qr(A1)
+    return QRFactors(Q=f.Q, R=np.triu(f.R @ R_s), method="preconditioned"), A1
 
 
 def build_preconditioner(A, c, seed, rank_tol=0.0):
@@ -109,13 +113,16 @@ def build_preconditioner(A, c, seed, rank_tol=0.0):
     reject exactly the inputs this algorithm is built for; a genuinely bad
     sample still surfaces as a Cholesky breakdown downstream.
     """
-    A = as_matrix(A)
+    return _build_preconditioner(as_matrix(A), c, seed, rank_tol)
+
+
+def _build_preconditioner(A, c, seed, rank_tol):
     m, n = A.shape
     if c < n:
         raise ValueError(f"need c >= cols, got c={c}, cols={n}")
     sign_seed, sample_seed = child_seeds([seed], 2)
-    FA = dct_columns(rademacher_diag(m, sign_seed)[:, None] * A)
-    A_s = sample_rows(FA, c, sample_seed)
+    FA = _dct_columns(rademacher_diag(m, sign_seed)[:, None] * A)
+    A_s = _sample_rows(FA, c, sample_seed)
     R_s = householder_r(A_s)
     d = np.diag(R_s)
     threshold = rank_tol * spectral_norm(A_s) if rank_tol > 0.0 else 0.0
@@ -134,7 +141,8 @@ def rp_cholesky_qr(A, c, seed, rank_tol=0.0):
     triangular factor of the sampled matrix is computed; its orthonormal
     factor is never formed.
     """
-    R_s = build_preconditioner(A, c, seed, rank_tol=rank_tol)
-    f, A1 = preconditioned_cholesky_qr(A, R_s)
+    A = as_tall_matrix(A)
+    R_s = _build_preconditioner(A, c, seed, rank_tol)
+    f, A1 = _preconditioned_cholesky_qr(A, R_s)
     return QRFactors(Q=f.Q, R=f.R, method="rpcholesky"), R_s, A1
 

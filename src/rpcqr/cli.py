@@ -54,6 +54,7 @@ def _add_experiment_args(p):
     p.add_argument("--method", choices=sorted(METHODS))
     p.add_argument("--out", metavar="PATH", dest="output_path",
                    help="CSV output path")
+    p.add_argument("--jobs", type=int, help="worker processes for the points")
 
 
 def _build_config(args):

@@ -13,10 +13,13 @@ empty metric cells.
 import csv
 import json
 import math
+import multiprocessing as mp
 import numbers
+import os
 import time
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import List, Optional
 
 from .algorithms import cholesky_qr, cholesky_qr2, preconditioned_cholesky_qr, rp_cholesky_qr
@@ -68,6 +71,7 @@ class ExperimentConfig:
     trials: int = 10
     master_seed: int = 0
     output_path: Optional[str] = None
+    jobs: int = 1
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
@@ -79,15 +83,15 @@ class ExperimentConfig:
         if any(not isinstance(v, list) for v in (self.n_list, self.c_list)
                if v is not None):
             raise ConfigError("n_list and c_list must be lists of integers")
-        ints = [self.m, self.trials, self.master_seed, self.n, self.c,
-                *(self.n_list or ()), *(self.c_list or ())]
+        ints = [self.m, self.trials, self.master_seed, self.jobs, self.n,
+                self.c, *(self.n_list or ()), *(self.c_list or ())]
         if any(type(v) is not int for v in ints if v is not None):
-            raise ConfigError("m, n, c, n_list, c_list, trials and "
-                              "master_seed must be integers")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be >= 0")
+            raise ConfigError("m, n, c, n_list, c_list, trials, master_seed "
+                              "and jobs must be integers")
+        if self.trials < 1 or self.jobs < 1 or self.master_seed < 0:
+            raise ConfigError("trials and jobs must be >= 1, master_seed >= 0")
+        if self.jobs > 1 and "fork" not in mp.get_all_start_methods():
+            raise ConfigError("jobs > 1 needs the fork start method")
         k = self.kappa
         if (isinstance(k, bool) or not isinstance(k, numbers.Real)
                 or not (k >= 1.0 and math.isfinite(k))):
@@ -250,27 +254,39 @@ def run_experiment(config):
     """Run ``config``'s experiment over :func:`sweep_points`; return its rows.
 
     ``compare_cqr2`` runs ``rp`` and ``cqr2``, the others ``config.method``;
-    ``single`` runs one trial.  Rows come point by point, trial by trial.
+    ``single`` runs one trial.  Rows come point by point, trial by trial,
+    also when ``min(jobs, points, cores)`` > 1 forked workers run the points,
+    largest first: they inherit the modules, rebound names and BLAS threads.
     """
     config.validate()
     if config.experiment == "single":
         config = replace(config, trials=1)
     methods = (["rp", "cqr2"] if config.experiment == "compare_cqr2"
                else [config.method])
-    rows = []
-    for point_index, (n, c) in enumerate(sweep_points(config)):
-        A = MATRIX_KINDS[config.matrix_kind](
-            config.m, n, config.kappa,
-            derive_matrix_seed(config.master_seed, point_index))
-        A.setflags(write=False)  # shared by every trial of the point
-        norm_A = spectral_norm(A)
-        for trial in range(config.trials):
-            for method in methods:
-                seed = derive_seed(config.master_seed, point_index, trial,
-                                   method)
-                rows.append(run_trial(config, A, norm_A, n, c, trial,
-                                      method, seed))
-    return rows
+    points = [(i, n, c) for i, (n, c) in enumerate(sweep_points(config))]
+    run_point = partial(_point_rows, config, methods)
+    jobs = min(config.jobs, len(points), os.cpu_count() or 1)
+    if jobs == 1:
+        return [row for point in points for row in run_point(*point)]
+    largest_first = sorted(points, key=lambda p: -p[1] * p[2])  # n * c
+    with mp.get_context("fork").Pool(jobs) as pool:  # an error terminates it
+        done = pool.starmap(run_point, largest_first, chunksize=1)
+        pool.close()
+        pool.join()
+    rows = dict(zip(largest_first, done))
+    return [row for point in points for row in rows[point]]
+
+
+def _point_rows(config, methods, point_index, n, c):
+    """The rows of one sweep point, whose matrix and ‖A‖ all trials share."""
+    A = MATRIX_KINDS[config.matrix_kind](
+        config.m, n, config.kappa,
+        derive_matrix_seed(config.master_seed, point_index))
+    A.setflags(write=False)
+    norm_A = spectral_norm(A)
+    seed = partial(derive_seed, config.master_seed, point_index)
+    return [run_trial(config, A, norm_A, n, c, t, meth, seed(t, meth))
+            for t in range(config.trials) for meth in methods]
 
 
 # Kept only for the benchmark (perfbench/), which calls these names,
@@ -331,7 +347,7 @@ def format_summary(config, rows):
         f"{'dev(gmean)':>12} {'res(gmean)':>12} {'kA1(mean)':>12} "
         f"{'est(gmean)':>12}"
     ]
-    for i, (n, c) in enumerate(points):
+    for i, (n, _) in enumerate(points):
         point = rows[i * per_point:(i + 1) * per_point]
         for method in dict.fromkeys(r["method"] for r in point):
             mine = [r for r in point if r["method"] == method]
@@ -342,7 +358,7 @@ def format_summary(config, rows):
                 return "-" if value is None else f"{value:.3e}"
 
             lines.append(
-                f"{n:>6} {c if c is not None else '-':>6} {method:>8} "
+                f"{n:>6} {_fmt(mine[0]['c']) or '-':>6} {method:>8} "
                 f"{len(mine) - len(ok):>5} {cell('deviation'):>12} "
                 f"{cell('residual'):>12} {cell('kappa_A1', False):>12} "
                 f"{cell('estimate_5_2'):>12}"

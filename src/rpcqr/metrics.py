@@ -70,8 +70,10 @@ def _eta(s, R_s, norm_A):
 
 def rel_residual(A, f):
     """Relative two-norm residual ‖A - QR‖₂ / ‖A‖₂ of a factorization."""
-    A = as_matrix(A)
-    as_matrix(f.Q), as_matrix(f.R)  # finite factors too
+    A, Q, R = as_matrix(A), as_matrix(f.Q), as_matrix(f.R)
+    if Q.shape[0] != A.shape[0] or R.shape != (Q.shape[1], A.shape[1]):
+        raise ValueError(f"A - QR needs conforming shapes, got A {A.shape}, "
+                         f"Q {Q.shape}, R {R.shape}")
     return _residual(A, f, spectral_norm(A))
 
 

@@ -13,6 +13,7 @@ documents ``SeedSequence`` hashing as stable), and every generator comes from
 
 import math
 import operator
+from functools import partial
 
 import numpy as np
 import scipy.fft
@@ -41,8 +42,10 @@ def rademacher_diag(m, seed):
 
 def dct_columns(A):
     """Apply the orthonormal DCT-II to each column (fast FFT-based path)."""
-    A = as_matrix(A)
-    return scipy.fft.dct(A, type=2, axis=0, norm="ortho")
+    return _dct_columns(as_matrix(A))
+
+
+_dct_columns = partial(scipy.fft.dct, type=2, axis=0, norm="ortho")
 
 
 def sample_rows(FA, c, seed):
@@ -53,7 +56,10 @@ def sample_rows(FA, c, seed):
     integer (a Python or numpy int); a float, even 30.0, is a TypeError
     rather than being truncated.
     """
-    FA = as_matrix(FA)
+    return _sample_rows(as_matrix(FA), c, seed)
+
+
+def _sample_rows(FA, c, seed):  # checks c, and trusts FA
     try:
         c = operator.index(c)
     except TypeError:

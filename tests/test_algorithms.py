@@ -451,6 +451,17 @@ def _rejections():
             yield pytest.param(lambda f=f: rel_residual(_A, f), ValueError,
                                "matrix entries must be finite",
                                id=f"rel_residual-f.{field}-{name}")
+    for name, A, Q, R in [
+        ("wide-A", np.ones((3, 8)), _F.Q, _F.R),
+        ("short-Q", _A, _F.Q[:5], _F.R),
+        ("wide-Q", _A, np.ones((8, 4)), _F.R),
+        ("wrong-R", _A, _F.Q, np.eye(4)),
+    ]:
+        f = QRFactors(Q=Q, R=R, method="householder")
+        yield pytest.param(lambda A=A, f=f: rel_residual(A, f), ValueError,
+                           f"A - QR needs conforming shapes, got A {A.shape}, "
+                           f"Q {Q.shape}, R {R.shape}",
+                           id=f"rel_residual-{name}")
     dims = "matrix dimensions must be >= 1, got"
     for entry, call, cases in [
         ("haar_frame", lambda m, n: haar_frame(m, n, 1),

@@ -1,5 +1,7 @@
 import csv
+import faulthandler
 import json
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -157,6 +159,18 @@ class TestConfig:
                                                               key):
         with pytest.raises(ConfigError, match=rf"\b{key}\b"):
             ExperimentConfig(**config).validate()
+
+    @pytest.mark.parametrize("jobs", [0, -1, 2.5, True, "2"])
+    def test_validate_rejects_bad_jobs(self, jobs):
+        with pytest.raises(ConfigError, match=r"\bjobs\b"):
+            small_sweep_config(jobs=jobs).validate()
+
+    def test_jobs_above_one_needs_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        small_sweep_config(jobs=1).validate()
+        with pytest.raises(ConfigError, match="fork"):
+            small_sweep_config(jobs=2).validate()
 
     @pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 9)])
     def test_shipped_configs(self, name):
@@ -359,6 +373,101 @@ class TestSweeps:
         assert format_summary(cfg, rows).splitlines()[1].split()[3] == "2"
 
 
+def _stripped(rows):
+    return [{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows]
+
+
+class _PlantedError(Exception):
+    pass
+
+
+class TestParallelPoints:
+    """``jobs > 1`` runs the points in forked workers, with the same rows."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The size of each pool made, on a machine with 8 cores.
+
+        A pool that hangs ends the test run, with a traceback, after 120 s.
+        """
+        sizes, fork = [], multiprocessing.get_context("fork")
+
+        class Context:
+            def Pool(self, processes):
+                sizes.append(processes)
+                return fork.Pool(processes)
+
+        def get_context(method):
+            assert method == "fork"
+            return Context()
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield sizes
+        faulthandler.cancel_dump_traceback_later()
+
+    @pytest.mark.parametrize("config, points", [
+        (dict(experiment="sweep_c", m=150, n=15, kappa=1e15,
+              c_list=[30, 45, 60], trials=2), 3),
+        (dict(experiment="sweep_n", m=150, n_list=[5, 10, 15], kappa=1e12,
+              trials=2), 3),
+        (dict(experiment="sweep_n", m=150, n_list=[10, 15], kappa=1e15,
+              method="basic", trials=2), 2),
+        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
+              n=15, kappa=1e7, c_list=[30, 45], trials=2), 2),
+        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
+              n_list=[5, 10, 15], kappa=1e7, trials=2), 3),
+        (dict(experiment="single", m=150, n=15, kappa=1e15), 1),
+    ], ids=["sweep_c", "sweep_n", "sweep_n-basic", "compare_cqr2-c_list",
+            "compare_cqr2-n_list", "single"])
+    def test_rows_do_not_depend_on_jobs(self, pools, config, points):
+        cfg = ExperimentConfig(master_seed=23, **config)
+        serial = run_experiment(cfg)
+        assert pools == []
+        assert _stripped(run_experiment(replace(cfg, jobs=2))) == \
+            _stripped(serial)
+        assert pools == ([2] if points > 1 else [])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs, cores, size", [
+        (2, 8, 2), (5, 8, 3), (5, 2, 2), (5, 1, None), (1, 8, None)])
+    def test_pool_size(self, pools, monkeypatch, jobs, cores, size):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        run_experiment(small_sweep_config(c_list=[40, 60, 80], trials=1,
+                                          jobs=jobs))
+        assert pools == ([] if size is None else [size])
+
+    def test_no_pool_when_serial_or_invalid(self, monkeypatch):
+        def no_pool(method):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert len(run_experiment(small_sweep_config(jobs=1))) == 2 * 3
+        one_point = small_sweep_config(c_list=[40], jobs=2)
+        assert len(run_experiment(one_point)) == 3
+        single = ExperimentConfig(experiment="single", m=200, n=20, jobs=2)
+        assert len(run_experiment(single)) == 1
+        with pytest.raises(ConfigError):
+            run_experiment(small_sweep_config(jobs=0))
+
+    def test_worker_error_reaches_the_caller(self, pools, monkeypatch):
+        measure = harness.measure
+
+        def failing(A, *args):
+            if A.shape[1] == 15:
+                raise _PlantedError("planted")
+            return measure(A, *args)
+
+        monkeypatch.setattr(harness, "measure", failing)
+        cfg = ExperimentConfig(experiment="sweep_n", m=150, n_list=[5, 10, 15],
+                               kappa=1e12, trials=2, jobs=2)
+        with pytest.raises(_PlantedError, match="^planted$"):
+            run_experiment(cfg)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+
 class TestRankDeficientSample:
     def test_is_a_breakdown_row_after_one_call_on_the_row_seed(
             self, monkeypatch):
@@ -448,6 +557,8 @@ class TestCli:
             ["sweep-c", "--method", "cqr2", "--m", "100", "--n", "10",
              "--c", "20,30"],
             ["single", "--n", "10", "--seed", "-1"],
+            ["sweep-c", "--m", "100", "--n", "10", "--c", "20,30",
+             "--jobs", "0"],
             ["compare-cqr2", "--method", "basic", "--matrix", "haar",
              "--m", "200", "--n", "10", "--c", "30", "--trials", "1",
              "--kappa", "1e3"],
@@ -532,7 +643,7 @@ class TestCli:
 
     def test_summary_table_golden(self, capsys):
         # 2 points x 2 trials; cqr2 breaks down on the first point's matrix
-        # only, and its lines carry the point's c.
+        # only, and its lines, like its CSV cells, carry no c.
         rc = main(["compare-cqr2", "--matrix", "haar", "--m", "100",
                    "--n", "10", "--c", "20,30", "--kappa", "1e9",
                    "--trials", "2", "--seed", "2"])
@@ -541,11 +652,11 @@ class TestCli:
         assert lines[0] == ("     n      c   method broke   dev(gmean)   "
                             "res(gmean)    kA1(mean)   est(gmean)")
         assert [line.split()[:4] for line in lines[1:]] == [
-            ["10", "20", "rp", "0"], ["10", "20", "cqr2", "2"],
-            ["10", "30", "rp", "0"], ["10", "30", "cqr2", "0"]]
+            ["10", "20", "rp", "0"], ["10", "-", "cqr2", "2"],
+            ["10", "30", "rp", "0"], ["10", "-", "cqr2", "0"]]
         assert [line for line in lines if "cqr2" in line] == [
-            "    10     20     cqr2     2" + "            -" * 4,
-            "    10     30     cqr2     0    9.009e-16    1.561e-16"
+            "    10      -     cqr2     2" + "            -" * 4,
+            "    10      -     cqr2     0    9.009e-16    1.561e-16"
             + "            -" * 2,
         ]
         for line in (lines[1], lines[3]):  # rp: four finite statistics
