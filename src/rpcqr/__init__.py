@@ -4,9 +4,9 @@ Library layout:
 
 * :mod:`rpcqr.kernels` -- internal dense linear-algebra primitives, which
   trust their callers: each exported function checks its own arguments
-* :mod:`rpcqr.transforms` -- sign flip / DCT smoothing, row sampling and
-  the seed rule
-* :mod:`rpcqr.algorithms` -- the Cholesky-QR family of factorizations
+* :mod:`rpcqr.transforms` -- internal too: the preconditioner's sign flip,
+  DCT and row sampling stages, and the seed rule
+* :mod:`rpcqr.algorithms` -- the four Cholesky-QR factorizations
 * :mod:`rpcqr.bounds` -- closed-form accuracy bound evaluators
 * :mod:`rpcqr.genmat` -- seeded test-matrix generators
 * :mod:`rpcqr.metrics` -- measured accuracy quantities
@@ -14,7 +14,6 @@ Library layout:
 """
 
 from .algorithms import (
-    build_preconditioner,
     cholesky_qr,
     cholesky_qr2,
     preconditioned_cholesky_qr,
@@ -57,6 +56,5 @@ from .harness import (
     run_experiment,
 )
 from .metrics import coherence, cond2, eta, ortho_deviation, rel_residual
-from .transforms import dct_columns, rademacher_diag, sample_rows
 
 __version__ = "0.1.0"

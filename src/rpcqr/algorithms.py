@@ -9,8 +9,8 @@ Four routes to A = QR for a tall full-column-rank A:
 * :func:`preconditioned_cholesky_qr` -- basic Cholesky-QR of A R_s^{-1} for a
   user-supplied triangular preconditioner R_s.
 * :func:`rp_cholesky_qr` -- the randomized variant: R_s is the triangular
-  factor of a few rows sampled from the sign-flipped DCT of A.  Remains
-  accurate even for numerically singular A.
+  factor of a few rows sampled from the sign-flipped DCT of A, by internal
+  stages.  Remains accurate even for numerically singular A.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ from .kernels import (
     spectral_norm,
     tri_solve_right,
 )
-from .transforms import _dct_columns, _sample_rows, child_seeds, rademacher_diag
+from .transforms import child_seeds, dct_columns, rademacher_diag, sample_rows
 
 
 def cholesky_qr(A):
@@ -101,11 +101,11 @@ def _preconditioned_cholesky_qr(A, R_s):
 def build_preconditioner(A, c, seed, rank_tol=0.0):
     """Sample-based triangular preconditioner (sign flip, DCT, row sample, QR).
 
-    Returns R_s, the triangular factor of the sample.  The sign flip and the
-    sample draw on the two words of ``child_seeds([seed], 2)``, so ``seed``
-    names all the randomness.  Raises :class:`RankDeficientSampleError` when
-    R_s is unusable (a diagonal entry that is non-finite, zero, or at most
-    ``rank_tol`` times the sampled matrix's norm).
+    Internal: A is the one :func:`rp_cholesky_qr` checked.  Returns R_s, the
+    triangular factor of the sample.  Sign flip and sample draw on the two
+    words of ``child_seeds([seed], 2)``, so ``seed`` names all the randomness.
+    Raises :class:`RankDeficientSampleError` when a diagonal entry of R_s is
+    non-finite, zero, or at most ``rank_tol`` times the sampled matrix's norm.
 
     ``rank_tol`` defaults to 0 on purpose: for numerically singular inputs
     the smallest diagonal entry legitimately sits at roundoff level, and the
@@ -113,16 +113,12 @@ def build_preconditioner(A, c, seed, rank_tol=0.0):
     reject exactly the inputs this algorithm is built for; a genuinely bad
     sample still surfaces as a Cholesky breakdown downstream.
     """
-    return _build_preconditioner(as_matrix(A), c, seed, rank_tol)
-
-
-def _build_preconditioner(A, c, seed, rank_tol):
     m, n = A.shape
     if c < n:
         raise ValueError(f"need c >= cols, got c={c}, cols={n}")
     sign_seed, sample_seed = child_seeds([seed], 2)
-    FA = _dct_columns(rademacher_diag(m, sign_seed)[:, None] * A)
-    A_s = _sample_rows(FA, c, sample_seed)
+    FA = dct_columns(rademacher_diag(m, sign_seed)[:, None] * A)
+    A_s = sample_rows(FA, c, sample_seed)
     R_s = householder_r(A_s)
     d = np.diag(R_s)
     threshold = rank_tol * spectral_norm(A_s) if rank_tol > 0.0 else 0.0
@@ -142,7 +138,7 @@ def rp_cholesky_qr(A, c, seed, rank_tol=0.0):
     factor is never formed.
     """
     A = as_tall_matrix(A)
-    R_s = _build_preconditioner(A, c, seed, rank_tol)
+    R_s = build_preconditioner(A, c, seed, rank_tol)
     f, A1 = _preconditioned_cholesky_qr(A, R_s)
     return QRFactors(Q=f.Q, R=f.R, method="rpcholesky"), R_s, A1
 

@@ -11,10 +11,21 @@ Two families of tall test matrices with a prescribed condition number:
 All generators are deterministic functions of (dimensions, kappa, seed).
 """
 
+import numbers
+
 import numpy as np
 
-from .kernels import as_tall_matrix, householder_qr
+from .kernels import householder_qr
 from .transforms import child_seeds, philox
+
+
+def _check(m, n, kappa=1.0, error=ValueError):
+    """Raise ``error`` unless 1 <= n <= m and kappa is a finite real >= 1."""
+    if not 1 <= n <= m:
+        raise error(f"need 1 <= n <= m, got m={m}, n={n}")
+    if type(kappa) is bool or not (isinstance(kappa, numbers.Real)
+                                   and 1.0 <= kappa < np.inf):
+        raise error(f"kappa must be a finite number >= 1, got {kappa!r}")
 
 
 def haar_frame(m, n, seed):
@@ -24,8 +35,9 @@ def haar_frame(m, n, seed):
     distributionally equal to the leading n columns of a full Haar matrix,
     at O(m n^2) cost instead of O(m^3).  Needs 1 <= n <= m.
     """
+    _check(m, n)
     G = philox(child_seeds([seed, 0])[0]).standard_normal((m, n))
-    return householder_qr(as_tall_matrix(G)).Q
+    return householder_qr(G).Q
 
 
 def randsvd(n, kappa, seed):
@@ -34,8 +46,7 @@ def randsvd(n, kappa, seed):
     The singular values are kappa**(-i/(n-1)), i = 0..n-1, from 1 down to
     1/kappa (just 1 when n = 1).
     """
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
+    _check(n, n, kappa)
     sigma = kappa ** (-np.arange(n) / max(n - 1, 1))
     U = haar_frame(n, n, child_seeds([seed, 1])[0])
     V = haar_frame(n, n, child_seeds([seed, 2])[0])
@@ -44,8 +55,7 @@ def randsvd(n, kappa, seed):
 
 def worst_coherence_stack(m, n, kappa, seed):
     """Conditioned n x n block stacked on zeros; coherence exactly 1."""
-    if m < n:
-        raise ValueError("need m >= n")
+    _check(m, n, kappa)
     R_A = randsvd(n, kappa, seed)
     A = np.zeros((m, n))
     A[:n, :] = R_A
@@ -58,6 +68,7 @@ def haar_rotated(m, n, kappa, seed):
     Shares the conditioned block (and hence the singular values) with
     :func:`worst_coherence_stack` at the same seed.
     """
+    _check(m, n, kappa)
     R_A = randsvd(n, kappa, seed)
     Q_A = haar_frame(m, n, child_seeds([seed, 3])[0])
     return Q_A @ R_A

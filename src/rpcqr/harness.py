@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import multiprocessing as mp
-import numbers
 import os
 import time
 from collections import namedtuple
@@ -22,9 +21,10 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import List, Optional
 
-from .algorithms import cholesky_qr, cholesky_qr2, preconditioned_cholesky_qr, rp_cholesky_qr
+from .algorithms import (_preconditioned_cholesky_qr, cholesky_qr,
+                         cholesky_qr2, rp_cholesky_qr)
 from .errors import CholeskyBreakdown, RankDeficientSampleError
-from .genmat import haar_rotated, worst_coherence_stack
+from .genmat import _check, haar_rotated, worst_coherence_stack
 from .kernels import householder_r, spectral_norm
 from .metrics import measure
 from .transforms import child_seeds
@@ -90,12 +90,6 @@ class ExperimentConfig:
                               "and jobs must be integers")
         if self.trials < 1 or self.jobs < 1 or self.master_seed < 0:
             raise ConfigError("trials and jobs must be >= 1, master_seed >= 0")
-        if self.jobs > 1 and "fork" not in mp.get_all_start_methods():
-            raise ConfigError("jobs > 1 needs the fork start method")
-        k = self.kappa
-        if (isinstance(k, bool) or not isinstance(k, numbers.Real)
-                or not (k >= 1.0 and math.isfinite(k))):
-            raise ConfigError(f"kappa must be a finite number >= 1, got {k!r}")
         if (self.experiment == "compare_cqr2"
                 and self.matrix_kind != "haar_rotated"):
             raise ConfigError("compare_cqr2 requires matrix_kind=haar_rotated")
@@ -105,8 +99,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"output_path must be a string, got {self.output_path!r}")
         for n, c in sweep_points(self):
-            if not 1 <= n <= self.m:
-                raise ConfigError(f"every n must satisfy 1 <= n <= m={self.m}")
+            _check(self.m, n, self.kappa, ConfigError)
             if c is not None and c < n:
                 raise ConfigError(f"every c must be >= n, got c={c}, n={n}")
         return self
@@ -202,9 +195,9 @@ MATRIX_KINDS = {
 
 
 def _run_precond(A, c, seed):
-    # Ideal-preconditioner baseline: exact triangular factor of A.
+    # Ideal-preconditioner baseline: exact triangular factor of A, unchecked.
     R_s = householder_r(A)
-    f, A1 = preconditioned_cholesky_qr(A, R_s)
+    f, A1 = _preconditioned_cholesky_qr(A, R_s)
     return f, R_s, A1
 
 
@@ -255,8 +248,9 @@ def run_experiment(config):
 
     ``compare_cqr2`` runs ``rp`` and ``cqr2``, the others ``config.method``;
     ``single`` runs one trial.  Rows come point by point, trial by trial,
-    also when ``min(jobs, points, cores)`` > 1 forked workers run the points,
-    largest first: they inherit the modules, rebound names and BLAS threads.
+    also when ``min(jobs, points, cores)`` > 1 forked workers (none without
+    ``fork``, as on Windows) run the points, largest first: they inherit the
+    modules, rebound names and BLAS threads.
     """
     config.validate()
     if config.experiment == "single":
@@ -266,7 +260,7 @@ def run_experiment(config):
     points = [(i, n, c) for i, (n, c) in enumerate(sweep_points(config))]
     run_point = partial(_point_rows, config, methods)
     jobs = min(config.jobs, len(points), os.cpu_count() or 1)
-    if jobs == 1:
+    if jobs == 1 or "fork" not in mp.get_all_start_methods():
         return [row for point in points for row in run_point(*point)]
     largest_first = sorted(points, key=lambda p: -p[1] * p[2])  # n * c
     with mp.get_context("fork").Pool(jobs) as pool:  # an error terminates it

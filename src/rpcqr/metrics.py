@@ -30,7 +30,10 @@ def ortho_deviation(Q):
     Evaluated through the exact symmetric eigensolver (largest absolute
     eigenvalue of I - Q^T Q) so values near unit roundoff are resolved.
     """
-    Q = as_matrix(Q)
+    return _ortho_deviation(as_matrix(Q))
+
+
+def _ortho_deviation(Q):  # unchecked, for a Q the library made or checked
     n = Q.shape[1]
     S = np.eye(n) - Q.T @ Q
     w = sym_eigenvalues((S + S.T) / 2.0)
@@ -45,7 +48,7 @@ def coherence(Q):
     :class:`NotOrthonormalError` if :func:`ortho_deviation` > ``ORTHO_TOL``.
     """
     Q = as_matrix(Q)
-    if ortho_deviation(Q) > ORTHO_TOL:
+    if _ortho_deviation(Q) > ORTHO_TOL:
         raise NotOrthonormalError("columns deviate from orthonormality by "
                                   f"more than {ORTHO_TOL:g}")
     return float(np.max(np.einsum("ij,ij->i", Q, Q)))
@@ -74,6 +77,8 @@ def rel_residual(A, f):
     if Q.shape[0] != A.shape[0] or R.shape != (Q.shape[1], A.shape[1]):
         raise ValueError(f"A - QR needs conforming shapes, got A {A.shape}, "
                          f"Q {Q.shape}, R {R.shape}")
+    if not A.any():  # ‖A‖₂ is the divisor
+        raise ValueError("A must be nonzero")
     return _residual(A, f, spectral_norm(A))
 
 
@@ -84,8 +89,10 @@ def cond2(A):
 
 def eta(A, A1, R_s):
     """Conditioning of the product A1 * R_s; lies in [1, kappa(A1)]."""
-    s = singular_values(as_tall_matrix(A1))
-    return _eta(s, as_matrix(R_s), spectral_norm(as_matrix(A)))
+    A, A1, R_s = as_matrix(A), as_tall_matrix(A1), as_matrix(R_s)
+    if not A.any():  # ‖A‖₂ is the divisor
+        raise ValueError("A must be nonzero")
+    return _eta(singular_values(A1), R_s, spectral_norm(A))
 
 
 def measure(A, norm_A, f, A1=None, R_s=None):
@@ -97,7 +104,7 @@ def measure(A, norm_A, f, A1=None, R_s=None):
     define them; the last three are ``None`` without an A1.  One SVD of A1
     serves κ(A₁) and η.  Unlike those, it checks none of its arguments.
     """
-    cells = dict(deviation=ortho_deviation(f.Q),
+    cells = dict(deviation=_ortho_deviation(f.Q),
                  residual=_residual(A, f, norm_A), kappa_A1=None, eta=None,
                  estimate_5_2=None)
     if A1 is not None:

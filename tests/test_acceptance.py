@@ -19,17 +19,14 @@ from rpcqr import (
     PerturbationSet,
     basic_bounds,
     coherence,
-    dct_columns,
     first_order_bounds,
     growth_factors,
     haar_rotated,
     ortho_deviation,
     preconditioned_bounds,
     preconditioned_cholesky_qr,
-    rademacher_diag,
     rp_cholesky_qr,
     run_experiment,
-    sample_rows,
     sampling_lower_bound,
     worst_coherence_stack,
 )
@@ -42,6 +39,7 @@ from rpcqr.kernels import (
     spectral_norm,
     tri_solve_right,
 )
+from rpcqr.transforms import dct_columns, rademacher_diag, sample_rows
 
 from dct_reference import dct_matrix, sampled_frame_singular_values
 

@@ -21,6 +21,7 @@ from rpcqr import (
     rp_cholesky_qr,
     worst_coherence_stack,
 )
+import rpcqr.algorithms as algorithms
 from rpcqr.algorithms import build_preconditioner
 from rpcqr.kernels import householder_qr, singular_values, spectral_norm
 from rpcqr.metrics import coherence, cond2, eta
@@ -261,6 +262,20 @@ class TestBuildPreconditioner:
                            match=r"^need c >= cols, got c=2, cols=3$"):
             build_preconditioner(np.ones((4, 3)), 2, seed=0)
 
+    def test_rp_calls_each_stage_by_its_name(self, monkeypatch):
+        # A tracer sees a stage only if rp_cholesky_qr looks it up by its
+        # own name at call time, not through a private twin.
+        stages = ["build_preconditioner", "rademacher_diag", "dct_columns",
+                  "sample_rows"]
+        calls = []
+        for name in stages:
+            def counted(*args, _fn=getattr(algorithms, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(algorithms, name, counted)
+        rp_cholesky_qr(haar_rotated(60, 5, 10.0, seed=0), 20, seed=1)
+        assert sorted(calls) == sorted(stages)
+
     def test_tiny_rank_tol_keeps_the_preconditioner(self):
         A = worst_coherence_stack(200, 10, 1e15, seed=8)
         strict = build_preconditioner(A, 30, seed=9, rank_tol=1e-300)
@@ -380,11 +395,7 @@ _MATRIX_ARGS = [
      lambda X: preconditioned_cholesky_qr(X, _R_S), _A, True),
     ("preconditioned_cholesky_qr", "R_s",
      lambda X: preconditioned_cholesky_qr(_A, X), _R_S, False),
-    ("build_preconditioner", "A", lambda X: build_preconditioner(X, 6, 1),
-     _A, False),
     ("rp_cholesky_qr", "A", lambda X: rp_cholesky_qr(X, 6, 1), _A, True),
-    ("dct_columns", "A", dct_columns, _A, False),
-    ("sample_rows", "FA", lambda X: sample_rows(X, 6, 1), _A, False),
     ("ortho_deviation", "Q", ortho_deviation, _F.Q, False),
     ("coherence", "Q", coherence, _F.Q, False),
     ("rel_residual", "A", lambda X: rel_residual(X, _F), _A, False),
@@ -462,24 +473,46 @@ def _rejections():
                            f"A - QR needs conforming shapes, got A {A.shape}, "
                            f"Q {Q.shape}, R {R.shape}",
                            id=f"rel_residual-{name}")
-    dims = "matrix dimensions must be >= 1, got"
-    for entry, call, cases in [
-        ("haar_frame", lambda m, n: haar_frame(m, n, 1),
-         [((0, 3), f"{dims} (0, 3)"), ((3, 0), f"{dims} (3, 0)"),
-          ((2, 5), "need rows >= cols, got 2x5")]),
-        ("haar_rotated", lambda m, n: haar_rotated(m, n, 10.0, 1),
-         [((0, 3), f"{dims} (0, 3)"), ((3, 0), f"{dims} (0, 0)"),
-          ((2, 5), "need rows >= cols, got 2x5")]),
-        ("worst_coherence_stack",
-         lambda m, n: worst_coherence_stack(m, n, 10.0, 1),
-         [((0, 3), "need m >= n"), ((3, 0), f"{dims} (0, 0)"),
-          ((2, 5), "need m >= n")]),
-        ("randsvd", lambda m, n: randsvd(n, 10.0, 1),
-         [((0, 0), f"{dims} (0, 0)")]),
-    ]:
-        for (m, n), msg in cases:
-            yield pytest.param(lambda c=call, m=m, n=n: c(m, n), ValueError,
-                               msg, id=f"{entry}-{m}x{n}")
+    for name, A in [("zero-A", np.zeros((8, 3))), ("negative-zero-A",
+                                                    -np.zeros((8, 3)))]:
+        yield pytest.param(lambda A=A: rel_residual(A, _F), ValueError,
+                           "A must be nonzero", id=f"rel_residual-{name}")
+        yield pytest.param(lambda A=A: eta(A, _A, _R_S), ValueError,
+                           "A must be nonzero", id=f"eta-{name}")
+    # The generators check the caller's scalars: (m, n), kappa and the seed.
+    generators = [
+        ("haar_frame", lambda m, n, kappa, seed: haar_frame(m, n, seed)),
+        ("haar_rotated", haar_rotated),
+        ("worst_coherence_stack", worst_coherence_stack),
+    ]
+    for entry, call in generators:
+        for m, n in [(0, 3), (3, 0), (2, 5)]:
+            yield pytest.param(lambda c=call, m=m, n=n: c(m, n, 10.0, 1),
+                               ValueError,
+                               f"need 1 <= n <= m, got m={m}, n={n}",
+                               id=f"{entry}-{m}x{n}")
+    generators.append(("randsvd", lambda m, n, kappa, seed:
+                       randsvd(n, kappa, seed)))
+    yield pytest.param(lambda: randsvd(0, 10.0, 1), ValueError,
+                       "need 1 <= n <= m, got m=0, n=0", id="randsvd-0x0")
+    for entry, call in generators[1:]:
+        for kappa in [np.nan, np.inf, 0.5, -np.inf, True, "10"]:
+            yield pytest.param(lambda c=call, k=kappa: c(6, 3, k, 1),
+                               ValueError,
+                               f"kappa must be a finite number >= 1, "
+                               f"got {kappa!r}",
+                               id=f"{entry}-kappa-{kappa}")
+    for entry, call in [*generators, ("rp_cholesky_qr", lambda m, n, kappa,
+                                      seed: rp_cholesky_qr(_A, 6, seed))]:
+        for seed in [1.5, 2.0, np.float64(1.0), "1", None]:
+            yield pytest.param(lambda c=call, s=seed: c(6, 3, 10.0, s),
+                               TypeError,
+                               f"seed must be an integer, got {seed!r}",
+                               id=f"{entry}-seed-{seed!r}")
+    for c in [6.0, 6.5, np.float64(6.0)]:
+        yield pytest.param(lambda c=c: rp_cholesky_qr(_A, c, 1), TypeError,
+                           f"c must be an integer, got {c!r}",
+                           id=f"rp_cholesky_qr-c-{c!r}")
 
 
 @pytest.mark.parametrize("call, exc, message", _rejections())

@@ -268,6 +268,13 @@ class TestSamplingLowerBound:
         with pytest.raises(DomainError):
             sampling_lower_bound(**args)
 
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (5, 0), (5, 6)])
+    def test_needs_one_to_m_columns(self, m, n):
+        # m = 0 once divided by zero in n / m, and n = 0 took log(0).
+        with pytest.raises(DomainError,
+                           match=rf"^need 1 <= n <= m, got m={m}, n={n}$"):
+            sampling_lower_bound(m, n, 1.0, 0.5, 0.5)
+
 
 class TestOrthoEstimate:
     def test_unit_kappa(self):

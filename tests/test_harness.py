@@ -73,12 +73,16 @@ class TestConfig:
             ExperimentConfig(experiment="sweep_n", m=10, n_list=[0, 5]),
             ExperimentConfig(experiment="sweep_n", m=10, n_list=[5, 20]),
         ):
-            with pytest.raises(ConfigError):
+            # The generators' own rule and message, so a valid config
+            # never fails in generation.
+            with pytest.raises(ConfigError,
+                               match=r"^need 1 <= n <= m, got m=10, n="):
                 config.validate()
 
     @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), 0.5])
     def test_validate_rejects_bad_kappa(self, kappa):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^kappa must be a finite "
+                                              r"number >= 1, got "):
             small_sweep_config(kappa=kappa).validate()
 
     def test_load_config_round_trip(self, tmp_path):
@@ -164,13 +168,6 @@ class TestConfig:
     def test_validate_rejects_bad_jobs(self, jobs):
         with pytest.raises(ConfigError, match=r"\bjobs\b"):
             small_sweep_config(jobs=jobs).validate()
-
-    def test_jobs_above_one_needs_fork(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn"])
-        small_sweep_config(jobs=1).validate()
-        with pytest.raises(ConfigError, match="fork"):
-            small_sweep_config(jobs=2).validate()
 
     @pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 9)])
     def test_shipped_configs(self, name):
@@ -437,6 +434,20 @@ class TestParallelPoints:
         run_experiment(small_sweep_config(c_list=[40, 60, 80], trials=1,
                                           jobs=jobs))
         assert pools == ([] if size is None else [size])
+
+    def test_jobs_above_one_runs_serially_without_fork(self, monkeypatch):
+        # Where multiprocessing has no fork (Windows), a shipped config with
+        # "jobs": 2 still runs: in this process, with the rows of jobs=1.
+        def no_pool(method):
+            raise AssertionError("a pool was made")
+
+        cfg = small_sweep_config(jobs=2)
+        serial = run_experiment(replace(cfg, jobs=1))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert _stripped(run_experiment(cfg)) == _stripped(serial)
 
     def test_no_pool_when_serial_or_invalid(self, monkeypatch):
         def no_pool(method):
