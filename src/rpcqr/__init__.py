@@ -6,19 +6,15 @@ Library layout:
   trust their callers: each exported function checks its own arguments
 * :mod:`rpcqr.transforms` -- internal too: the preconditioner's sign flip,
   DCT and row sampling stages, and the seed rule
-* :mod:`rpcqr.algorithms` -- the four Cholesky-QR factorizations
+* :mod:`rpcqr.algorithms` -- three Cholesky-QR factorizations, two of them
+  over one internal preconditioned pass
 * :mod:`rpcqr.bounds` -- closed-form accuracy bound evaluators
 * :mod:`rpcqr.genmat` -- seeded test-matrix generators
 * :mod:`rpcqr.metrics` -- measured accuracy quantities
 * :mod:`rpcqr.harness` / :mod:`rpcqr.cli` -- experiment sweeps and CSV output
 """
 
-from .algorithms import (
-    cholesky_qr,
-    cholesky_qr2,
-    preconditioned_cholesky_qr,
-    rp_cholesky_qr,
-)
+from .algorithms import cholesky_qr, cholesky_qr2, rp_cholesky_qr
 from .bounds import (
     BoundSet,
     GrowthFactors,
@@ -37,7 +33,6 @@ from .errors import (
     NoConvergenceError,
     NotOrthonormalError,
     RankDeficientSampleError,
-    SingularTriangularError,
 )
 from .genmat import (
     haar_frame,

@@ -19,10 +19,6 @@ class CholeskyBreakdown(Exception):
         super().__init__(msg)
 
 
-class SingularTriangularError(Exception):
-    """Triangular solve against a matrix with a zero/non-finite diagonal entry."""
-
-
 class NoConvergenceError(Exception):
     """An iterative eigenvalue/singular-value computation failed to converge."""
 

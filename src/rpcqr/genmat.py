@@ -16,11 +16,16 @@ import numbers
 import numpy as np
 
 from .kernels import householder_qr
-from .transforms import child_seeds, philox
+from .transforms import _as_integer, child_seeds, philox
 
 
 def _check(m, n, kappa=1.0, error=ValueError):
-    """Raise ``error`` unless 1 <= n <= m and kappa is a finite real >= 1."""
+    """Raise ``error`` unless 1 <= n <= m and kappa is a finite real >= 1.
+
+    A non-integer n or m is a TypeError that names it, whatever ``error``.
+    """
+    _as_integer(n, "n")
+    _as_integer(m, "m")
     if not 1 <= n <= m:
         raise error(f"need 1 <= n <= m, got m={m}, n={n}")
     if type(kappa) is bool or not (isinstance(kappa, numbers.Real)

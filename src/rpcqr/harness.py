@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import List, Optional
 
-from .algorithms import (_preconditioned_cholesky_qr, cholesky_qr,
-                         cholesky_qr2, rp_cholesky_qr)
+from .algorithms import (cholesky_qr, cholesky_qr2,
+                         preconditioned_cholesky_qr, rp_cholesky_qr)
 from .errors import CholeskyBreakdown, RankDeficientSampleError
 from .genmat import _check, haar_rotated, worst_coherence_stack
 from .kernels import householder_r, spectral_norm
@@ -197,7 +197,7 @@ MATRIX_KINDS = {
 def _run_precond(A, c, seed):
     # Ideal-preconditioner baseline: exact triangular factor of A, unchecked.
     R_s = householder_r(A)
-    f, A1 = _preconditioned_cholesky_qr(A, R_s)
+    f, A1 = preconditioned_cholesky_qr(A, R_s)
     return f, R_s, A1
 
 

@@ -172,8 +172,4 @@ def spectral_norm(A):
         return 0.0
     B = A / s
     G = B.T @ B if B.shape[0] >= B.shape[1] else B @ B.T
-    try:
-        lam = np.linalg.eigvalsh(G)[-1]
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    return s * float(np.sqrt(lam))
+    return s * float(np.sqrt(sym_eigenvalues(G)[0]))

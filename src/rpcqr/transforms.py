@@ -55,7 +55,6 @@ def sample_rows(FA, c, seed):
     Each row is drawn with probability 1/m, so the scale sqrt(m/c) makes
     the sample an unbiased sketch of the source Gram matrix.
     """
-    c = _as_integer(c, "c")
     m = FA.shape[0]
     indices = philox(seed).integers(0, m, size=c)
     return math.sqrt(m / c) * FA[indices, :]

@@ -24,12 +24,12 @@ from rpcqr import (
     haar_rotated,
     ortho_deviation,
     preconditioned_bounds,
-    preconditioned_cholesky_qr,
     rp_cholesky_qr,
     run_experiment,
     sampling_lower_bound,
     worst_coherence_stack,
 )
+from rpcqr.algorithms import preconditioned_cholesky_qr
 from rpcqr.cli import main as cli_main
 from rpcqr.kernels import (
     cholesky,

@@ -9,20 +9,19 @@ from rpcqr import (
     CholeskyBreakdown,
     QRFactors,
     RankDeficientSampleError,
-    SingularTriangularError,
     cholesky_qr,
     cholesky_qr2,
     haar_frame,
     haar_rotated,
     ortho_deviation,
-    preconditioned_cholesky_qr,
     randsvd,
     rel_residual,
     rp_cholesky_qr,
     worst_coherence_stack,
 )
 import rpcqr.algorithms as algorithms
-from rpcqr.algorithms import build_preconditioner
+import rpcqr.harness as harness
+from rpcqr.algorithms import build_preconditioner, preconditioned_cholesky_qr
 from rpcqr.kernels import householder_qr, singular_values, spectral_norm
 from rpcqr.metrics import coherence, cond2, eta
 from rpcqr.transforms import (
@@ -96,6 +95,46 @@ class TestCholeskyQR2:
             cholesky_qr2(A)
         assert exc.value.stage == 1
 
+    def test_breakdown_in_the_second_cholesky_is_stage_2(self, monkeypatch):
+        calls = []
+
+        def second_breaks(G, _fn=algorithms.cholesky):
+            calls.append(G.shape)
+            if len(calls) == 2:
+                raise CholeskyBreakdown(3, -1.0)
+            return _fn(G)
+
+        monkeypatch.setattr(algorithms, "cholesky", second_breaks)
+        with pytest.raises(CholeskyBreakdown) as exc:
+            cholesky_qr2(haar_rotated(60, 6, 10.0, seed=1))
+        assert calls == [(6, 6)] * 2
+        assert (exc.value.stage, exc.value.pivot_index) == (2, 3)
+
+    # 64, 65 and 130 cross the triangular solve's 64-column blocks.
+    @pytest.mark.parametrize("n", [12, 64, 65, 130])
+    def test_bitwise_two_basic_passes(self, n):
+        A = haar_rotated(10 * n, n, 1e5, seed=11)
+        f1 = cholesky_qr(A)
+        f2 = cholesky_qr(f1.Q)
+        f = cholesky_qr2(A)
+        assert np.array_equal(f.Q, f2.Q)
+        assert np.array_equal(f.R, np.triu(f2.R @ f1.R))
+
+    def test_cqr2_and_precond_call_the_pass_by_its_name(self, monkeypatch):
+        # Like the rp stages: a tracer sees the pass only under its name.
+        calls = []
+        for module in (algorithms, harness):
+            def counted(A, R_s, _fn=preconditioned_cholesky_qr,
+                        _module=module.__name__):
+                calls.append(_module)
+                return _fn(A, R_s)
+            monkeypatch.setattr(module, "preconditioned_cholesky_qr", counted)
+        A = haar_rotated(60, 6, 10.0, seed=2)
+        assert cholesky_qr2(A).method == "cqr2"
+        assert harness.METHODS["precond"].run(A, None, 0)[0].method == \
+            "preconditioned"
+        assert calls == ["rpcqr.algorithms", "rpcqr.harness"]
+
 
 class TestPreconditionedCholeskyQR:
     def test_perfect_preconditioner(self):
@@ -129,32 +168,6 @@ class TestPreconditionedCholeskyQR:
         f2, A2 = preconditioned_cholesky_qr(A, 7.5 * R_s)
         assert cond2(A1) == pytest.approx(cond2(A2), rel=1e-12)
         assert np.max(np.abs(f1.Q - f2.Q)) <= 1e-12
-
-    def test_singular_diag_raises(self):
-        R = np.triu(np.ones((3, 3)))
-        R[1, 1] = 0.0
-        with pytest.raises(SingularTriangularError):
-            preconditioned_cholesky_qr(np.ones((4, 3)), R)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("operand", ["A", "R_diag", "R_offdiag"])
-    def test_non_finite_operand_raises(self, bad, operand):
-        A = np.ones((4, 3))
-        R = np.triu(np.ones((3, 3)))
-        if operand == "A":
-            A[2, 1] = bad
-        elif operand == "R_diag":
-            R[1, 1] = bad
-        else:
-            R[0, 2] = bad
-        with pytest.raises(ValueError, match="finite"):
-            preconditioned_cholesky_qr(A, R)
-
-    @pytest.mark.parametrize("extra", [1, -1])
-    def test_column_count_mismatch_raises(self, extra):
-        R = np.triu(np.ones((3, 3)))
-        with pytest.raises(ValueError, match="columns"):
-            preconditioned_cholesky_qr(np.ones((5, 3 + extra)), R)
 
 
 class TestRpCholeskyQR:
@@ -266,7 +279,7 @@ class TestBuildPreconditioner:
         # A tracer sees a stage only if rp_cholesky_qr looks it up by its
         # own name at call time, not through a private twin.
         stages = ["build_preconditioner", "rademacher_diag", "dct_columns",
-                  "sample_rows"]
+                  "sample_rows", "preconditioned_cholesky_qr"]
         calls = []
         for name in stages:
             def counted(*args, _fn=getattr(algorithms, name), _name=name):
@@ -391,10 +404,6 @@ _F = householder_qr(_A)
 _MATRIX_ARGS = [
     ("cholesky_qr", "A", lambda X: cholesky_qr(X), _A, True),
     ("cholesky_qr2", "A", lambda X: cholesky_qr2(X), _A, True),
-    ("preconditioned_cholesky_qr", "A",
-     lambda X: preconditioned_cholesky_qr(X, _R_S), _A, True),
-    ("preconditioned_cholesky_qr", "R_s",
-     lambda X: preconditioned_cholesky_qr(_A, X), _R_S, False),
     ("rp_cholesky_qr", "A", lambda X: rp_cholesky_qr(X, 6, 1), _A, True),
     ("ortho_deviation", "Q", ortho_deviation, _F.Q, False),
     ("coherence", "Q", coherence, _F.Q, False),
@@ -424,16 +433,15 @@ def _bad_values(X, tall):
                f"need rows >= cols, got {n - 1}x{n}")
 
 
-def _below_diagonal():
-    R = _R_S.copy()
-    R[2, 0] = 1e-300
-    return R
+def _must_not_run(*args):
+    raise AssertionError("a preconditioner stage ran before c was checked")
 
 
-def _zero_diagonal():
-    R = _R_S.copy()
-    R[1, 1] = 0.0
-    return R
+def _rp_without_dct(c):
+    """rp_cholesky_qr(_A, c, 1), with a DCT stage that must not run."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algorithms, "dct_columns", _must_not_run)
+        rp_cholesky_qr(_A, c, 1)
 
 
 def _rejections():
@@ -441,19 +449,6 @@ def _rejections():
         for name, bad, exc, msg in _bad_values(X, tall):
             yield pytest.param(lambda c=call, b=bad: c(b), exc, msg,
                                id=f"{entry}-{arg}-{name}")
-    pcqr = preconditioned_cholesky_qr
-    for name, R, exc, msg in [
-        ("non-square", np.triu(np.ones((3, 4))), ValueError,
-         "triangular factor must be square"),
-        ("column-mismatch", np.eye(4), ValueError,
-         "A has 3 columns but R is 4x4"),
-        ("below-diagonal", _below_diagonal(), ValueError,
-         "strictly lower part must be exactly zero"),
-        ("zero-diagonal", _zero_diagonal(), SingularTriangularError,
-         "diagonal entry np.float64(0.0) at index 1 is singular"),
-    ]:
-        yield pytest.param(lambda R=R: pcqr(_A, R), exc, msg,
-                           id=f"preconditioned_cholesky_qr-R_s-{name}")
     for name, v in [("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)]:
         for field in ("Q", "R"):
             factor = getattr(_F, field).copy()
@@ -495,6 +490,17 @@ def _rejections():
                        randsvd(n, kappa, seed)))
     yield pytest.param(lambda: randsvd(0, 10.0, 1), ValueError,
                        "need 1 <= n <= m, got m=0, n=0", id="randsvd-0x0")
+    # A non-integer dimension is named, not left to fail inside numpy.
+    for entry, call, arg, v in [
+        ("haar_frame", lambda: haar_frame(4.0, 2, 1), "m", 4.0),
+        ("haar_rotated", lambda: haar_rotated(6, 2.5, 10.0, 1), "n", 2.5),
+        ("randsvd", lambda: randsvd(3.0, 10.0, 1), "n", 3.0),
+        ("worst_coherence_stack",
+         lambda: worst_coherence_stack(6.0, 2, 10.0, 1), "m", 6.0),
+    ]:
+        yield pytest.param(call, TypeError,
+                           f"{arg} must be an integer, got {v!r}",
+                           id=f"{entry}-{arg}-{v!r}")
     for entry, call in generators[1:]:
         for kappa in [np.nan, np.inf, 0.5, -np.inf, True, "10"]:
             yield pytest.param(lambda c=call, k=kappa: c(6, 3, k, 1),
@@ -509,8 +515,8 @@ def _rejections():
                                TypeError,
                                f"seed must be an integer, got {seed!r}",
                                id=f"{entry}-seed-{seed!r}")
-    for c in [6.0, 6.5, np.float64(6.0)]:
-        yield pytest.param(lambda c=c: rp_cholesky_qr(_A, c, 1), TypeError,
+    for c in [6.0, 6.5, np.float64(6.0), "12", None, 12.5]:
+        yield pytest.param(lambda c=c: _rp_without_dct(c), TypeError,
                            f"c must be an integer, got {c!r}",
                            id=f"rp_cholesky_qr-c-{c!r}")
 

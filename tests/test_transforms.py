@@ -107,12 +107,6 @@ class TestSampleRows:
         for i, idx in enumerate(philox(5).integers(0, 30, size=10)):
             assert np.array_equal(A_s[i], np.sqrt(3.0) * FA[idx])
 
-    @pytest.mark.parametrize("c", [30.7, 30.0])
-    def test_rejects_non_integral_c(self, c):
-        FA = np.ones((64, 2))
-        with pytest.raises(TypeError, match="c must be an integer"):
-            sample_rows(FA, c, seed=3)
-
     def test_accepts_numpy_integer_c(self):
         FA = np.random.default_rng(6).standard_normal((64, 2))
         A_s = sample_rows(FA, np.int64(8), seed=3)
