@@ -22,7 +22,15 @@ from rpcqr import (
 import rpcqr.algorithms as algorithms
 import rpcqr.harness as harness
 from rpcqr.algorithms import build_preconditioner, preconditioned_cholesky_qr
-from rpcqr.kernels import householder_qr, singular_values, spectral_norm
+from rpcqr.kernels import (
+    cholesky,
+    gram,
+    householder_qr,
+    householder_r,
+    singular_values,
+    spectral_norm,
+    tri_solve_right,
+)
 from rpcqr.metrics import coherence, cond2, eta
 from rpcqr.transforms import (
     child_seeds,
@@ -168,6 +176,52 @@ class TestPreconditionedCholeskyQR:
         f2, A2 = preconditioned_cholesky_qr(A, 7.5 * R_s)
         assert cond2(A1) == pytest.approx(cond2(A2), rel=1e-12)
         assert np.max(np.abs(f1.Q - f2.Q)) <= 1e-12
+
+    # The pass checks no operand; a zero or non-finite entry still yields
+    # no factors, because it reaches the Gram matrix and the Cholesky
+    # kernel stops at the unusable pivot.  A is full rank, so the breakdown
+    # comes from the bad entry alone.
+    def test_singular_diag_raises(self):
+        A = haar_rotated(40, 3, 10.0, seed=15)
+        R = np.triu(np.ones((3, 3)))
+        R[1, 1] = 0.0
+        with np.errstate(all="ignore"), pytest.raises(CholeskyBreakdown):
+            preconditioned_cholesky_qr(A, R)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operand", ["A", "R_diag", "R_offdiag"])
+    def test_non_finite_operand_raises(self, bad, operand):
+        A = haar_rotated(40, 3, 10.0, seed=15)
+        R = np.triu(np.ones((3, 3)))
+        if operand == "A":
+            A[2, 1] = bad
+        elif operand == "R_diag":
+            R[1, 1] = bad
+        else:
+            R[0, 2] = bad
+        with np.errstate(all="ignore"), pytest.raises(CholeskyBreakdown):
+            preconditioned_cholesky_qr(A, R)
+
+    # cqr2, rp and precond are this pass; only the source of R_s differs.
+    @pytest.mark.parametrize("n", [12, 64, 65, 130])
+    @pytest.mark.parametrize("method", ["cqr2", "rpcholesky",
+                                        "preconditioned"])
+    def test_each_method_is_the_pass_on_its_R_s(self, method, n):
+        A = haar_rotated(10 * n, n, 1e5, seed=16)
+        if method == "cqr2":
+            R_s = cholesky(gram(A))
+            f = cholesky_qr2(A)
+        elif method == "rpcholesky":
+            R_s = build_preconditioner(A, 2 * n, 17)
+            f = rp_cholesky_qr(A, 2 * n, 17)[0]
+        else:
+            R_s = householder_r(A)
+            f = harness.METHODS["precond"].run(A, None, 0)[0]
+        g, A1 = preconditioned_cholesky_qr(A, R_s)
+        assert f.method == method
+        assert np.array_equal(f.Q, g.Q)
+        assert np.array_equal(f.R, g.R)
+        assert np.array_equal(A1, tri_solve_right(A, R_s))
 
 
 class TestRpCholeskyQR:
