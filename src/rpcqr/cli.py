@@ -60,6 +60,7 @@ def _add_experiment_args(p):
 def _build_config(args):
     """``--config``'s file (or the defaults), overridden by the given flags.
 
+    A file whose ``experiment`` is not the subcommand's is a ConfigError.
     ``--n``/``--c`` set ``n_list``/``c_list`` for their own sweep or when
     given several values, and ``n``/``c`` otherwise.
     """
@@ -76,6 +77,9 @@ def _build_config(args):
         flags["matrix_kind"] = _MATRIX_ALIASES[flags["matrix_kind"]]
     base = (load_config(args.config) if args.config
             else ExperimentConfig(args.experiment))
+    if base.experiment != args.experiment:
+        raise ConfigError(f"{args.config} sets experiment {base.experiment}, "
+                          f"so it cannot run as {args.command}")
     return replace(base, **flags).validate()
 
 

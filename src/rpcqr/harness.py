@@ -74,12 +74,11 @@ class ExperimentConfig:
     jobs: int = 1
 
     def validate(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.matrix_kind not in MATRIX_KINDS:
-            raise ConfigError(f"unknown matrix_kind {self.matrix_kind!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
+        for key, table in (("experiment", EXPERIMENTS),
+                           ("matrix_kind", MATRIX_KINDS), ("method", METHODS)):
+            value = getattr(self, key)
+            if not isinstance(value, str) or value not in table:
+                raise ConfigError(f"unknown {key} {value!r}")
         if any(not isinstance(v, list) for v in (self.n_list, self.c_list)
                if v is not None):
             raise ConfigError("n_list and c_list must be lists of integers")

@@ -20,8 +20,10 @@ import scipy.fft
 
 
 def _as_integer(value, name):
-    """An int or numpy integer as int; a float, even 30.0, is a TypeError."""
+    """An int or numpy integer as int; a bool or a float (even 30.0) is not."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None

@@ -551,6 +551,12 @@ def _rejections():
         ("randsvd", lambda: randsvd(3.0, 10.0, 1), "n", 3.0),
         ("worst_coherence_stack",
          lambda: worst_coherence_stack(6.0, 2, 10.0, 1), "m", 6.0),
+        # A bool is no integer here, though operator.index(True) is 1.
+        ("haar_frame", lambda: haar_frame(True, True, 1), "n", True),
+        ("haar_rotated", lambda: haar_rotated(6, True, 10.0, 1), "n", True),
+        ("randsvd", lambda: randsvd(True, 10.0, 1), "n", True),
+        ("worst_coherence_stack",
+         lambda: worst_coherence_stack(True, 1, 10.0, 1), "m", True),
     ]:
         yield pytest.param(call, TypeError,
                            f"{arg} must be an integer, got {v!r}",
@@ -564,12 +570,12 @@ def _rejections():
                                id=f"{entry}-kappa-{kappa}")
     for entry, call in [*generators, ("rp_cholesky_qr", lambda m, n, kappa,
                                       seed: rp_cholesky_qr(_A, 6, seed))]:
-        for seed in [1.5, 2.0, np.float64(1.0), "1", None]:
+        for seed in [1.5, 2.0, np.float64(1.0), "1", None, True, False]:
             yield pytest.param(lambda c=call, s=seed: c(6, 3, 10.0, s),
                                TypeError,
                                f"seed must be an integer, got {seed!r}",
                                id=f"{entry}-seed-{seed!r}")
-    for c in [6.0, 6.5, np.float64(6.0), "12", None, 12.5]:
+    for c in [6.0, 6.5, np.float64(6.0), "12", None, 12.5, True]:
         yield pytest.param(lambda c=c: _rp_without_dct(c), TypeError,
                            f"c must be an integer, got {c!r}",
                            id=f"rp_cholesky_qr-c-{c!r}")

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,10 @@ class TestConfig:
          "c_list"),
         (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=5,
               c=20, method="basic"), "method"),
+        (dict(experiment=["sweep_c"], n=5, c_list=[20]), "experiment"),
+        (dict(experiment="single", n=5, matrix_kind=["haar_rotated"]),
+         "matrix_kind"),
+        (dict(experiment="single", n=5, method=["rp"]), "method"),
     ])
     def test_validate_names_an_ignored_or_malformed_point_key(self, config,
                                                               key):
@@ -169,13 +174,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\bjobs\b"):
             small_sweep_config(jobs=jobs).validate()
 
-    @pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 9)])
+    @pytest.mark.parametrize(
+        "name", [p.stem for p in sorted(CONFIGS.glob("*.json"))])
     def test_shipped_configs(self, name):
         config = load_config(CONFIGS / f"{name}.json")
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         assert config.experiment.replace("_", "-") in sub.choices
-        if name in ("fig3", "fig6", "fig8"):
+        if config.n_list is not None:
             assert all(c == 3 * n for n, c in sweep_points(config))
+
+    def test_shipped_configs_are_distinct(self):
+        # A figure that plots other columns of another figure's trials is
+        # a view of that figure's CSV, not a second config.
+        configs = {p.name: load_config(p) for p in CONFIGS.glob("*.json")}
+        for a, b in combinations(sorted(configs), 2):
+            assert configs[a] != configs[b], (a, b)
 
 
 class TestSeedDerivation:
@@ -582,6 +595,18 @@ class TestCli:
             rc = main(argv)
             assert rc == 1, argv
             assert capsys.readouterr().err.startswith("error: "), argv
+
+    @pytest.mark.parametrize("command, name, experiment", [
+        ("sweep-c", "fig7", "compare_cqr2"),
+        ("sweep-n", "fig1", "sweep_c"),
+    ])
+    def test_subcommand_must_match_the_config(self, command, name,
+                                              experiment, capsys):
+        path = CONFIGS / f"{name}.json"
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} sets experiment {experiment}, so it cannot run "
+            f"as {command}\n")
 
     @pytest.mark.parametrize("argv", [
         ["single", "--n", ","],
