@@ -18,9 +18,9 @@ from .harness import (
     METHODS,
     ConfigError,
     ExperimentConfig,
+    _read_config,
     emit_csv,
     format_summary,
-    load_config,
     run_experiment,
 )
 
@@ -58,7 +58,7 @@ def _add_experiment_args(p):
 
 
 def _build_config(args):
-    """``--config``'s file (or the defaults), overridden by the given flags.
+    """``--config``'s file or defaults, with the flags applied, then validated.
 
     A file whose ``experiment`` is not the subcommand's is a ConfigError.
     ``--n``/``--c`` set ``n_list``/``c_list`` for their own sweep or when
@@ -75,9 +75,10 @@ def _build_config(args):
                 flags[key] = values[0]
     if "matrix_kind" in flags:
         flags["matrix_kind"] = _MATRIX_ALIASES[flags["matrix_kind"]]
-    base = (load_config(args.config) if args.config
+    base = (_read_config(args.config) if args.config
             else ExperimentConfig(args.experiment))
     if base.experiment != args.experiment:
+        base.validate()  # the file's own error, if it has one, comes first
         raise ConfigError(f"{args.config} sets experiment {base.experiment}, "
                           f"so it cannot run as {args.command}")
     return replace(base, **flags).validate()

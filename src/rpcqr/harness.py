@@ -3,8 +3,8 @@
 Every trial seed derives from (master_seed, sweep point index, trial index,
 method) through :func:`rpcqr.transforms.child_seeds`, whose hashing is
 documented stable, so any CSV row can be replayed in isolation.  The test
-matrix is fixed per sweep point, so it is generated, and its norm taken,
-once per point; only the sampling seed varies across trials.
+matrix is fixed per sweep point, so it is made column-major, and its norm
+taken, once per point; so is a seed-free method's run (all but ``rp``).
 
 Breakdowns never abort a sweep: they become rows with breakdown=true and
 empty metric cells.
@@ -20,6 +20,8 @@ from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import List, Optional
+
+import numpy as np
 
 from .algorithms import (cholesky_qr, cholesky_qr2,
                          preconditioned_cholesky_qr, rp_cholesky_qr)
@@ -106,6 +108,11 @@ class ExperimentConfig:
 
 def load_config(path):
     """Load an ExperimentConfig from a JSON key-value file."""
+    return _read_config(path).validate()
+
+
+def _read_config(path):
+    """The file's ExperimentConfig, unvalidated, so flags can override it."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -122,7 +129,7 @@ def load_config(path):
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     try:
-        return ExperimentConfig(**raw).validate()
+        return ExperimentConfig(**raw)
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -203,7 +210,7 @@ def _run_precond(A, c, seed):
 Method = namedtuple("Method", "code samples_c run")
 
 #: Factorization methods.  ``code`` enters every trial seed, so it must never
-#: change; ``samples_c`` marks the methods that use the sampling amount c;
+#: change; ``samples_c`` marks the one method that uses c and its seed;
 #: ``run(A, c, seed)`` returns (factors, R_s or None, A1 or None), the order
 #: of ``rp_cholesky_qr``, which runs once, on exactly the row's seed.
 METHODS = {
@@ -217,8 +224,8 @@ METHODS = {
 def run_trial(config, A, norm_A, n, c, trial, method, seed):
     """One factorization plus metrics, as a CSV row.
 
-    ``norm_A`` is ‖A‖₂.  Breakdowns, and rank-deficient row samples, are
-    recorded, not raised.  ``wall_time_s`` times the factorization alone.
+    ``norm_A`` is ‖A‖₂; breakdowns and rank-deficient samples become rows.
+    ``wall_time_s`` times the factorization; sweeps reuse seed-free rows.
     """
     t0 = time.perf_counter()
     try:
@@ -271,15 +278,22 @@ def run_experiment(config):
 
 
 def _point_rows(config, methods, point_index, n, c):
-    """The rows of one sweep point, whose matrix and ‖A‖ all trials share."""
-    A = MATRIX_KINDS[config.matrix_kind](
+    """One point's rows; all share A and ‖A‖, a seed-free method's one run."""
+    A = np.asfortranarray(MATRIX_KINDS[config.matrix_kind](
         config.m, n, config.kappa,
-        derive_matrix_seed(config.master_seed, point_index))
+        derive_matrix_seed(config.master_seed, point_index)))
     A.setflags(write=False)
     norm_A = spectral_norm(A)
     seed = partial(derive_seed, config.master_seed, point_index)
-    return [run_trial(config, A, norm_A, n, c, t, meth, seed(t, meth))
-            for t in range(config.trials) for meth in methods]
+    rows = []
+    for t in range(config.trials):
+        for i, meth in enumerate(methods):
+            if t and not METHODS[meth].samples_c:  # rows[i]: its trial 0
+                rows.append(dict(rows[i], trial=t, seed=seed(t, meth)))
+            else:
+                rows.append(run_trial(config, A, norm_A, n, c, t, meth,
+                                      seed(t, meth)))
+    return rows
 
 
 # Kept only for the benchmark (perfbench/), which calls these names,

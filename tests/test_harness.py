@@ -39,6 +39,7 @@ from rpcqr.harness import (
     run_experiment,
     sweep_points,
 )
+from rpcqr.kernels import spectral_norm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -317,14 +318,15 @@ class TestSweeps:
         monkeypatch.setattr(harness, "cholesky_qr2", fake)
         cfg = ExperimentConfig(experiment="compare_cqr2",
                                matrix_kind="haar_rotated", m=100, n=10,
-                               kappa=1e3, c=30, trials=2, master_seed=13)
+                               kappa=1e3, c_list=[30, 40], trials=2,
+                               master_seed=13)
         rows = run_experiment(cfg)
-        assert calls == [(100, 10)] * 2
+        assert calls == [(100, 10)] * 2  # one run per point
         assert [r["breakdown"] for r in rows if r["method"] == "cqr2"] == \
-            [True, True]
+            [True] * 4
 
     def test_one_matrix_and_one_norm_per_point(self, monkeypatch):
-        counts = {"haar_rotated": 0, "spectral_norm": 0}
+        counts = {"haar_rotated": 0, "spectral_norm": 0, "cholesky_qr2": 0}
 
         def counting(name):
             original = getattr(harness, name)
@@ -342,7 +344,58 @@ class TestSweeps:
                                master_seed=15)
         rows = run_experiment(cfg)
         assert len(rows) == 2 * 3 * 2
-        assert counts == {"haar_rotated": 2, "spectral_norm": 2}
+        assert counts == {"haar_rotated": 2, "spectral_norm": 2,
+                          "cholesky_qr2": 2}
+
+    @pytest.mark.parametrize("config", [
+        dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=15,
+             kappa=1e7, c_list=[30, 45]),
+        *(dict(experiment="sweep_n", n_list=[10, 15], kappa=1e12, method=m)
+          for m in ("basic", "cqr2", "precond")),
+    ], ids=["compare_cqr2", "sweep_n-basic", "sweep_n-cqr2",
+            "sweep_n-precond"])
+    def test_rows_equal_one_run_per_row(self, config):
+        # The oracle runs every (trial, method) on the generator's own
+        # matrix; the harness runs a seed-free method once per point.
+        cfg = ExperimentConfig(m=150, trials=3, master_seed=24, **config)
+        methods = ["rp", "cqr2"] if "c_list" in config else [cfg.method]
+        expected = []
+        for i, (n, c) in enumerate(sweep_points(cfg)):
+            A = MATRIX_KINDS[cfg.matrix_kind](
+                cfg.m, n, cfg.kappa, derive_matrix_seed(cfg.master_seed, i))
+            expected += [harness.run_trial(
+                cfg, A, spectral_norm(A), n, c, t, meth,
+                derive_seed(cfg.master_seed, i, t, meth))
+                for t in range(cfg.trials) for meth in methods]
+        rows = run_experiment(cfg)
+        assert _stripped(rows) == _stripped(expected)
+        per_point = cfg.trials * len(methods)
+        for k, row in enumerate(rows):
+            if not METHODS[row["method"]].samples_c:
+                first = rows[k // per_point * per_point
+                             + methods.index(row["method"])]
+                assert first["trial"] == 0
+                assert row["wall_time_s"] == first["wall_time_s"]
+
+    def test_methods_get_a_read_only_column_major_matrix(self, monkeypatch):
+        flags = []
+
+        def capturing(name):
+            original = getattr(harness, name)
+
+            def wrapper(A, *args):
+                flags.append((name, A.flags.f_contiguous, A.flags.writeable))
+                return original(A, *args)
+            return wrapper
+
+        for name in ("rp_cholesky_qr", "cholesky_qr2"):
+            monkeypatch.setattr(harness, name, capturing(name))
+        run_experiment(ExperimentConfig(
+            experiment="compare_cqr2", matrix_kind="haar_rotated", m=100,
+            n=10, kappa=1e5, c=30, trials=2, master_seed=25))
+        assert flags == [("rp_cholesky_qr", True, False),
+                         ("cholesky_qr2", True, False),
+                         ("rp_cholesky_qr", True, False)]
 
     @pytest.mark.parametrize("config", [
         dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
@@ -705,6 +758,21 @@ class TestCli:
                    "--kappa", "1e15", "--method", "basic", "--trials", "2",
                    "--seed", "2", "--out", str(out)])
         assert rc == 0
+
+    def test_flags_override_the_file_before_validation(self, tmp_path,
+                                                       capsys):
+        # The file's c_list alone is invalid at its n; --c replaces it.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "experiment": "sweep_c", "n": 50,
+            "c_list": [40]}))
+        argv = ["sweep-c", "--config", str(path), "--m", "600",
+                "--trials", "1"]
+        assert main(argv + ["--c", "100,150"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            "error: every c must be >= n, got c=40, n=50\n"
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
