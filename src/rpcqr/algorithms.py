@@ -18,6 +18,7 @@ Householder R.
 from dataclasses import replace
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from .errors import CholeskyBreakdown, RankDeficientSampleError
 from .kernels import (
@@ -56,7 +57,9 @@ def preconditioned_cholesky_qr(A, R_s):
     """
     A1 = tri_solve_right(A, R_s)
     f = _cholesky_qr(A1)
-    return QRFactors(Q=f.Q, R=np.triu(f.R @ R_s), method="preconditioned"), A1
+    # R^T = R_s^T R2^T by one dtrmm in R2's memory: R stays C-ordered.
+    R = dtrmm(1.0, R_s.T, f.R.T, lower=1, overwrite_b=1).T
+    return QRFactors(Q=f.Q, R=R, method="preconditioned"), A1
 
 
 def cholesky_qr2(A):
@@ -84,11 +87,13 @@ def build_preconditioner(A, c, seed, rank_tol=0.0):
     """Sample-based triangular preconditioner (sign flip, DCT, row sample, QR).
 
     Internal: A and the integer c are the ones :func:`rp_cholesky_qr`
-    checked.  Returns R_s, the triangular factor of the sample.  Sign flip
-    and sample draw on the two words of ``child_seeds([seed], 2)``, so
-    ``seed`` names all the randomness.  Raises
-    :class:`RankDeficientSampleError` when a diagonal entry of R_s is
-    non-finite, zero, or at most ``rank_tol`` times the sampled matrix's norm.
+    checked.  Returns R_s, the R of the distinct rows of c draws, each
+    weighted by its count (:func:`sample_rows`).  Sign flip and sample draw
+    on the two words of ``child_seeds([seed], 2)``, so ``seed`` names all
+    the randomness.  Raises :class:`RankDeficientSampleError` before any QR
+    when the draws hold fewer than n distinct rows, and after it when a
+    diagonal entry of R_s is non-finite, zero, or at most ``rank_tol``
+    times the sample's norm.
 
     ``rank_tol`` defaults to 0 on purpose: for numerically singular inputs
     the smallest diagonal entry legitimately sits at roundoff level, and the
@@ -102,6 +107,9 @@ def build_preconditioner(A, c, seed, rank_tol=0.0):
     sign_seed, sample_seed = child_seeds([seed], 2)
     FA = dct_columns(rademacher_diag(m, sign_seed)[:, None] * A)
     A_s = sample_rows(FA, c, sample_seed)
+    if len(A_s) < n:
+        raise RankDeficientSampleError(
+            f"c={c} draws hold {len(A_s)} distinct rows, fewer than n={n}")
     R_s = householder_r(A_s)
     d = np.diag(R_s)
     threshold = rank_tol * spectral_norm(A_s) if rank_tol > 0.0 else 0.0

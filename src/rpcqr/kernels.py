@@ -4,18 +4,19 @@ Internal: the kernels trust their callers and check nothing, and the
 package exports only :data:`EPS` and :class:`QRFactors` from here.  Each
 public function checks its own arguments once, at entry, with
 :func:`as_matrix` or :func:`as_tall_matrix`.  The arithmetic is BLAS/LAPACK
-(Cholesky ``dpotrf``, the triangular solve column blocks of ``dgemm`` and
-right-side ``dtrsm``, singular values ``gesdd``, the spectral norm the
-largest eigenvalue of a scaled Gram matrix).  Matrices are float64 arrays;
-upper triangular ones carry exact zeros below the diagonal, symmetric ones
-are stored explicitly symmetrized.
+(Gram ``syrk`` through numpy, Cholesky ``dpotrf``, a recursive right-side
+triangular solve over ``dgemm`` and ``dtrsm``, Householder QR ``dgeqrt``
+with its thin Q by ``dgemqrt``, singular values ``gesdd``, the spectral
+norm the largest eigenvalue of a scaled Gram matrix).  Matrices are float64
+arrays; upper triangular ones carry exact zeros below the diagonal, and a
+Gram matrix is exactly symmetric as ``syrk`` mirrors its triangle.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dgemqrt, dgeqrt, dpotrf
 
 from .errors import CholeskyBreakdown, NoConvergenceError
 
@@ -24,8 +25,7 @@ from .errors import CholeskyBreakdown, NoConvergenceError
 #: would move every ``estimate_5_2`` cell.
 EPS = float(np.finfo(np.float64).eps)
 
-# Column block of tri_solve_right; of 32 to 256, 64 was fastest at 2000x200.
-_SOLVE_BLOCK = 64
+_COPY_ROWS = 256  # tri_solve_right's C-to-Fortran copy: 30 ms, not 65
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,8 @@ def as_tall_matrix(a):
 
 
 def gram(A):
-    """Form the symmetrized cross-product A^T A."""
-    G = A.T @ A
-    return (G + G.T) / 2.0
+    """Form the cross-product A^T A, exactly symmetric (numpy's ``syrk``)."""
+    return A.T @ A
 
 
 def cholesky(G):
@@ -84,23 +83,31 @@ def cholesky(G):
 
 
 def tri_solve_right(A, R):
-    """Solve X R = A for X, blocked over BLAS-3; X is Fortran-ordered.
+    """Solve X R = A for X, recursively over BLAS-3; X is Fortran-ordered.
 
-    A is copied once into a column-major X and never written.  For each
-    block of 64 columns, ``dgemm`` subtracts the solved columns' share in
-    place and a right-side ``dtrsm`` solves the diagonal block in place.
+    A is copied once into a column-major X (a C-ordered A a block of rows
+    at a time) and never written.  The solve halves the columns: it solves
+    the left half, subtracts its share from the right half with one
+    ``dgemm`` and solves the right half; ``dtrsm`` solves <= 32 columns.
     """
-    n = R.shape[0]
-    X = np.array(A, order="F")
-    for j in range(0, n, _SOLVE_BLOCK):
-        e = min(j + _SOLVE_BLOCK, n)
-        # Column slices of a Fortran array are contiguous, so f2py passes
-        # them through without a copy and both updates land in X.
-        if j:
-            dgemm(-1.0, X[:, :j], R[:j, j:e], beta=1.0, c=X[:, j:e],
-                  overwrite_c=1)
-        dtrsm(1.0, R[j:e, j:e], X[:, j:e], side=1, overwrite_b=1)
+    X = np.empty(A.shape, order="F")
+    step = _COPY_ROWS if A.flags.c_contiguous else len(A)
+    for i in range(0, A.shape[0], step):
+        X[i:i + step] = A[i:i + step]
+    _solve_in_place(X, R)
     return X
+
+
+def _solve_in_place(X, R):
+    # Column slices of a Fortran X are contiguous, so f2py copies none.
+    n = R.shape[0]
+    if n <= 32:
+        dtrsm(1.0, R, X, side=1, overwrite_b=1)
+        return
+    h = n // 2
+    _solve_in_place(X[:, :h], R[:h, :h])
+    dgemm(-1.0, X[:, :h], R[:h, h:], beta=1.0, c=X[:, h:], overwrite_c=1)
+    _solve_in_place(X[:, h:], R[h:, h:])
 
 
 def _nonnegative_diagonal(R):
@@ -110,25 +117,31 @@ def _nonnegative_diagonal(R):
     return s, np.triu(s[:, None] * R)
 
 
+def _geqrt(A):  # LAPACK dgeqrt, block 64: R above the reflectors V, and T
+    return dgeqrt(min(64, *A.shape), A)[:2]
+
+
 def householder_qr(A):
     """Thin Householder QR with the R diagonal normalized to be nonnegative.
 
     The sign normalization makes the factorization unique, so factors are
-    comparable across algorithms.  Backed by LAPACK; rank deficiency shows up
-    as tiny diagonal entries of R, not as an error.
+    comparable across algorithms.  ``dgemqrt`` applies the reflectors of
+    ``dgeqrt`` to the first n columns of I; rank deficiency shows up as tiny
+    diagonal entries of R, not as an error.
     """
-    Q, R = np.linalg.qr(A, mode="reduced")
-    s, R = _nonnegative_diagonal(R)
+    V, T = _geqrt(A)
+    Q = dgemqrt(V, T, np.eye(*A.shape, order="F"), overwrite_c=1)[0]
+    s, R = _nonnegative_diagonal(V[:A.shape[1]])
     return QRFactors(Q=Q * s, R=R, method="householder")
 
 
 def householder_r(A):
     """The R factor of :func:`householder_qr`, without forming Q.
 
-    Same LAPACK ``geqrf`` and the same sign normalization, so the result is
-    bit-identical to ``householder_qr(A).R`` at half the flops.
+    The same ``dgeqrt`` call and the same sign normalization, so the result
+    is bit-identical to ``householder_qr(A).R`` at half the flops.
     """
-    return _nonnegative_diagonal(np.linalg.qr(A, mode="r"))[1]
+    return _nonnegative_diagonal(_geqrt(A)[0][:A.shape[1]])[1]
 
 
 def sym_eigenvalues(S):

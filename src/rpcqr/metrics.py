@@ -35,8 +35,8 @@ def ortho_deviation(Q):
 
 def _ortho_deviation(Q):  # unchecked, for a Q the library made or checked
     n = Q.shape[1]
-    S = np.eye(n) - Q.T @ Q
-    w = sym_eigenvalues((S + S.T) / 2.0)
+    # Q^T Q is numpy's syrk, exactly symmetric, and so is S.
+    w = sym_eigenvalues(np.eye(n) - Q.T @ Q)
     return float(max(abs(w[0]), abs(w[-1])))
 
 

@@ -12,7 +12,6 @@ documents ``SeedSequence`` hashing as stable), and every generator comes from
 :func:`philox`.
 """
 
-import math
 import operator
 
 import numpy as np
@@ -47,16 +46,21 @@ def rademacher_diag(m, seed):
 
 
 def dct_columns(A):
-    """Apply the orthonormal DCT-II to each column (fast FFT-based path)."""
-    return scipy.fft.dct(A, type=2, axis=0, norm="ortho")
+    """Overwrite each column of A, which the caller owns, with its
+    orthonormal DCT-II (FFT-based); returns a view of A's memory."""
+    return scipy.fft.dct(A, type=2, axis=0, norm="ortho", overwrite_x=True)
 
 
 def sample_rows(FA, c, seed):
-    """Sample c rows of FA uniformly with replacement, scaled by sqrt(m/c).
+    """Draw c rows of FA uniformly with replacement; keep each row once.
 
-    Each row is drawn with probability 1/m, so the scale sqrt(m/c) makes
-    the sample an unbiased sketch of the source Gram matrix.
+    A row drawn k of c times appears once, in ascending row order, scaled
+    by sqrt(k m / c): the Gram matrix is that of all c draws scaled by
+    sqrt(m/c), the same unbiased sketch of FA^T FA, from fewer rows.
     """
     m = FA.shape[0]
-    indices = philox(seed).integers(0, m, size=c)
-    return math.sqrt(m / c) * FA[indices, :]
+    rows, k = np.unique(philox(seed).integers(0, m, size=c),
+                        return_counts=True)
+    A_s = FA[rows, :]
+    A_s *= np.sqrt(k * m / c)[:, None]  # in place: A_s is a fresh gather
+    return A_s

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dtrmm
 
 from rpcqr import (
     CholeskyBreakdown,
@@ -23,6 +24,7 @@ import rpcqr.algorithms as algorithms
 import rpcqr.harness as harness
 from rpcqr.algorithms import build_preconditioner, preconditioned_cholesky_qr
 from rpcqr.kernels import (
+    EPS,
     cholesky,
     gram,
     householder_qr,
@@ -35,6 +37,7 @@ from rpcqr.metrics import coherence, cond2, eta
 from rpcqr.transforms import (
     child_seeds,
     dct_columns,
+    philox,
     rademacher_diag,
     sample_rows,
 )
@@ -118,15 +121,17 @@ class TestCholeskyQR2:
         assert calls == [(6, 6)] * 2
         assert (exc.value.stage, exc.value.pivot_index) == (2, 3)
 
-    # 64, 65 and 130 cross the triangular solve's 64-column blocks.
-    @pytest.mark.parametrize("n", [12, 64, 65, 130])
+    # The n cross the triangular solve's recursion: dtrsm alone up to 32
+    # columns, one halving at 33 to 64, two at 65 to 128, three beyond.
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 65, 127, 129])
     def test_bitwise_two_basic_passes(self, n):
         A = haar_rotated(10 * n, n, 1e5, seed=11)
         f1 = cholesky_qr(A)
         f2 = cholesky_qr(f1.Q)
         f = cholesky_qr2(A)
         assert np.array_equal(f.Q, f2.Q)
-        assert np.array_equal(f.R, np.triu(f2.R @ f1.R))
+        # R = R2 R1 as the pass forms it: R^T = R1^T R2^T by one dtrmm.
+        assert np.array_equal(f.R, dtrmm(1.0, f1.R.T, f2.R.T, lower=1).T)
 
     def test_cqr2_and_precond_call_the_pass_by_its_name(self, monkeypatch):
         # Like the rp stages: a tracer sees the pass only under its name.
@@ -154,8 +159,9 @@ class TestPreconditionedCholeskyQR:
         assert eta(A, A1, R_s) == pytest.approx(1.0, abs=1e-6)
         assert rel_residual(A, f) <= 1e-13
 
-    # 64, 65 and 130 cross the triangular solve's 64-column blocks.
-    @pytest.mark.parametrize("n", [12, 64, 65, 130])
+    # The n cross the triangular solve's recursion, as in
+    # test_bitwise_two_basic_passes.
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 65, 127, 129])
     def test_identity_preconditioner_is_bitwise_basic(self, n):
         A = haar_rotated(10 * n, n, 1e3, seed=10)
         f0 = cholesky_qr(A)
@@ -310,6 +316,21 @@ class TestBuildPreconditioner:
         A_s = sample_rows(FA, 60, sample_seed)
         R_s = build_preconditioner(A, 60, seed)
         assert np.array_equal(R_s, householder_qr(A_s).R)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("c", [20, 60, 400])
+    def test_distinct_rows_keep_the_sketch_gram(self, c, seed):
+        # R_s of the distinct weighted rows against the R of all c draws
+        # scaled by sqrt(m/c): both factor the same sketch A_s^T A_s.
+        A = haar_rotated(400, 20, 1e10, seed=3)
+        sign_seed, sample_seed = child_seeds([seed], 2)
+        FA = dct_columns(rademacher_diag(400, sign_seed)[:, None] * A)
+        A_s = np.sqrt(400 / c) * FA[philox(sample_seed).integers(0, 400,
+                                                                 size=c)]
+        R1 = build_preconditioner(A, c, seed)
+        R2 = householder_r(A_s)
+        err = spectral_norm(R1.T @ R1 - R2.T @ R2)
+        assert err <= 10 * c * EPS * spectral_norm(A_s) ** 2
 
     @pytest.mark.parametrize("column", [0, 4, 9])
     def test_zero_column_is_rank_deficient(self, column):

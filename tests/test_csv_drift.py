@@ -1,5 +1,7 @@
 import csv
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,13 @@ def test_header_mismatch_fails(tmp_path, rows):
     with open(new, "w", newline="") as fh:
         csv.writer(fh).writerows(table)
     assert csv_drift.main([base, str(new)]) == 1
+
+
+def test_closed_pipe_exits_quietly(tmp_path, rows):
+    # A reader that stops early, like head, must not cost a traceback.
+    base = write(tmp_path, "base.csv", rows)
+    proc = subprocess.Popen([sys.executable, str(_TOOL), base, base],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 1

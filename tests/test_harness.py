@@ -700,12 +700,28 @@ class TestCli:
         assert out == ""
         assert err.startswith(f"error: {path}: cannot write CSV: ")
 
-    def test_singular_preconditioned_matrix_is_a_row(self, capsys):
-        # The 10 sampled rows hold 7 distinct ones, so sigma_n(A1) = 0.
+    def test_singular_preconditioned_matrix_is_a_row(self, capsys,
+                                                     monkeypatch):
+        # The 10 draws hold 7 distinct rows, fewer than n = 10, so the
+        # sample is rejected before its QR and the row is a breakdown.
+        raised = []
+
+        def spy(*args, _fn=harness.rp_cholesky_qr):
+            try:
+                return _fn(*args)
+            except RankDeficientSampleError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(harness, "rp_cholesky_qr", spy)
         rc = main(["single", "--m", "50", "--n", "10", "--c", "10",
                    "--matrix", "haar", "--seed", "3"])
         assert rc == 0
-        assert "kappa_A1=inf" in capsys.readouterr().out
+        assert capsys.readouterr().out.split() == [
+            "method=rp", "breakdown=True", "deviation=None", "residual=None",
+            "kappa_A1=None", "eta=None"]
+        assert raised == [
+            "c=10 draws hold 7 distinct rows, fewer than n=10"]
 
     def test_bounds_subcommand(self, capsys):
         rc = main(["bounds", "--eps", "1e-16", "--kappa-a1", "10",
@@ -745,7 +761,7 @@ class TestCli:
             ["10", "30", "rp", "0"], ["10", "-", "cqr2", "0"]]
         assert [line for line in lines if "cqr2" in line] == [
             "    10      -     cqr2     2" + "            -" * 4,
-            "    10      -     cqr2     0    9.009e-16    1.561e-16"
+            "    10      -     cqr2     0    5.703e-16    1.098e-16"
             + "            -" * 2,
         ]
         for line in (lines[1], lines[3]):  # rp: four finite statistics

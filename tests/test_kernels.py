@@ -91,6 +91,21 @@ class TestGram:
         G = gram(A)
         assert np.array_equal(G, G.T)
 
+    # gram does not symmetrize: numpy's syrk mirrors one triangle, so the
+    # product is exactly symmetric in either memory order.
+    @given(
+        n=st.integers(1, 300),
+        extra_rows=st.integers(0, 40),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exactly_symmetric_property(self, n, extra_rows, order, seed):
+        A = np.array(rng(seed).standard_normal((n + extra_rows, n)),
+                     order=order)
+        G = gram(A)
+        assert np.array_equal(G, G.T)
+
 
 class TestCholesky:
     def test_closed_form_2x2(self):
@@ -168,18 +183,22 @@ class TestTriSolveRight:
         X = tri_solve_right(A, R)
         assert spectral_norm(X @ R - A) / spectral_norm(A) <= 1e-14
 
-    # The examples pin n at the edges of the 64-column blocks.
+    # The examples pin n at the edges of the recursion: dtrsm alone up to
+    # 32 columns, one halving at 33 to 64, two at 65 to 128, three beyond.
     @given(
         n=st.integers(1, 200),
-        extra_rows=st.integers(0, 40),
+        extra_rows=st.integers(0, 300),
         order=st.sampled_from("CF"),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=63, extra_rows=0, order="C", seed=0)
-    @example(n=64, extra_rows=1, order="F", seed=1)
-    @example(n=65, extra_rows=7, order="C", seed=2)
-    @example(n=128, extra_rows=0, order="F", seed=3)
-    @example(n=129, extra_rows=3, order="C", seed=4)
+    @example(n=1, extra_rows=0, order="C", seed=0)
+    @example(n=31, extra_rows=1, order="F", seed=1)
+    @example(n=32, extra_rows=7, order="C", seed=2)
+    @example(n=33, extra_rows=0, order="F", seed=3)
+    @example(n=63, extra_rows=3, order="C", seed=4)
+    @example(n=65, extra_rows=0, order="F", seed=5)
+    @example(n=127, extra_rows=250, order="C", seed=6)
+    @example(n=129, extra_rows=300, order="C", seed=7)
     @settings(max_examples=60, deadline=None)
     def test_blocked_solve_property(self, n, extra_rows, order, seed):
         g = rng(seed)

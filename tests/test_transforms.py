@@ -79,7 +79,7 @@ class TestDct:
 
     def test_isometry(self):
         x = np.random.default_rng(0).standard_normal((257, 3))
-        y = dct_columns(x)
+        y = dct_columns(x.copy())
         assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x),
                                                   rel=1e-14)
 
@@ -91,21 +91,31 @@ class TestDct:
     @pytest.mark.parametrize("m", [5, 7, 32, 100, 731])
     def test_fast_equals_naive(self, m):
         A = np.random.default_rng(m).standard_normal((m, 4))
-        assert np.max(np.abs(dct_columns(A) - dct_columns_reference(A))) <= 1e-13
+        assert np.max(np.abs(dct_columns(A.copy()) - dct_columns_reference(A))) <= 1e-13
+
+
+def distinct_draws(m, c, seed):
+    """The rows that c draws of ``seed`` pick, ascending, with counts."""
+    return np.unique(philox(seed).integers(0, m, size=c), return_counts=True)
 
 
 class TestSampleRows:
-    def test_full_sample_is_row_permutation(self):
-        # c = m: the scale is exactly 1, so the rows are copied unchanged.
+    def test_full_sample_scales_each_row_by_its_count(self):
+        # c = m: a row drawn k times is scaled by exactly sqrt(k).
         FA = np.random.default_rng(1).standard_normal((6, 3))
         A_s = sample_rows(FA, 6, seed=4)
-        assert np.array_equal(A_s, FA[philox(4).integers(0, 6, size=6)])
+        rows, k = distinct_draws(6, 6, seed=4)
+        assert list(rows) == [2, 4, 5] and list(k) == [1, 1, 4]
+        assert np.array_equal(A_s, np.sqrt(k)[:, None] * FA[rows])
 
     def test_rows_are_scaled_sources_bit_exact(self):
         FA = np.random.default_rng(2).standard_normal((30, 4))
         A_s = sample_rows(FA, 10, seed=5)
-        for i, idx in enumerate(philox(5).integers(0, 30, size=10)):
-            assert np.array_equal(A_s[i], np.sqrt(3.0) * FA[idx])
+        rows, k = distinct_draws(30, 10, seed=5)
+        assert np.all(np.diff(rows) > 0) and k.sum() == 10 and k.max() == 2
+        assert len(A_s) == len(rows) == 9
+        for i, (idx, ki) in enumerate(zip(rows, k)):
+            assert np.array_equal(A_s[i], np.sqrt(ki * 3.0) * FA[idx])
 
     def test_accepts_numpy_integer_c(self):
         FA = np.random.default_rng(6).standard_normal((64, 2))

@@ -7,11 +7,13 @@ differ, and the largest absolute and relative drift of the float cells,
 relative to BASE.  A float cell is one that parses as a float but not as an
 int, as ``emit_csv`` writes floats.  Exits 1 when the headers or row counts
 differ or any other cell differs (an empty cell against a float counts),
-and 0 otherwise, so float drift alone passes and is reported.
+and 0 otherwise, so float drift alone passes and is reported.  A reader
+that closes the pipe early, such as ``head``, ends it quietly with status 1.
 """
 
 import csv
 import math
+import os
 import sys
 
 IGNORED = ("wall_time_s",)
@@ -86,4 +88,12 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader (say, head) closed the pipe; point stdout at devnull so
+        # the flush at exit cannot raise again, and stop without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
