@@ -43,9 +43,9 @@ def _add_experiment_args(p):
     p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=_int_list,
-                   help="column count (comma-separated list for sweep-n)")
+                   help="column count, or a comma-separated list of them")
     p.add_argument("--c", type=_int_list,
-                   help="sampling amount (comma-separated list for sweep-c)")
+                   help="sampling amount, or a comma-separated list of them")
     p.add_argument("--kappa", type=float)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
@@ -61,26 +61,30 @@ def _build_config(args):
     """``--config``'s file or defaults, with the flags applied, then validated.
 
     A file whose ``experiment`` is not the subcommand's is a ConfigError.
-    ``--n``/``--c`` set ``n_list``/``c_list`` for their own sweep or when
-    given several values, and ``n``/``c`` otherwise.
+    ``--n`` replaces the file's whole axis: it clears ``n`` and ``n_list``,
+    then sets ``n_list`` when given several values, when the file set
+    ``n_list``, or when the experiment takes no ``n``; else ``n``.  So
+    does ``--c``, for ``c`` and ``c_list``.
     """
-    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-             if getattr(args, f.name, None) is not None}
-    for key in ("n", "c"):
-        if key in flags:
-            values = flags.pop(key)
-            if args.experiment == f"sweep_{key}" or len(values) > 1:
-                flags[f"{key}_list"] = values
-            else:
-                flags[key] = values[0]
-    if "matrix_kind" in flags:
-        flags["matrix_kind"] = _MATRIX_ALIASES[flags["matrix_kind"]]
     base = (_read_config(args.config) if args.config
             else ExperimentConfig(args.experiment))
     if base.experiment != args.experiment:
         base.validate()  # the file's own error, if it has one, comes first
         raise ConfigError(f"{args.config} sets experiment {base.experiment}, "
                           f"so it cannot run as {args.command}")
+    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name, None) is not None}
+    takes = {k for keys in EXPERIMENTS[args.experiment].point_keys
+             for k in keys}
+    for key, listed in (("n", "n_list"), ("c", "c_list")):
+        values = flags.pop(key, None)
+        if values is not None:
+            as_list = (len(values) > 1 or getattr(base, listed) is not None
+                       or key not in takes)
+            flags.update({key: None, listed: values} if as_list
+                         else {key: values[0], listed: None})
+    if "matrix_kind" in flags:
+        flags["matrix_kind"] = _MATRIX_ALIASES[flags["matrix_kind"]]
     return replace(base, **flags).validate()
 
 

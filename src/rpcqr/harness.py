@@ -59,8 +59,34 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+Experiment = namedtuple("Experiment", "point_keys methods matrix_kind")
+
+#: Experiments, each also a CLI subcommand (``_`` becomes ``-``):
+#: ``point_keys`` are the sets of ``n``, ``c``, ``n_list`` and ``c_list``
+#: (in that order) a config may set; ``methods`` run at every point
+#: (None: ``config.method``); a ``matrix_kind`` is the only one taken.
+EXPERIMENTS = {
+    "single": Experiment((("n",), ("n", "c")), None, None),
+    "sweep_c": Experiment((("n", "c_list"),), None, None),
+    "sweep_n": Experiment((("n_list",),), None, None),
+    "compare_cqr2": Experiment((("n_list",), ("n", "c"), ("n", "c_list")),
+                               ("rp", "cqr2"), "haar_rotated"),
+}
+
+
 @dataclass
 class ExperimentConfig:
+    """One experiment's settings, from a config file or the CLI's flags.
+
+    ``experiment``, ``matrix_kind`` and ``method`` name entries of
+    :data:`EXPERIMENTS`, :data:`MATRIX_KINDS` and :data:`METHODS`.  The
+    points' matrices are ``m`` x n, of condition number ``kappa``; n runs
+    over ``n_list`` at c = 3n, or c over ``c_list`` (else is ``c``, else
+    3n) at ``n``.  Each point runs ``trials`` trials, seeded from
+    ``master_seed``, in up to ``jobs`` forked workers; the CLI writes the
+    rows to ``output_path``, if set.
+    """
+
     experiment: str
     matrix_kind: str = "worst_coherence"
     m: int = 2000
@@ -81,9 +107,10 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not isinstance(value, str) or value not in table:
                 raise ConfigError(f"unknown {key} {value!r}")
-        if any(not isinstance(v, list) for v in (self.n_list, self.c_list)
-               if v is not None):
-            raise ConfigError("n_list and c_list must be lists of integers")
+        if any(not isinstance(v, list) or not v
+               for v in (self.n_list, self.c_list) if v is not None):
+            raise ConfigError(
+                "n_list and c_list must be non-empty lists of integers")
         ints = [self.m, self.trials, self.master_seed, self.jobs, self.n,
                 self.c, *(self.n_list or ()), *(self.c_list or ())]
         if any(type(v) is not int for v in ints if v is not None):
@@ -91,14 +118,26 @@ class ExperimentConfig:
                               "and jobs must be integers")
         if self.trials < 1 or self.jobs < 1 or self.master_seed < 0:
             raise ConfigError("trials and jobs must be >= 1, master_seed >= 0")
-        if (self.experiment == "compare_cqr2"
-                and self.matrix_kind != "haar_rotated"):
-            raise ConfigError("compare_cqr2 requires matrix_kind=haar_rotated")
-        if self.experiment == "compare_cqr2" and self.method != "rp":
-            raise ConfigError(f"compare_cqr2 ignores method={self.method}")
+        spec = EXPERIMENTS[self.experiment]
+        if spec.matrix_kind not in (None, self.matrix_kind):
+            raise ConfigError(f"{self.experiment} requires "
+                              f"matrix_kind={spec.matrix_kind}")
+        if spec.methods and self.method != ExperimentConfig.method:
+            raise ConfigError(
+                f"{self.experiment} ignores method={self.method}")
         if not isinstance(self.output_path, (str, type(None))):
             raise ConfigError(
                 f"output_path must be a string, got {self.output_path!r}")
+        used = tuple(k for k in ("n", "c", "n_list", "c_list")
+                     if getattr(self, k) is not None)
+        if used not in spec.point_keys:
+            takes = " or ".join(map("+".join, spec.point_keys))
+            raise ConfigError(f"{self.experiment} takes {takes}, got "
+                              f"{'+'.join(used) or 'none'}")
+        if (self.c, self.c_list) != (None, None) and not any(
+                METHODS[m].samples_c for m in _methods(self)):
+            raise ConfigError(f"method {self.method} samples no rows, so "
+                              f"{self.experiment} takes no c or c_list")
         for n, c in sweep_points(self):
             _check(self.m, n, self.kappa, ConfigError)
             if c is not None and c < n:
@@ -124,8 +163,7 @@ def _read_config(path):
         raise ConfigError(f"{path}: config must be a JSON object")
     if raw.pop("schema_version", None) != SCHEMA_VERSION:
         raise ConfigError(f"{path}: missing or unsupported schema_version")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     try:
@@ -146,46 +184,23 @@ def derive_matrix_seed(master_seed, point_index):
 
 
 def sweep_points(config):
-    """The (n, c) points of ``config``'s experiment, in run order.
+    """The (n, c) points of a validated ``config``, in run order.
 
-    ``sweep_n``, and ``compare_cqr2`` given ``n_list``, sample c = 3n rows;
-    ``sweep_c``, and ``compare_cqr2`` given ``c_list``, sweep c at fixed n;
-    ``single`` takes ``c``, or 3n when its method samples rows.  Setting
-    one of ``n``, ``c``, ``n_list`` and ``c_list`` that the rule ignores is
-    a ConfigError, so no key is silently dropped; so is a c or ``c_list``
-    for a ``single`` or ``sweep_c`` whose method samples no rows.
+    ``n_list`` gives the points (n, 3n).  Otherwise n is ``n``, and c runs
+    over ``c_list``, or is ``c``, or 3n; it is None for a method that
+    samples no rows.
     """
-    experiment, n, c = config.experiment, config.n, config.c
-    compare = experiment == "compare_cqr2"
-    samples = compare or METHODS[config.method].samples_c
-    if experiment == "sweep_n" or (compare and config.n_list):
-        if not config.n_list:
-            raise ConfigError("n_list is required for sweep_n")
-        return _only(config, ("n_list",), [(k, 3 * k) for k in config.n_list])
-    if n is None:
-        raise ConfigError(f"n is required for {experiment}")
-    if experiment == "sweep_c" or (compare and config.c_list):
-        if not config.c_list:
-            raise ConfigError("c_list is required for sweep_c")
-        if not samples:
-            raise ConfigError(f"method {config.method} samples no rows, so "
-                              f"sweep_c would ignore c_list")
-        return _only(config, ("n", "c_list"), [(n, k) for k in config.c_list])
-    if c is None and compare:
-        raise ConfigError("compare_cqr2 needs c, c_list or n_list")
-    if c is None and samples:
-        c = 3 * n
-    return _only(config, ("n", "c") if samples else ("n",), [(n, c)])
+    if config.n_list:
+        return [(n, 3 * n) for n in config.n_list]
+    if not any(METHODS[m].samples_c for m in _methods(config)):
+        return [(config.n, None)]
+    c = 3 * config.n if config.c is None else config.c
+    return [(config.n, k) for k in config.c_list or [c]]
 
 
-def _only(config, used, points):
-    """``points``, unless ``config`` sets a point key outside ``used``."""
-    unused = [k for k in ("n", "c", "n_list", "c_list")
-              if k not in used and getattr(config, k) is not None]
-    if unused:
-        raise ConfigError(f"{config.experiment} reads {' and '.join(used)}, "
-                          f"so it would ignore {' and '.join(unused)}")
-    return points
+def _methods(config):
+    """The methods that ``config``'s experiment runs at every point."""
+    return EXPERIMENTS[config.experiment].methods or (config.method,)
 
 
 # The tables below reach every library function through a lambda or a
@@ -245,26 +260,20 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
     return row
 
 
-#: Experiment names; each is also a CLI subcommand (``_`` becomes ``-``).
-EXPERIMENTS = ("single", "sweep_c", "sweep_n", "compare_cqr2")
-
-
 def run_experiment(config):
     """Run ``config``'s experiment over :func:`sweep_points`; return its rows.
 
-    ``compare_cqr2`` runs ``rp`` and ``cqr2``, the others ``config.method``;
-    ``single`` runs one trial.  Rows come point by point, trial by trial,
-    also when ``min(jobs, points, cores)`` > 1 forked workers (none without
-    ``fork``, as on Windows) run the points, largest first: they inherit the
-    modules, rebound names and BLAS threads.
+    Each point runs the methods of the experiment's :data:`EXPERIMENTS`
+    entry; ``single`` runs one trial.  Rows come point by point, trial by
+    trial, also when ``min(jobs, points, cores)`` > 1 forked workers (none
+    without ``fork``, as on Windows) run the points, largest first: they
+    inherit the modules, rebound names and BLAS threads.
     """
     config.validate()
     if config.experiment == "single":
         config = replace(config, trials=1)
-    methods = (["rp", "cqr2"] if config.experiment == "compare_cqr2"
-               else [config.method])
     points = [(i, n, c) for i, (n, c) in enumerate(sweep_points(config))]
-    run_point = partial(_point_rows, config, methods)
+    run_point = partial(_point_rows, config, _methods(config))
     jobs = min(config.jobs, len(points), os.cpu_count() or 1)
     if jobs == 1 or "fork" not in mp.get_all_start_methods():
         return [row for point in points for row in run_point(*point)]

@@ -24,7 +24,7 @@ from rpcqr import (
     rel_residual,
     rp_cholesky_qr,
 )
-from rpcqr.cli import build_parser, main
+from rpcqr.cli import _build_config, build_parser, main
 from rpcqr.harness import (
     CSV_COLUMNS,
     MATRIX_KINDS,
@@ -51,6 +51,23 @@ def small_sweep_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# The point keys each experiment accepts (with the default method, rp),
+# written out here as an oracle independent of the harness's own table.
+ACCEPTED_POINT_KEYS = {
+    "single": [("n",), ("n", "c")],
+    "sweep_c": [("n", "c_list")],
+    "sweep_n": [("n_list",)],
+    "compare_cqr2": [("n_list",), ("n", "c"), ("n", "c_list")],
+}
+POINT_VALUES = {"n": 5, "c": 20, "n_list": [5], "c_list": [20]}
+
+
+def point_config(experiment, keys):
+    # Every experiment takes haar_rotated; compare_cqr2 takes only that.
+    return ExperimentConfig(experiment=experiment, matrix_kind="haar_rotated",
+                            m=200, **{k: POINT_VALUES[k] for k in keys})
 
 
 class TestConfig:
@@ -169,6 +186,59 @@ class TestConfig:
                                                               key):
         with pytest.raises(ConfigError, match=rf"\b{key}\b"):
             ExperimentConfig(**config).validate()
+
+    @pytest.mark.parametrize("experiment", list(ACCEPTED_POINT_KEYS))
+    def test_validate_accepts_exactly_the_tabled_point_keys(self, experiment):
+        # Every subset of the point keys, at valid values: the accepted
+        # sets pass, and any other names an offending key.  That is a key
+        # that would complete it, if an accepted set holds it, and else a
+        # key in which it differs from one of the accepted sets nearest it.
+        accepted = [set(keys) for keys in ACCEPTED_POINT_KEYS[experiment]]
+        for size in range(len(POINT_VALUES) + 1):
+            for keys in map(set, combinations(POINT_VALUES, size)):
+                config = point_config(experiment, keys)
+                if keys in accepted:
+                    config.validate()
+                    continue
+                near = [a for a in accepted if keys <= a]
+                if not near:
+                    gap = min(len(keys ^ a) for a in accepted)
+                    near = [a for a in accepted if len(keys ^ a) == gap]
+                offending = set().union(*(keys ^ a for a in near))
+                with pytest.raises(ConfigError) as exc:
+                    config.validate()
+                named = {k for k in POINT_VALUES
+                         if re.search(rf"\b{k}\b", str(exc.value))}
+                assert named & offending, (experiment, keys, str(exc.value))
+
+    @pytest.mark.parametrize("experiment", list(ACCEPTED_POINT_KEYS))
+    @pytest.mark.parametrize("empty", ["n_list", "c_list"])
+    def test_empty_list_is_an_error(self, tmp_path, experiment, empty):
+        path = tmp_path / "cfg.json"
+        for keys in ACCEPTED_POINT_KEYS[experiment]:
+            config = replace(point_config(experiment, keys), **{empty: []})
+            with pytest.raises(ConfigError):
+                config.validate()
+            raw = {k: v for k, v in vars(config).items() if v is not None}
+            path.write_text(json.dumps(dict(raw, schema_version=1)))
+            with pytest.raises(ConfigError):
+                load_config(path)
+
+    def test_configs_readme_tables_the_experiments(self):
+        keys = (CONFIGS / "README.md").read_text().split("## Keys")[1]
+        rows = re.findall(r"^\| `(\w+)` \| (.+) \| (.+) \| (.+) \|$",
+                          keys.split("\n## ")[0], re.M)
+        table = {name: (
+            tuple(tuple(k.split("+")) for k in re.findall(r"`(.+?)`", sets)),
+            None if methods == "`method`"
+            else tuple(re.findall(r"`(\w+)`", methods)),
+            None if kind == "any" else kind.strip("`"),
+        ) for name, sets, methods, kind in rows}
+        assert table == {name: tuple(spec)
+                         for name, spec in harness.EXPERIMENTS.items()}
+        assert ACCEPTED_POINT_KEYS == {
+            name: list(spec.point_keys)
+            for name, spec in harness.EXPERIMENTS.items()}
 
     @pytest.mark.parametrize("jobs", [0, -1, 2.5, True, "2"])
     def test_validate_rejects_bad_jobs(self, jobs):
@@ -789,6 +859,24 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err == \
             "error: every c must be >= n, got c=40, n=50\n"
+
+    @pytest.mark.parametrize("argv, points", [
+        (["compare-cqr2", "--config", "fig7", "--c", "600"], [(200, 600)]),
+        (["compare-cqr2", "--config", "fig8", "--n", "50"], [(50, 150)]),
+        (["sweep-c", "--config", "fig1", "--c", "300"], [(100, 300)]),
+        (["sweep-c", "--config", "fig1", "--n", "50"],
+         [(50, c) for c in (200, 300, 400, 600, 800)]),
+        (["single", "--n", "10", "--c", "40"], [(10, 40)]),
+        (["compare-cqr2", "--n", "10", "--c", "40"], [(10, 40)]),
+        (["sweep-n", "--n", "10"], [(10, 30)]),
+    ])
+    def test_flag_replaces_the_files_whole_axis(self, argv, points):
+        # A flag's one value takes the list key when the file held it, or
+        # when the experiment takes no scalar of that key.
+        argv = [str(CONFIGS / f"{a}.json") if a.startswith("fig") else a
+                for a in argv]
+        args = build_parser().parse_args(argv + ["--matrix", "haar"])
+        assert sweep_points(_build_config(args)) == points
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
