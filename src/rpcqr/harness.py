@@ -163,7 +163,8 @@ def _read_config(path):
         raise ConfigError(f"{path}: config must be a JSON object")
     if raw.pop("schema_version", None) != SCHEMA_VERSION:
         raise ConfigError(f"{path}: missing or unsupported schema_version")
-    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
+    known = {f.name for f in fields(ExperimentConfig)}
+    unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     try:
