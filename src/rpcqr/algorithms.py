@@ -70,15 +70,13 @@ def cholesky_qr2(A):
     ``stage`` set to 1 or 2.
     """
     A = as_tall_matrix(A)
+    stage = 1
     try:
         R1 = cholesky(gram(A))
-    except CholeskyBreakdown as exc:
-        exc.stage = 1
-        raise
-    try:
+        stage = 2
         f, _ = preconditioned_cholesky_qr(A, R1)
     except CholeskyBreakdown as exc:
-        exc.stage = 2
+        exc.stage = stage
         raise
     return replace(f, method="cqr2")
 

@@ -10,7 +10,8 @@ import argparse
 import sys
 from dataclasses import fields, replace
 
-from .bounds import PerturbationSet, first_order_bounds, preconditioned_bounds
+from .bounds import (PerturbationSet, _stage_fields, first_order_bounds,
+                     preconditioned_bounds)
 from .errors import DomainError
 from .harness import (
     EXPERIMENTS,
@@ -111,8 +112,8 @@ def _run_experiment(args):
 def _run_bounds(args):
     base = args.eps if args.eps is not None else 0.0
     p = PerturbationSet(kappa_precond=args.kappa_rs, **{
-        name: base if value is None else value
-        for name, value in vars(args).items() if name.startswith("eps_")})
+        name: base if getattr(args, name) is None else getattr(args, name)
+        for name in _stage_fields()})
     if args.first_order:
         b = first_order_bounds(p, args.kappa_a1, args.eta)
     else:
@@ -135,9 +136,8 @@ def build_parser():
 
     b = sub.add_parser("bounds", help="evaluate the perturbation bounds")
     b.add_argument("--eps", type=float, help="value for all stage perturbations")
-    for f in fields(PerturbationSet):  # --eps-<stage>, dest eps_<stage>
-        if f.name.startswith("eps_"):
-            b.add_argument("--" + f.name.replace("_", "-"), type=float)
+    for name in _stage_fields():  # --eps-<stage>, dest eps_<stage>
+        b.add_argument("--" + name.replace("_", "-"), type=float)
     b.add_argument("--kappa-rs", type=float, default=1.0,
                    help="condition number of the preconditioner")
     b.add_argument("--kappa-a1", type=float, required=True,

@@ -10,13 +10,15 @@ class CholeskyBreakdown(Exception):
     """
 
     def __init__(self, pivot_index, pivot_value, stage=None):
+        super().__init__(pivot_index, pivot_value, stage)  # args for pickle
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
         self.stage = stage
-        msg = f"unusable pivot {pivot_value!r} at index {pivot_index}"
-        if stage is not None:
-            msg += f" (stage {stage})"
-        super().__init__(msg)
+
+    def __str__(self):
+        stage = "" if self.stage is None else f" (stage {self.stage})"
+        return (f"unusable pivot {float(self.pivot_value)} at index "
+                f"{self.pivot_index}{stage}")
 
 
 class NoConvergenceError(Exception):

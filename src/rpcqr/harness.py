@@ -249,13 +249,12 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
     except (CholeskyBreakdown, RankDeficientSampleError):
         f = R_s = A1 = None
     wall = time.perf_counter() - t0
-    row = dict(
+    row = dict.fromkeys(CSV_COLUMNS)
+    row.update(
         experiment=config.experiment, matrix_kind=config.matrix_kind,
         m=config.m, n=n, c=c if METHODS[method].samples_c else None,
         kappa_target=float(config.kappa), trial=trial, seed=seed,
-        method=method, breakdown=f is None, deviation=None, residual=None,
-        kappa_A1=None, eta=None, estimate_5_2=None, wall_time_s=wall,
-    )
+        method=method, breakdown=f is None, wall_time_s=wall)
     if f is not None:
         row.update(measure(A, norm_A, f, A1, R_s))
     return row

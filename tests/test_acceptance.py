@@ -8,7 +8,6 @@ import math
 import time
 from dataclasses import replace
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -41,9 +40,8 @@ from rpcqr.kernels import (
 )
 from rpcqr.transforms import dct_columns, rademacher_diag, sample_rows
 
+import bounds_reference as oracle
 from dct_reference import dct_matrix, sampled_frame_singular_values
-
-mp.mp.dps = 50
 
 
 def report(capsys, number, name, ok, detail=""):
@@ -234,24 +232,6 @@ def test_criterion_8_sampling_lower_bound(capsys):
     report(capsys, 8, "sample-size lower bound exact + empirical", ok, detail)
 
 
-def _oracle_bounds(p, kappa, eta):
-    ea, es = mp.mpf(p.eps_input), mp.mpf(p.eps_precond)
-    e1, e2 = mp.mpf(p.eps_gram), mp.mpf(p.eps_cholesky)
-    e3, e4 = mp.mpf(p.eps_solve), mp.mpf(p.eps_recover)
-    ef = (ea + es) * mp.mpf(p.kappa_precond)
-    g1 = (1 + ef) ** 2 * (e1 + (1 + e1) * e2 + 2 * e3 + e3 * e3)
-    g2 = 2 * ef + ef * ef + (1 + ef) ** 2 * (e1 + (1 + e1) * e2)
-    g3 = e4 * (1 + ef) * (1 + e3)
-    k = mp.mpf(kappa)
-    denom = 1 - k * k * g2
-    if denom <= 0:
-        return None
-    cond = mp.sqrt((1 + g2) / denom)
-    ortho = k * k * g1 / denom
-    residual = ea + (es + (1 + ef) * e3) * eta + g3 * cond * eta * k
-    return ef, g1, g2, g3, cond, ortho, residual
-
-
 def test_criterion_9_bound_transcription(capsys):
     rng = np.random.default_rng(9)
     checked = 0
@@ -273,7 +253,8 @@ def test_criterion_9_bound_transcription(capsys):
         b = preconditioned_bounds(p, kappa, eta)
         if not b.assumption_ok:
             continue
-        ef, g1, g2, g3, cond, ortho, residual = _oracle_bounds(p, kappa, eta)
+        ef, g1, g2, g3 = oracle.growth(p)
+        cond, ortho, residual = oracle.bounds(p, kappa, eta)
         for got, want in [
             (g.eps_combined, ef), (g.growth_ortho, g1),
             (g.growth_definiteness, g2), (g.growth_recover, g3),

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -105,6 +106,7 @@ class TestCholeskyQR2:
         with pytest.raises(CholeskyBreakdown) as exc:
             cholesky_qr2(A)
         assert exc.value.stage == 1
+        assert str(exc.value).endswith("(stage 1)")
 
     def test_breakdown_in_the_second_cholesky_is_stage_2(self, monkeypatch):
         calls = []
@@ -120,6 +122,16 @@ class TestCholeskyQR2:
             cholesky_qr2(haar_rotated(60, 6, 10.0, seed=1))
         assert calls == [(6, 6)] * 2
         assert (exc.value.stage, exc.value.pivot_index) == (2, 3)
+
+    def test_breakdown_pickles_with_its_facts(self):
+        # A stage stamped after the raise, as cholesky_qr2 does, survives a
+        # pickle round trip (a worker process's error) and prints as a float.
+        exc = CholeskyBreakdown(3, np.float64(-1.25))
+        exc.stage = 2
+        back = pickle.loads(pickle.dumps(exc))
+        assert (back.pivot_index, back.pivot_value, back.stage) == (3, -1.25, 2)
+        assert str(back) == "unusable pivot -1.25 at index 3 (stage 2)"
+        assert str(exc) == str(back)
 
     # The n cross the triangular solve's recursion: dtrsm alone up to 32
     # columns, one halving at 33 to 64, two at 65 to 128, three beyond.

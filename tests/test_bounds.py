@@ -1,7 +1,6 @@
 import math
 from dataclasses import replace
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,36 +18,7 @@ from rpcqr import (
     sampling_lower_bound,
 )
 
-mp.mp.dps = 50
-
-
-def oracle_growth(p):
-    """Re-evaluate the growth terms with 50-digit arithmetic."""
-    ea, es = mp.mpf(p.eps_input), mp.mpf(p.eps_precond)
-    e1, e2 = mp.mpf(p.eps_gram), mp.mpf(p.eps_cholesky)
-    e3, e4 = mp.mpf(p.eps_solve), mp.mpf(p.eps_recover)
-    kr = mp.mpf(p.kappa_precond)
-    ef = (ea + es) * kr
-    g1 = (1 + ef) ** 2 * (e1 + (1 + e1) * e2 + 2 * e3 + e3 * e3)
-    g2 = 2 * ef + ef * ef + (1 + ef) ** 2 * (e1 + (1 + e1) * e2)
-    g3 = e4 * (1 + ef) * (1 + e3)
-    return ef, g1, g2, g3
-
-
-def oracle_bounds(p, kappa, eta):
-    ef, g1, g2, g3 = oracle_growth(p)
-    k = mp.mpf(kappa)
-    denom = 1 - k * k * g2
-    if denom <= 0:
-        return None
-    cond = mp.sqrt((1 + g2) / denom)
-    ortho = k * k * g1 / denom
-    residual = (
-        mp.mpf(p.eps_input)
-        + (mp.mpf(p.eps_precond) + (1 + ef) * mp.mpf(p.eps_solve)) * eta
-        + g3 * cond * eta * k
-    )
-    return cond, ortho, residual
+import bounds_reference as oracle
 
 
 class TestGrowthFactors:
@@ -72,7 +42,7 @@ class TestGrowthFactors:
             eps_solve=EPS, eps_recover=EPS, kappa_precond=100.0,
         )
         g = growth_factors(p)
-        ef, g1, g2, g3 = oracle_growth(p)
+        ef, g1, g2, g3 = oracle.growth(p)
         for got, want in [(g.eps_combined, ef), (g.growth_ortho, g1),
                           (g.growth_definiteness, g2), (g.growth_recover, g3)]:
             assert abs(got - float(want)) <= 1e-10 * float(want)
@@ -119,7 +89,7 @@ class TestPreconditionedBounds:
             eps_solve=EPS, eps_recover=EPS, kappa_precond=1.0,
         )
         b = preconditioned_bounds(p, 10.0, eta=5.0)
-        cond, ortho, residual = oracle_bounds(p, 10.0, 5.0)
+        cond, ortho, residual = oracle.bounds(p, 10.0, 5.0)
         assert abs(b.ortho_bound - float(ortho)) <= 1e-10 * float(ortho)
         assert abs(b.residual_bound - float(residual)) <= 1e-10 * float(residual)
         assert abs(b.cond_factor - float(cond)) <= 1e-10 * float(cond)
@@ -140,11 +110,9 @@ class TestPreconditionedBounds:
             kappa = 10 ** g.uniform(0, 6)
             eta = g.uniform(1, kappa)
             b = preconditioned_bounds(p, kappa, eta)
-            want = oracle_bounds(p, kappa, eta)
+            want = oracle.bounds(p, kappa, eta)
             if not b.assumption_ok:
-                assert want is None or float(
-                    1 - mp.mpf(kappa) ** 2 * oracle_growth(p)[2]
-                ) <= 1e-12
+                assert want is None or float(oracle.margin(p, kappa)) <= 1e-12
                 continue
             cond, ortho, residual = want
             assert abs(b.cond_factor - float(cond)) <= 1e-10 * float(cond)

@@ -20,10 +20,12 @@ DOC_COMMANDS = [m[1] or m[2] for doc in ("README.md", "configs/README.md")
 
 
 def run_fresh(argv, cwd=None):
-    """Run ``python argv...`` in a fresh interpreter on this checkout."""
+    """Run ``python argv...`` in a fresh interpreter on this checkout.
+
+    It inherits the environment, so also conftest.py's BLAS thread pin.
+    """
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
 
