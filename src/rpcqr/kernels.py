@@ -7,7 +7,7 @@ public function checks its own arguments once, at entry, with
 (Gram ``syrk`` through numpy, Cholesky ``dpotrf``, a recursive right-side
 triangular solve over ``dgemm`` and ``dtrsm``, Householder QR ``dgeqrt``
 with its thin Q by ``dgemqrt``, singular values ``gesdd``, the spectral
-norm the largest eigenvalue of a scaled Gram matrix).  Matrices are float64
+norm ``dsyevr``'s lambda_max of a scaled Gram matrix).  Matrices are float64
 arrays; upper triangular ones carry exact zeros below the diagonal, and a
 Gram matrix is exactly symmetric as ``syrk`` mirrors its triangle.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
-from scipy.linalg.lapack import dgemqrt, dgeqrt, dpotrf
+from scipy.linalg.lapack import dgemqrt, dgeqrt, dpotrf, dsyevr
 
 from .errors import CholeskyBreakdown, NoConvergenceError
 
@@ -175,14 +175,18 @@ def spectral_norm(A):
 
     s is the largest absolute entry of A.  The Gram matrix of B = A / s
     (B^T B, or B B^T when A is wide) cannot overflow, and its lambda_max
-    >= 1 sits far above anything that underflows, so at any scale the
-    relative error is of order max(m, n) times unit roundoff.
-    Returns 0 for the zero matrix.  The Gram is formed here, not by
-    :func:`gram`, so metric work never counts as factorization work.
+    >= 1 (``dsyevr`` computes it alone; a nonzero ``info`` raises
+    :class:`NoConvergenceError`) sits far above anything that underflows,
+    so at any scale the relative error is of order max(m, n) times unit
+    roundoff.  Returns 0 for the zero matrix.  The Gram is formed here, not
+    by :func:`gram`, so metric work never counts as factorization work.
     """
     s = float(max(A.max(), -A.min()))
     if s == 0.0:
         return 0.0
     B = A / s
     G = B.T @ B if B.shape[0] >= B.shape[1] else B @ B.T
-    return s * float(np.sqrt(sym_eigenvalues(G)[0]))
+    w, _, _, _, info = dsyevr(G, compute_v=0, range="I", il=len(G), iu=len(G))
+    if info:
+        raise NoConvergenceError(f"dsyevr failed with info={info}")
+    return s * float(np.sqrt(w[0]))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rpcqr import (
     EPS,
     CholeskyBreakdown,
+    NoConvergenceError,
     cholesky_qr,
     haar_frame,
     haar_rotated,
@@ -328,6 +329,24 @@ class TestSpectralNorm:
         }[kind]() * scale
         s1 = singular_values(A.T if kind == "wide" else A)[0]
         assert spectral_norm(A) == pytest.approx(s1, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 1.0, 2.0 ** 1000])
+    @pytest.mark.parametrize("shape", [(300, 20), (20, 300), (1, 1),
+                                       (200, 200)])
+    def test_matches_all_eigenvalues_route(self, shape, scale):
+        # lambda_max alone, against the largest of all the eigenvalues.
+        A = rng(10).standard_normal(shape) * scale
+        s = np.abs(A).max()
+        B = A / s
+        G = B.T @ B if shape[0] >= shape[1] else B @ B.T
+        expected = s * np.sqrt(sym_eigenvalues(G)[0])
+        assert spectral_norm(A) == pytest.approx(expected, rel=4 * EPS, abs=0)
+
+    def test_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(rpcqr.kernels, "dsyevr",
+                            lambda G, **kw: (np.zeros(len(G)), None, 0, None, 3))
+        with pytest.raises(NoConvergenceError, match="info=3"):
+            spectral_norm(np.ones((4, 2)))
 
 
 def test_benchmark_kernel_names_are_public_functions():
