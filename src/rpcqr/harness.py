@@ -140,7 +140,7 @@ class ExperimentConfig:
                               f"{self.experiment} takes no c or c_list")
         for n, c in sweep_points(self):
             _check(self.m, n, self.kappa, ConfigError)
-            if c is not None and c < n:
+            if c < n:
                 raise ConfigError(f"every c must be >= n, got c={c}, n={n}")
         return self
 
@@ -188,13 +188,11 @@ def sweep_points(config):
     """The (n, c) points of a validated ``config``, in run order.
 
     ``n_list`` gives the points (n, 3n).  Otherwise n is ``n``, and c runs
-    over ``c_list``, or is ``c``, or 3n; it is None for a method that
-    samples no rows.
+    over ``c_list``, or is ``c``, or 3n.  A method that samples no rows
+    ignores c, and its rows leave the cell empty.
     """
     if config.n_list:
         return [(n, 3 * n) for n in config.n_list]
-    if not any(METHODS[m].samples_c for m in _methods(config)):
-        return [(config.n, None)]
     c = 3 * config.n if config.c is None else config.c
     return [(config.n, k) for k in config.c_list or [c]]
 

@@ -144,19 +144,6 @@ def householder_r(A):
     return _nonnegative_diagonal(_geqrt(A)[0][:A.shape[1]])[1]
 
 
-def sym_eigenvalues(S):
-    """Eigenvalues of a symmetric matrix, sorted descending.
-
-    Backed by the LAPACK symmetric eigensolver; a convergence failure is
-    surfaced as :class:`NoConvergenceError` (pathological input).
-    """
-    try:
-        w = np.linalg.eigvalsh(S)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    return w[::-1].copy()
-
-
 def singular_values(A):
     """Singular values of a tall matrix, sorted descending.
 

@@ -12,32 +12,25 @@ from scipy.linalg.blas import dgemm
 
 from .bounds import ortho_estimate
 from .errors import NotOrthonormalError
-from .kernels import (
-    as_matrix,
-    as_tall_matrix,
-    singular_values,
-    spectral_norm,
-    sym_eigenvalues,
-)
+from .kernels import as_matrix, as_tall_matrix, singular_values, spectral_norm
 
 #: Largest deviation from orthonormality :func:`coherence` accepts.
 ORTHO_TOL = 1e-8
 
 
 def ortho_deviation(Q):
-    """Two-norm deviation of Q's columns from orthonormality.
+    """Two-norm deviation ‖I - QᵀQ‖₂ of Q's columns from orthonormality.
 
-    Evaluated through the exact symmetric eigensolver (largest absolute
-    eigenvalue of I - Q^T Q) so values near unit roundoff are resolved.
+    The spectral norm of the symmetric I - QᵀQ is its largest absolute
+    eigenvalue, which :func:`~rpcqr.kernels.spectral_norm` resolves to a
+    relative error of order n times unit roundoff, also near roundoff.
+    A QᵀQ that overflows raises :class:`NoConvergenceError`.
     """
     return _ortho_deviation(as_matrix(Q))
 
 
 def _ortho_deviation(Q):  # unchecked, for a Q the library made or checked
-    n = Q.shape[1]
-    # Q^T Q is numpy's syrk, exactly symmetric, and so is S.
-    w = sym_eigenvalues(np.eye(n) - Q.T @ Q)
-    return float(max(abs(w[0]), abs(w[-1])))
+    return spectral_norm(np.eye(Q.shape[1]) - Q.T @ Q)
 
 
 def coherence(Q):

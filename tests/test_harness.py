@@ -240,6 +240,13 @@ class TestConfig:
             name: list(spec.point_keys)
             for name, spec in harness.EXPERIMENTS.items()}
 
+    def test_configs_readme_tables_the_csv_columns(self):
+        # One table row per column, in order; the `m`, `n` row names two.
+        schema = (CONFIGS / "README.md").read_text().split("## CSV schema")[1]
+        cells = re.findall(r"^\| (`.+?`) \|", schema.split("\n## ")[0], re.M)
+        assert [name for cell in cells
+                for name in re.findall(r"`(\w+)`", cell)] == CSV_COLUMNS
+
     @pytest.mark.parametrize("jobs", [0, -1, 2.5, True, "2"])
     def test_validate_rejects_bad_jobs(self, jobs):
         with pytest.raises(ConfigError, match=r"\bjobs\b"):

@@ -17,6 +17,7 @@ from rpcqr import (
     haar_rotated,
 )
 import rpcqr.kernels
+import rpcqr.transforms
 from rpcqr.kernels import (
     as_matrix,
     cholesky,
@@ -25,7 +26,6 @@ from rpcqr.kernels import (
     householder_r,
     singular_values,
     spectral_norm,
-    sym_eigenvalues,
     tri_solve_right,
 )
 
@@ -264,31 +264,6 @@ class TestHouseholderR:
         assert abs(R[2, 2]) <= 1e-14 * np.abs(R).max()
 
 
-class TestSymEigenvalues:
-    def test_swap_matrix(self):
-        w = sym_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(w, [1.0, -1.0], atol=1e-15)
-
-    def test_diagonal(self):
-        w = sym_eigenvalues(np.diag([5.0, 2.0, -3.0]))
-        assert np.allclose(w, [5.0, 2.0, -3.0], atol=1e-15)
-
-    def test_trace_identity(self):
-        S = symmetrize(rng(5).standard_normal((30, 30)))
-        w = sym_eigenvalues(S)
-        assert np.sum(w) == pytest.approx(np.trace(S), rel=1e-12, abs=1e-12)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_weyl_monotonicity(self, seed):
-        g = rng(200 + seed)
-        S = symmetrize(g.standard_normal((20, 20)))
-        E = symmetrize(0.1 * g.standard_normal((20, 20)))
-        w0 = sym_eigenvalues(S)
-        w1 = sym_eigenvalues(symmetrize(S + E))
-        bound = spectral_norm(E) + 1e-12 * spectral_norm(S)
-        assert np.max(np.abs(w1 - w0)) <= bound
-
-
 class TestSingularValues:
     def test_diagonal_stack(self):
         A = np.vstack([np.diag([3.0, 1.0]), np.zeros((2, 2))])
@@ -339,7 +314,7 @@ class TestSpectralNorm:
         s = np.abs(A).max()
         B = A / s
         G = B.T @ B if shape[0] >= shape[1] else B @ B.T
-        expected = s * np.sqrt(sym_eigenvalues(G)[0])
+        expected = s * np.sqrt(np.linalg.eigvalsh(G)[-1])
         assert spectral_norm(A) == pytest.approx(expected, rel=4 * EPS, abs=0)
 
     def test_no_convergence(self, monkeypatch):
@@ -349,18 +324,40 @@ class TestSpectralNorm:
             spectral_norm(np.ones((4, 2)))
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def benchmark_names(layer):
+    """The ``layer.name`` functions the benchmark traces or reports."""
+    names = set(re.findall(rf"\b{layer}\.(\w+)",
+                           (ROOT / "perfbench" / "tracing.py").read_text()))
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    return names | {m["name"].split(".")[1] for m in per_layer
+                    if m["name"].startswith(f"{layer}.")}
+
+
 def test_benchmark_kernel_names_are_public_functions():
     # The benchmark's tracer wraps public functions only, so a kernel it
     # names that became private (``_name``) would read zero, not fail.
-    root = Path(__file__).resolve().parents[1]
-    names = set(re.findall(r"\bkernels\.(\w+)",
-                           (root / "perfbench" / "tracing.py").read_text()))
-    per_layer = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
-    names |= {m["name"].split(".")[1] for m in per_layer
-              if m["name"].startswith("kernels.")}
+    names = benchmark_names("kernels")
     assert names
     for name in sorted(names):
         fn = getattr(rpcqr.kernels, name, None)
         assert not name.startswith("_"), name
         assert isinstance(fn, types.FunctionType), name
         assert fn.__module__ == "rpcqr.kernels", name
+
+
+@pytest.mark.parametrize("layer", [rpcqr.kernels, rpcqr.transforms])
+def test_no_dead_internal_functions(layer):
+    # The internal layers export nothing, so a public function that no
+    # other module calls and the benchmark does not name is dead code.
+    short = layer.__name__.split(".")[-1]
+    others = "\n".join(p.read_text() for p in (ROOT / "src" / "rpcqr").glob(
+        "*.py") if p.stem != short)
+    dead = [name for name, fn in vars(layer).items()
+            if isinstance(fn, types.FunctionType) and not name.startswith("_")
+            and fn.__module__ == layer.__name__
+            and not re.search(rf"\b{name}\(", others)
+            and name not in benchmark_names(short)]
+    assert dead == []

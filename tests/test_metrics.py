@@ -3,9 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rpcqr.kernels
 from rpcqr import (
     EPS,
+    NoConvergenceError,
     QRFactors,
+    cholesky_qr,
     cholesky_qr2,
     cond2,
     eta,
@@ -43,6 +46,43 @@ class TestOrthoDeviation:
         Q = householder_qr(np.random.default_rng(2).standard_normal((60, 5))).Q
         W = haar_frame(60, 60, seed=3)
         assert abs(ortho_deviation(W @ Q) - ortho_deviation(Q)) <= 1e-12
+
+    @pytest.mark.parametrize("case", [
+        "basic1e5", "basic1e7", "basic1e8", "cqr2", "rp", "householder",
+        "wide", "scaled", "scalar", "identity_stack"])
+    def test_matches_all_eigenvalues_oracle(self, case):
+        # max|lambda(I - Q^T Q)| of the full symmetric eigensolver.
+        A = haar_rotated(300, 20, 1e7, seed=16)
+        g = np.random.default_rng(17)
+        Q = {
+            "basic1e5": lambda: cholesky_qr(
+                haar_rotated(300, 20, 1e5, seed=16)).Q,
+            "basic1e7": lambda: cholesky_qr(A).Q,
+            "basic1e8": lambda: cholesky_qr(
+                haar_rotated(300, 20, 1e8, seed=16)).Q,
+            "cqr2": lambda: cholesky_qr2(A).Q,
+            "rp": lambda: rp_cholesky_qr(A, 60, seed=18)[0].Q,
+            "householder": lambda: householder_qr(A).Q,
+            "wide": lambda: g.standard_normal((3, 5)),
+            "scaled": lambda: 1e3 * g.standard_normal((50, 10)),
+            "scalar": lambda: np.array([[2.0]]),
+            "identity_stack": lambda: np.vstack([np.eye(6), np.zeros((4, 6))]),
+        }[case]()
+        n = Q.shape[1]
+        expected = np.abs(np.linalg.eigvalsh(np.eye(n) - Q.T @ Q)).max()
+        assert ortho_deviation(Q) == pytest.approx(expected, rel=n * EPS,
+                                                   abs=0)
+
+    def test_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(rpcqr.kernels, "dsyevr",
+                            lambda G, **kw: (np.zeros(len(G)), None, 0, None, 2))
+        with pytest.raises(NoConvergenceError, match="info=2"):
+            ortho_deviation(haar_frame(20, 4, seed=19))
+
+    def test_overflowing_gram_raises(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NoConvergenceError):
+                ortho_deviation(np.full((4, 2), 1e200))
 
 
 class TestRelResidual:
