@@ -3,8 +3,9 @@
 Every trial seed derives from (master_seed, sweep point index, trial index,
 method) through :func:`rpcqr.transforms.child_seeds`, whose hashing is
 documented stable, so any CSV row can be replayed in isolation.  The test
-matrix is fixed per sweep point, so it is made column-major, and its norm
-taken, once per point; so is a seed-free method's run (all but ``rp``).
+matrix is fixed per sweep point, so each task that runs trials of a point
+makes it column-major, and takes its norm, once; a seed-free method (all
+but ``rp``) runs once per point, at trial 0.
 
 Breakdowns never abort a sweep: they become rows with breakdown=true and
 empty metric cells.
@@ -69,8 +70,9 @@ EXPERIMENTS = {
     "single": Experiment((("n",), ("n", "c")), None, None),
     "sweep_c": Experiment((("n", "c_list"),), None, None),
     "sweep_n": Experiment((("n_list",),), None, None),
-    "compare_cqr2": Experiment((("n_list",), ("n", "c"), ("n", "c_list")),
-                               ("rp", "cqr2"), "haar_rotated"),
+    "compare_cqr2": Experiment(
+        (("n_list",), ("n",), ("n", "c"), ("n", "c_list")), ("rp", "cqr2"),
+        "haar_rotated"),
 }
 
 
@@ -264,25 +266,54 @@ def run_experiment(config):
     Each point runs the methods of the experiment's :data:`EXPERIMENTS`
     entry; ``single`` runs one trial.  Rows come point by point, trial by
     trial, also when ``min(jobs, points, cores)`` > 1 forked workers (none
-    without ``fork``, as on Windows) run the points, largest first: they
-    inherit the modules, rebound names and BLAS threads.
+    without ``fork``, as on Windows) run the :func:`_tasks`: they inherit
+    the modules, rebound names and BLAS threads.  A seed-free method runs
+    at trial 0 only, and its later trials copy that row.
     """
     config.validate()
     if config.experiment == "single":
         config = replace(config, trials=1)
     points = [(i, n, c) for i, (n, c) in enumerate(sweep_points(config))]
-    run_point = partial(_point_rows, config, _methods(config))
+    methods = _methods(config)
+    run_task = partial(_task_rows, config, methods)
     jobs = min(config.jobs, len(points), os.cpu_count() or 1)
     if jobs == 1 or "fork" not in mp.get_all_start_methods():
-        return [row for point in points for row in run_point(*point)]
-    largest_first = sorted(points, key=lambda p: -p[1] * p[2])  # n * c
-    with mp.get_context("fork").Pool(  # an error terminates it
-            jobs, initializer=_keep_freed_pages) as pool:
-        done = pool.starmap(run_point, largest_first, chunksize=1)
-        pool.close()
-        pool.join()
-    rows = dict(zip(largest_first, done))
-    return [row for point in points for row in rows[point]]
+        done = [run_task(*p, 0, config.trials) for p in points]
+    else:
+        tasks = _tasks(points, config.trials, jobs)
+        with mp.get_context("fork").Pool(  # an error terminates it
+                jobs, initializer=_keep_freed_pages) as pool:
+            done = pool.starmap(run_task, tasks, chunksize=1)
+            pool.close()
+            pool.join()
+        by_task = dict(zip(tasks, done))
+        done = [by_task[task] for task in sorted(tasks)]
+    ran, rows = (row for task_rows in done for row in task_rows), []
+    seed = partial(derive_seed, config.master_seed)
+    for i, _, _ in points:
+        row0 = len(rows)
+        for t in range(config.trials):
+            for j, meth in enumerate(methods):  # rows[row0 + j]: trial 0
+                rows.append(next(ran) if t == 0 or METHODS[meth].samples_c
+                            else dict(rows[row0 + j], trial=t,
+                                      seed=seed(i, t, meth)))
+    return rows
+
+
+def _tasks(points, trials, jobs):
+    """``(index, n, c, start, stop)`` tasks: trials start..stop-1 of a point.
+
+    Whole points come first, largest (n * c) first; then each of the
+    ``len(points) % jobs`` smallest is split into ``jobs`` contiguous trial
+    ranges of near-equal length, the one holding trial 0 the shortest; an
+    empty range is left out.
+    """
+    by_size = sorted(points, key=lambda p: -p[1] * p[2])
+    whole = len(points) - len(points) % jobs
+    cuts = [k * trials // jobs for k in range(jobs + 1)]
+    return [(*p, 0, trials) for p in by_size[:whole]] + [
+        (*p, start, stop) for p in by_size[whole:]
+        for start, stop in zip(cuts, cuts[1:]) if start < stop]
 
 
 def _keep_freed_pages():
@@ -300,23 +331,20 @@ def _keep_freed_pages():
             mallopt(param, 1 << 30)
 
 
-def _point_rows(config, methods, point_index, n, c):
-    """One point's rows; all share A and ‖A‖, a seed-free method's one run."""
+def _task_rows(config, methods, point_index, n, c, start, stop):
+    """The rows that trials start..stop-1 of a point run, on one A and ‖A‖.
+
+    A seed-free method runs at trial 0 only; the caller copies its row.
+    """
     A = np.asfortranarray(MATRIX_KINDS[config.matrix_kind](
         config.m, n, config.kappa,
         derive_matrix_seed(config.master_seed, point_index)))
     A.setflags(write=False)
     norm_A = spectral_norm(A)
     seed = partial(derive_seed, config.master_seed, point_index)
-    rows = []
-    for t in range(config.trials):
-        for i, meth in enumerate(methods):
-            if t and not METHODS[meth].samples_c:  # rows[i]: its trial 0
-                rows.append(dict(rows[i], trial=t, seed=seed(t, meth)))
-            else:
-                rows.append(run_trial(config, A, norm_A, n, c, t, meth,
-                                      seed(t, meth)))
-    return rows
+    return [run_trial(config, A, norm_A, n, c, t, meth, seed(t, meth))
+            for t in range(start, stop) for meth in methods
+            if t == 0 or METHODS[meth].samples_c]
 
 
 # Kept only for the benchmark (perfbench/), which calls these names,

@@ -168,10 +168,16 @@ def spectral_norm(A):
     roundoff.  Returns 0 for the zero matrix.  The Gram is formed here, not
     by :func:`gram`, so metric work never counts as factorization work.
     """
+    return _spectral_norm(A, None)
+
+
+def _spectral_norm(A, out):
+    # spectral_norm, with A / s written to ``out``: a caller that hands
+    # over a temporary as both A and ``out`` saves an m x n array.
     s = float(max(A.max(), -A.min()))
     if s == 0.0:
         return 0.0
-    B = A / s
+    B = np.divide(A, s, out=out)
     G = B.T @ B if B.shape[0] >= B.shape[1] else B @ B.T
     w, _, _, _, info = dsyevr(G, compute_v=0, range="I", il=len(G), iu=len(G))
     if info:

@@ -8,11 +8,12 @@ matrix by the caller.
 import math
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dtrmm
 
 from .bounds import ortho_estimate
 from .errors import NotOrthonormalError
-from .kernels import as_matrix, as_tall_matrix, singular_values, spectral_norm
+from .kernels import (_spectral_norm, as_matrix, as_tall_matrix,
+                      singular_values, spectral_norm)
 
 #: Largest deviation from orthonormality :func:`coherence` accepts.
 ORTHO_TOL = 1e-8
@@ -30,7 +31,10 @@ def ortho_deviation(Q):
 
 
 def _ortho_deviation(Q):  # unchecked, for a Q the library made or checked
-    return spectral_norm(np.eye(Q.shape[1]) - Q.T @ Q)
+    S = Q.T @ Q
+    np.negative(S, out=S)
+    S.flat[::len(S) + 1] += 1.0  # I - QᵀQ, rounded as np.eye(n) - QᵀQ
+    return _spectral_norm(S, S)
 
 
 def coherence(Q):
@@ -48,11 +52,10 @@ def coherence(Q):
 
 
 def _residual(A, f, norm_A):
-    # A - QR in one dgemm update of a Fortran copy of A: no QR temporary
-    # and no separate subtraction pass.
-    D = dgemm(-1.0, f.Q, f.R, beta=1.0, c=np.array(A, order="F"),
-              overwrite_c=1)
-    return spectral_norm(D) / norm_A
+    # QR by one dtrmm on a copy of Q (R is triangular), then A - QR in
+    # that copy, which the norm then scales: one m x n temporary.
+    D = dtrmm(1.0, f.R, f.Q, side=1)
+    return _spectral_norm(np.subtract(A, D, out=D), D) / norm_A
 
 
 def _cond(s):
@@ -65,11 +68,17 @@ def _eta(s, R_s, norm_A):
 
 
 def rel_residual(A, f):
-    """Relative two-norm residual ‖A - QR‖₂ / ‖A‖₂ of a factorization."""
+    """Relative two-norm residual ‖A - QR‖₂ / ‖A‖₂ of a thin factorization.
+
+    Q has A's shape and R is square and upper triangular, as every
+    factorization of the library returns.
+    """
     A, Q, R = as_matrix(A), as_matrix(f.Q), as_matrix(f.R)
-    if Q.shape[0] != A.shape[0] or R.shape != (Q.shape[1], A.shape[1]):
+    if Q.shape != A.shape or R.shape != (A.shape[1],) * 2:
         raise ValueError(f"A - QR needs conforming shapes, got A {A.shape}, "
                          f"Q {Q.shape}, R {R.shape}")
+    if np.tril(R, -1).any():
+        raise ValueError("R must be upper triangular")
     if not A.any():  # ‖A‖₂ is the divisor
         raise ValueError("A must be nonzero")
     return _residual(A, f, spectral_norm(A))

@@ -549,12 +549,18 @@ def _rejections():
         ("short-Q", _A, _F.Q[:5], _F.R),
         ("wide-Q", _A, np.ones((8, 4)), _F.R),
         ("wrong-R", _A, _F.Q, np.eye(4)),
+        ("not-thin", _A, np.ones((8, 4)), np.triu(np.ones((4, 3)))),
     ]:
         f = QRFactors(Q=Q, R=R, method="householder")
         yield pytest.param(lambda A=A, f=f: rel_residual(A, f), ValueError,
                            f"A - QR needs conforming shapes, got A {A.shape}, "
                            f"Q {Q.shape}, R {R.shape}",
                            id=f"rel_residual-{name}")
+    lower = QRFactors(Q=_F.Q, R=_F.R + np.tril(np.ones((3, 3)), -1),
+                      method="householder")
+    yield pytest.param(lambda: rel_residual(_A, lower), ValueError,
+                       "R must be upper triangular",
+                       id="rel_residual-lower-R")
     for name, A in [("zero-A", np.zeros((8, 3))), ("negative-zero-A",
                                                     -np.zeros((8, 3)))]:
         yield pytest.param(lambda A=A: rel_residual(A, _F), ValueError,

@@ -59,7 +59,7 @@ ACCEPTED_POINT_KEYS = {
     "single": [("n",), ("n", "c")],
     "sweep_c": [("n", "c_list")],
     "sweep_n": [("n_list",)],
-    "compare_cqr2": [("n_list",), ("n", "c"), ("n", "c_list")],
+    "compare_cqr2": [("n_list",), ("n",), ("n", "c"), ("n", "c_list")],
 }
 POINT_VALUES = {"n": 5, "c": 20, "n_list": [5], "c_list": [20]}
 
@@ -574,16 +574,47 @@ class TestParallelPoints:
         (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
               n_list=[5, 10, 15], kappa=1e7, trials=2), 3),
         (dict(experiment="single", m=150, n=15, kappa=1e15), 1),
+        # The smallest point's 3 trials split 1 + 2 between the workers.
+        (dict(experiment="sweep_c", m=150, n=15, kappa=1e15,
+              c_list=[30, 45, 60, 75, 90], trials=3), 5),
+        # The smallest point's one trial is one task, not 0 + 1.
+        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
+              n_list=[5, 10, 15], kappa=1e7, trials=1), 3),
     ], ids=["sweep_c", "sweep_n", "sweep_n-basic", "compare_cqr2-c_list",
-            "compare_cqr2-n_list", "single"])
+            "compare_cqr2-n_list", "single", "sweep_c-5-points",
+            "compare_cqr2-one-trial"])
     def test_rows_do_not_depend_on_jobs(self, pools, config, points):
         cfg = ExperimentConfig(master_seed=23, **config)
         serial = run_experiment(cfg)
         assert pools == []
-        assert _stripped(run_experiment(replace(cfg, jobs=2))) == \
-            _stripped(serial)
+        parallel = run_experiment(replace(cfg, jobs=2))
+        assert _stripped(parallel) == _stripped(serial)
         assert pools == ([2] if points > 1 else [])
         assert multiprocessing.active_children() == []
+        # A seed-free method ran once per point: its rows copy that run.
+        walls = {}
+        for k, row in enumerate(parallel):
+            if not METHODS[row["method"]].samples_c:
+                walls.setdefault((k * points // len(parallel), row["method"]),
+                                 set()).add(row["wall_time_s"])
+        assert all(len(wall) == 1 for wall in walls.values())
+
+    def test_tasks_deal_whole_points_then_split_the_rest(self):
+        points = [(i, 100, c) for i, c in enumerate([200, 300, 400, 600])]
+        points.append((4, 50, 800))  # n * c = 40000, as at point 2
+        whole = [(3, 100, 600, 0, 10), (2, 100, 400, 0, 10),
+                 (4, 50, 800, 0, 10), (1, 100, 300, 0, 10)]
+        assert harness._tasks(points, 10, 2) == whole + [
+            (0, 100, 200, 0, 5), (0, 100, 200, 5, 10)]
+        assert harness._tasks(points, 3, 2)[-2:] == [
+            (0, 100, 200, 0, 1), (0, 100, 200, 1, 3)]
+        assert harness._tasks(points, 10, 5) == harness._tasks(
+            points, 10, 1) == whole + [(0, 100, 200, 0, 10)]
+        # 5 points on 3 workers: the 2 smallest split; no task is empty.
+        assert harness._tasks(points, 2, 3) == [
+            (3, 100, 600, 0, 2), (2, 100, 400, 0, 2), (4, 50, 800, 0, 2),
+            (1, 100, 300, 0, 1), (1, 100, 300, 1, 2),
+            (0, 100, 200, 0, 1), (0, 100, 200, 1, 2)]
 
     @pytest.mark.parametrize("jobs, cores, size", [
         (2, 8, 2), (5, 8, 3), (5, 2, 2), (5, 1, None), (1, 8, None)])
@@ -872,6 +903,13 @@ class TestCli:
         for line in (lines[1], lines[3]):  # rp: four finite statistics
             assert all(re.fullmatch(r"\d\.\d{3}e[-+]\d\d", cell)
                        for cell in line.split()[4:])
+
+    def test_compare_cqr2_with_one_n_runs_at_three_n(self, capsys):
+        assert main(["compare-cqr2", "--m", "100", "--n", "10", "--kappa",
+                     "1e3", "--matrix", "haar", "--trials", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:3] for line in lines[1:]] == [
+            ["10", "30", "rp"], ["10", "-", "cqr2"]]
 
     def test_breakdowns_do_not_affect_exit_code(self, tmp_path):
         out = tmp_path / "b.csv"

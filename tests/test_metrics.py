@@ -120,8 +120,8 @@ class TestRelResidual:
     @settings(max_examples=30, deadline=None)
     def test_matches_explicit_difference(self, n, extra_rows, order,
                                          exponent, seed):
-        # A - QR is one dgemm update of a copy of A; the explicit
-        # difference of A and the product Q @ R is the reference.
+        # A - QR is formed in a dtrmm copy of Q; the explicit difference
+        # of A and the product Q @ R is the reference.
         g = np.random.default_rng(seed)
         A = g.standard_normal((n + extra_rows, n)) * 2.0 ** exponent
         f = householder_qr(A)
