@@ -1,39 +1,46 @@
-"""A cheap, accurate estimate of the deviation from orthonormality.
+"""A cheap estimate of the deviation from orthonormality, and where it tracks.
 
 Classical worst-case analysis predicts deviation ~ u * kappa(A1)^2, but in
 practice the deviation grows only linearly in kappa(A1).  The estimate
 4 * u * kappa(A1) -- computable from quantities the algorithm already has --
-lands within two orders of magnitude of the measured deviation essentially
-always.  This demo measures the ratio over a small sweep.
+lands within two orders of magnitude of the measured deviation while
+kappa(A1) stays below about 10^3, as a sampled preconditioner keeps it.
+Above 10^3 it is only an upper envelope: ``tests/test_claims.py`` measured
+deviation / estimate at 8e-6 to 0.12 there.  The demo prints one row per
+regime of that test: ``rp`` at a sampled c, and the internal preconditioned
+pass with R_s = T R (R the Householder R of A, T upper triangular with
+kappa(T) = 1e6), so that kappa(A1) = 1e6.
 """
 
-import numpy as np
-
 from rpcqr import (
-    EPS,
     cond2,
     ortho_deviation,
     ortho_estimate,
+    randsvd,
     rp_cholesky_qr,
     worst_coherence_stack,
 )
+from rpcqr.algorithms import preconditioned_cholesky_qr
+from rpcqr.kernels import householder_r
 
 m, n, kappa = 1000, 50, 1e15
 A = worst_coherence_stack(m, n, kappa, seed=7)
 
-print(f"{'c':>5} {'deviation':>12} {'4*u*kappa(A1)':>14} {'ratio':>8}")
-ratios = []
-for c in (100, 150, 200, 300, 400):
-    for trial in range(5):
-        f, _, A1 = rp_cholesky_qr(A, c, seed=1000 * c + trial)
-        dev = ortho_deviation(f.Q)
-        est = ortho_estimate(cond2(A1))
-        ratios.append(dev / est)
-    print(f"{c:5d} {dev:12.2e} {est:14.2e} {dev / est:8.2f}")
 
-ratios = np.array(ratios)
-inside = np.mean((ratios >= 1e-2) & (ratios <= 1e2))
-print(f"\ndeviation / estimate within [1e-2, 1e2] for "
-      f"{100 * inside:.0f}% of {ratios.size} trials")
-print("(the first-order bound would predict ratios near kappa(A1), "
-      "i.e. off by the condition number itself)")
+def row(regime, f, A1):
+    dev, k = ortho_deviation(f.Q), cond2(A1)
+    est = ortho_estimate(k)
+    print(f"{regime:>22} {k:10.2e} {dev:12.2e} {est:14.2e} {dev / est:9.2e}")
+
+
+print(f"{'regime':>22} {'kappa(A1)':>10} {'deviation':>12} "
+      f"{'4*u*kappa(A1)':>14} {'ratio':>9}")
+f, _, A1 = rp_cholesky_qr(A, 3 * n, seed=0)
+row(f"sampled, c = {3 * n}", f, A1)
+R_s = householder_r(randsvd(n, 1e6, seed=0)) @ householder_r(A)
+f, A1 = preconditioned_cholesky_qr(A, R_s)
+row("controlled, T R", f, A1)
+
+print("\nbelow kappa(A1) ~ 1e3 the ratio sits within [1e-2, 1e2]; above it "
+      "the estimate\nis an upper envelope, and the first-order bound "
+      "u * kappa(A1)^2 is further off still")

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf
 
 from .bounds import ortho_estimate
 from .errors import NotOrthonormalError
@@ -27,12 +28,12 @@ def ortho_deviation(Q):
     relative error of order n times unit roundoff, also near roundoff.
     A QᵀQ that overflows raises :class:`NoConvergenceError`.
     """
-    return _ortho_deviation(as_matrix(Q))
+    Q = as_matrix(Q)
+    return _deviation(Q.T @ Q)
 
 
-def _ortho_deviation(Q):  # unchecked, for a Q the library made or checked
-    S = Q.T @ Q
-    np.negative(S, out=S)
+def _deviation(G):  # ‖I - G‖₂ of a checked Q's Gram G = QᵀQ, left intact
+    S = np.negative(G)
     S.flat[::len(S) + 1] += 1.0  # I - QᵀQ, rounded as np.eye(n) - QᵀQ
     return _spectral_norm(S, S)
 
@@ -45,7 +46,7 @@ def coherence(Q):
     :class:`NotOrthonormalError` if :func:`ortho_deviation` > ``ORTHO_TOL``.
     """
     Q = as_matrix(Q)
-    if _ortho_deviation(Q) > ORTHO_TOL:
+    if _deviation(Q.T @ Q) > ORTHO_TOL:
         raise NotOrthonormalError("columns deviate from orthonormality by "
                                   f"more than {ORTHO_TOL:g}")
     return float(np.max(np.einsum("ij,ij->i", Q, Q)))
@@ -56,6 +57,19 @@ def _residual(A, f, norm_A):
     # that copy, which the norm then scales: one m x n temporary.
     D = dtrmm(1.0, f.R, f.Q, side=1)
     return _spectral_norm(np.subtract(A, D, out=D), D) / norm_A
+
+
+def _a1_singular_values(A1, G, deviation):
+    # G = QᵀQ of the pass's Q = A1 R2⁻¹; R3 = chol(G) completes CholeskyQR2,
+    # whose R3 R2 holds A1's singular values to O(u κ(A₁)) while
+    # ‖I - G‖₂ < 1/2 (Yamamoto et al., ETNA 2015), R2 alone to O(u κ(A₁)²).
+    # R2 is the pass's syrk and dpotrf again, so bit for bit its factor;
+    # LAPACK is called directly, so no metric counts as factorization work.
+    if deviation >= 0.5:
+        return singular_values(A1)
+    R3 = dpotrf(G, lower=False, clean=True)[0]
+    R2 = dpotrf(A1.T @ A1, lower=False, clean=True)[0]
+    return singular_values(dtrmm(1.0, R3, R2, overwrite_b=1))
 
 
 def _cond(s):
@@ -103,14 +117,18 @@ def measure(A, norm_A, f, A1=None, R_s=None):
     Returns ``deviation``, ``residual``, ``kappa_A1``, ``eta`` and
     ``estimate_5_2`` as :func:`ortho_deviation`, :func:`rel_residual`,
     :func:`cond2`, :func:`eta` and :func:`~rpcqr.bounds.ortho_estimate`
-    define them; the last three are ``None`` without an A1.  One SVD of A1
-    serves κ(A₁) and η.  Unlike those, it checks none of its arguments.
+    define them; the last three are ``None`` without an A1.  The first two
+    are bit for bit those functions' values.  One set of A1's singular
+    values serves κ(A₁) and η: those of the CholeskyQR2 factor R3 R2 that
+    ``f.Q`` = A1 R2⁻¹ completes, within O(u κ(A₁)) relative of the SVD of
+    A1 that :func:`cond2` and :func:`eta` take, or that SVD itself when
+    ‖I - QᵀQ‖₂ >= 1/2.  Unlike those, it checks none of its arguments.
     """
-    cells = dict(deviation=_ortho_deviation(f.Q),
-                 residual=_residual(A, f, norm_A), kappa_A1=None, eta=None,
-                 estimate_5_2=None)
+    G = f.Q.T @ f.Q
+    cells = dict(deviation=_deviation(G), residual=_residual(A, f, norm_A),
+                 kappa_A1=None, eta=None, estimate_5_2=None)
     if A1 is not None:
-        s = singular_values(A1)
+        s = _a1_singular_values(A1, G, cells["deviation"])
         cells["kappa_A1"] = _cond(s)
         cells["eta"] = _eta(s, R_s, norm_A)
         cells["estimate_5_2"] = ortho_estimate(cells["kappa_A1"])

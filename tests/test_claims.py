@@ -15,8 +15,9 @@ Every run that does not break down must have a deviation of at most 100
 times its ``estimate_5_2`` (4·u·κ(A₁)).  The least-squares slope of log
 deviation on log κ(A₁) must stay below 1.5, where κ(A₁)² growth gives 2.
 How many samples are rank deficient is printed per c, not asserted: the
-paper claims no robustness below c = 3n.  The inputs below were fixed
-before any run.
+paper claims no robustness below c = 3n.  The rows' ``measure`` cells must
+keep κ(A₁) and η within :data:`svd_bound.BOUND` of their SVD values, over
+this whole range.  The inputs below were fixed before any run.
 """
 
 import functools
@@ -28,7 +29,9 @@ from rpcqr import (CholeskyBreakdown, RankDeficientSampleError, cond2,
                    ortho_deviation, ortho_estimate, randsvd, rp_cholesky_qr)
 from rpcqr.algorithms import preconditioned_cholesky_qr
 from rpcqr.harness import MATRIX_KINDS
-from rpcqr.kernels import householder_r
+from rpcqr.kernels import householder_r, spectral_norm
+from rpcqr.metrics import measure
+from svd_bound import BOUND, svd_ratios
 
 M, N, KAPPA = 2000, 100, 1e15
 MATRIX_SEEDS = (1, 2)
@@ -38,11 +41,14 @@ T_CONDITIONS = [10.0 ** e for e in range(9)]
 T_SEEDS = range(3)
 
 
-def cells(f, A1):
-    """A row's ``deviation``, ``kappa_A1`` and ``estimate_5_2`` cells."""
+def cells(A, norm_A, f, R_s, A1):
+    """A row's ``deviation``, ``kappa_A1`` and ``estimate_5_2`` cells, and
+    the :func:`svd_ratios` of its ``measure`` cells."""
     kappa = cond2(A1)
     return dict(deviation=ortho_deviation(f.Q), kappa_A1=kappa,
-                estimate_5_2=ortho_estimate(kappa))
+                estimate_5_2=ortho_estimate(kappa),
+                svd_ratios=svd_ratios(measure(A, norm_A, f, A1, R_s),
+                                      A, A1, R_s))
 
 
 @functools.lru_cache(maxsize=None)
@@ -55,6 +61,7 @@ def runs(kind):
               "controlled breakdown": dict.fromkeys(T_CONDITIONS, 0)}
     for matrix_seed in MATRIX_SEEDS:
         A = np.asfortranarray(MATRIX_KINDS[kind](M, N, KAPPA, matrix_seed))
+        norm_A = spectral_norm(A)
         for c in C_VALUES:
             for seed in SAMPLE_SEEDS:
                 try:
@@ -65,7 +72,7 @@ def runs(kind):
                 except CholeskyBreakdown:
                     raised["sampled breakdown"][c] += 1
                     continue
-                rows["sampled"].append(cells(f, A1))
+                rows["sampled"].append(cells(A, norm_A, f, R_s, A1))
         R = householder_r(A)
         for t in T_CONDITIONS:
             for seed in T_SEEDS:
@@ -75,7 +82,7 @@ def runs(kind):
                 except CholeskyBreakdown:
                     raised["controlled breakdown"][t] += 1
                     continue
-                rows["controlled"].append(cells(f, A1))
+                rows["controlled"].append(cells(A, norm_A, f, R_s, A1))
     return rows, raised
 
 
@@ -115,3 +122,15 @@ def test_deviation_grows_slower_than_kappa_squared(kind, construction,
                    f"{x.min():.2f}..{x.max():.2f}, slope {slope:.2f}")
     assert x.max() - x.min() >= 3  # a slope over a range that tells 1 from 2
     assert slope < 1.5
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_measure_reads_kappa_and_eta_within_their_svd_bound(kind,
+                                                            construction,
+                                                            capsys):
+    rows = runs(kind)[0][construction]
+    kappa, e = np.max([r["svd_ratios"] for r in rows], axis=0)
+    report(capsys, f"{kind} {construction}: measure's kappa(A1) within "
+                   f"{kappa:.2f} u kappa(A1), eta within {e:.2f} u of the SVD")
+    assert kappa <= BOUND and e <= BOUND

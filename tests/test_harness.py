@@ -17,10 +17,7 @@ from rpcqr import (
     CholeskyBreakdown,
     RankDeficientSampleError,
     cholesky_qr2,
-    cond2,
-    eta,
     ortho_deviation,
-    ortho_estimate,
     rel_residual,
     rp_cholesky_qr,
 )
@@ -40,6 +37,8 @@ from rpcqr.harness import (
     sweep_points,
 )
 from rpcqr.kernels import spectral_norm
+from rpcqr.metrics import measure
+from svd_bound import BOUND, svd_ratios
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -493,9 +492,10 @@ class TestSweeps:
             assert not row["breakdown"]
             if row["method"] == "rp":
                 f, R_s, A1 = rp_cholesky_qr(A, row["c"], row["seed"])
-                assert row["kappa_A1"] == cond2(A1)
-                assert row["eta"] == eta(A, A1, R_s)
-                assert row["estimate_5_2"] == ortho_estimate(cond2(A1))
+                cells = measure(A, spectral_norm(A), f, A1, R_s)
+                for key in ("kappa_A1", "eta", "estimate_5_2"):
+                    assert row[key] == cells[key]
+                assert max(svd_ratios(row, A, A1, R_s)) <= BOUND
             else:
                 f = cholesky_qr2(A)
                 assert row["kappa_A1"] is None and row["eta"] is None

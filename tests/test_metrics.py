@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 import rpcqr.kernels
+import rpcqr.metrics
 from rpcqr import (
     EPS,
     NoConvergenceError,
@@ -21,8 +25,10 @@ from rpcqr import (
     rp_cholesky_qr,
     worst_coherence_stack,
 )
+from rpcqr.algorithms import _cholesky_qr
 from rpcqr.kernels import householder_qr, spectral_norm
 from rpcqr.metrics import measure
+from svd_bound import BOUND, svd_ratios
 
 
 class TestOrthoDeviation:
@@ -140,9 +146,34 @@ class TestMeasure:
         cells = measure(A, spectral_norm(A), f, A1, R_s)
         assert cells["deviation"] == ortho_deviation(f.Q)
         assert cells["residual"] == rel_residual(A, f)
+        f, R_s, A1 = rp_cholesky_qr(A, 60, seed=14)
+        assert measure(A, spectral_norm(A), f, A1, R_s) == cells
+        assert cells["estimate_5_2"] == ortho_estimate(cells["kappa_A1"])
+        assert max(svd_ratios(cells, A, A1, R_s)) <= BOUND
+
+    def test_unsound_factor_keeps_the_svd(self):
+        # ‖I - QᵀQ‖₂ >= 1/2: R3 R2 no longer holds A1's singular values.
+        A = worst_coherence_stack(300, 20, 1e12, seed=13)
+        f, R_s, A1 = rp_cholesky_qr(A, 60, seed=14)
+        cells = measure(A, spectral_norm(A), replace(f, Q=2 * f.Q), A1, R_s)
+        assert cells["deviation"] >= 0.5
         assert cells["kappa_A1"] == cond2(A1)
         assert cells["eta"] == eta(A, A1, R_s)
-        assert cells["estimate_5_2"] == ortho_estimate(cond2(A1))
+
+    def test_recomputed_r2_is_the_pass_factor(self, monkeypatch):
+        A = worst_coherence_stack(300, 20, 1e12, seed=13)
+        f, R_s, A1 = rp_cholesky_qr(A, 60, seed=14)
+        factors = []
+
+        def recording(G, **kwargs):
+            out = dpotrf(G, **kwargs)
+            factors.append(out[0].copy())  # before dtrmm overwrites R2
+            return out
+
+        monkeypatch.setattr(rpcqr.metrics, "dpotrf", recording)
+        measure(A, spectral_norm(A), f, A1, R_s)
+        assert len(factors) == 2  # R3, then R2
+        assert np.array_equal(factors[1], _cholesky_qr(A1).R)
 
     def test_no_preconditioned_matrix(self):
         A = haar_rotated(200, 20, 1e5, seed=15)
