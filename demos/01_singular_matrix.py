@@ -7,11 +7,12 @@ what double precision Cholesky can handle.  The randomized preconditioner
 single digits before the Cholesky step, and full accuracy follows.
 """
 
+import numpy as np
+
 from rpcqr import (
     CholeskyBreakdown,
     cholesky_qr,
     cholesky_qr2,
-    cond2,
     ortho_deviation,
     rel_residual,
     rp_cholesky_qr,
@@ -34,5 +35,5 @@ for name, algorithm in [("Cholesky-QR", cholesky_qr),
 f, _, A1 = rp_cholesky_qr(A, c=3 * n, seed=1)
 print(f"{'randomized':14s} deviation {ortho_deviation(f.Q):.2e}, "
       f"residual {rel_residual(A, f):.2e}")
-print(f"\npreconditioned matrix: kappa(A1) = {cond2(A1):.2f} "
+print(f"\npreconditioned matrix: kappa(A1) = {np.linalg.cond(A1):.2f} "
       f"(down from {kappa:.0e}) using only c = {3 * n} sampled rows")

@@ -12,8 +12,9 @@ pass with R_s = T R (R the Householder R of A, T upper triangular with
 kappa(T) = 1e6), so that kappa(A1) = 1e6.
 """
 
+import numpy as np
+
 from rpcqr import (
-    cond2,
     ortho_deviation,
     ortho_estimate,
     randsvd,
@@ -28,7 +29,7 @@ A = worst_coherence_stack(m, n, kappa, seed=7)
 
 
 def row(regime, f, A1):
-    dev, k = ortho_deviation(f.Q), cond2(A1)
+    dev, k = ortho_deviation(f.Q), np.linalg.cond(A1)
     est = ortho_estimate(k)
     print(f"{regime:>22} {k:10.2e} {dev:12.2e} {est:14.2e} {dev / est:9.2e}")
 

@@ -50,6 +50,6 @@ from .harness import (
     load_config,
     run_experiment,
 )
-from .metrics import coherence, cond2, eta, ortho_deviation, rel_residual
+from .metrics import coherence, ortho_deviation, rel_residual
 
 __version__ = "0.1.0"

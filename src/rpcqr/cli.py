@@ -62,9 +62,8 @@ def _build_config(args):
     """``--config``'s file or defaults, with the flags applied, then validated.
 
     A file whose ``experiment`` is not the subcommand's is a ConfigError.
-    ``--n`` replaces the file's whole axis: it clears ``n`` and ``n_list``,
-    then sets ``n_list`` when given several values, when the file set
-    ``n_list``, or when the experiment takes no ``n``; else ``n``.  So
+    ``--n`` replaces the file's whole axis: one value sets ``n`` if the
+    experiment takes ``n``, else ``n_list``; several set ``n_list``.  So
     does ``--c``, for ``c`` and ``c_list``.
     """
     base = (_read_config(args.config) if args.config
@@ -80,8 +79,7 @@ def _build_config(args):
     for key, listed in (("n", "n_list"), ("c", "c_list")):
         values = flags.pop(key, None)
         if values is not None:
-            as_list = (len(values) > 1 or getattr(base, listed) is not None
-                       or key not in takes)
+            as_list = len(values) > 1 or key not in takes
             flags.update({key: None, listed: values} if as_list
                          else {key: values[0], listed: None})
     if "matrix_kind" in flags:

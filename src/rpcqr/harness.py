@@ -169,10 +169,9 @@ def _read_config(path):
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    try:
-        return ExperimentConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    if "experiment" not in raw:
+        raise ConfigError(f"{path}: missing key experiment")
+    return ExperimentConfig(**raw)
 
 
 def derive_seed(master_seed, point_index, trial_index, method):

@@ -157,7 +157,7 @@ def singular_values(A):
         raise NoConvergenceError(str(exc)) from exc
 
 
-def spectral_norm(A):
+def spectral_norm(A, out=None):
     """Largest singular value, as s * sqrt(lambda_max) of a scaled Gram.
 
     s is the largest absolute entry of A.  The Gram matrix of B = A / s
@@ -165,15 +165,11 @@ def spectral_norm(A):
     >= 1 (``dsyevr`` computes it alone; a nonzero ``info`` raises
     :class:`NoConvergenceError`) sits far above anything that underflows,
     so at any scale the relative error is of order max(m, n) times unit
-    roundoff.  Returns 0 for the zero matrix.  The Gram is formed here, not
-    by :func:`gram`, so metric work never counts as factorization work.
+    roundoff.  Returns 0 for the zero matrix.  B is written to ``out``, if
+    given: a caller that hands over a temporary as both A and ``out`` saves
+    an m x n array.  The Gram is formed here, not by :func:`gram`, so
+    metric work never counts as factorization work.
     """
-    return _spectral_norm(A, None)
-
-
-def _spectral_norm(A, out):
-    # spectral_norm, with A / s written to ``out``: a caller that hands
-    # over a temporary as both A and ``out`` saves an m x n array.
     s = float(max(A.max(), -A.min()))
     if s == 0.0:
         return 0.0

@@ -1,8 +1,9 @@
 """Measured accuracy quantities recorded for every experiment trial.
 
-:func:`measure` fills a CSV row's metric cells in one pass, with the
-arithmetic of the single-quantity functions but ‖A‖ taken once per test
-matrix by the caller.
+:func:`measure` fills a CSV row's metric cells in one pass: the
+arithmetic of :func:`ortho_deviation` and :func:`rel_residual`, with ‖A‖
+taken once per test matrix by the caller, and the library's one definition
+of a row's κ(A₁) and η.
 """
 
 import math
@@ -13,8 +14,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .bounds import ortho_estimate
 from .errors import NotOrthonormalError
-from .kernels import (_spectral_norm, as_matrix, as_tall_matrix,
-                      singular_values, spectral_norm)
+from .kernels import as_matrix, singular_values, spectral_norm
 
 #: Largest deviation from orthonormality :func:`coherence` accepts.
 ORTHO_TOL = 1e-8
@@ -35,7 +35,7 @@ def ortho_deviation(Q):
 def _deviation(G):  # ‖I - G‖₂ of a checked Q's Gram G = QᵀQ, left intact
     S = np.negative(G)
     S.flat[::len(S) + 1] += 1.0  # I - QᵀQ, rounded as np.eye(n) - QᵀQ
-    return _spectral_norm(S, S)
+    return spectral_norm(S, out=S)
 
 
 def coherence(Q):
@@ -56,7 +56,7 @@ def _residual(A, f, norm_A):
     # QR by one dtrmm on a copy of Q (R is triangular), then A - QR in
     # that copy, which the norm then scales: one m x n temporary.
     D = dtrmm(1.0, f.R, f.Q, side=1)
-    return _spectral_norm(np.subtract(A, D, out=D), D) / norm_A
+    return spectral_norm(np.subtract(A, D, out=D), out=D) / norm_A
 
 
 def _a1_singular_values(A1, G, deviation):
@@ -70,15 +70,6 @@ def _a1_singular_values(A1, G, deviation):
     R3 = dpotrf(G, lower=False, clean=True)[0]
     R2 = dpotrf(A1.T @ A1, lower=False, clean=True)[0]
     return singular_values(dtrmm(1.0, R3, R2, overwrite_b=1))
-
-
-def _cond(s):
-    return math.inf if s[-1] == 0.0 else float(s[0] / s[-1])
-
-
-def _eta(s, R_s, norm_A):
-    # s are A1's singular values, so s[0] = ‖A1‖₂.
-    return float(s[0]) * spectral_norm(R_s) / norm_A
 
 
 def rel_residual(A, f):
@@ -98,38 +89,28 @@ def rel_residual(A, f):
     return _residual(A, f, spectral_norm(A))
 
 
-def cond2(A):
-    """Two-norm condition number sigma_1/sigma_n (inf if sigma_n = 0)."""
-    return _cond(singular_values(as_tall_matrix(A)))
-
-
-def eta(A, A1, R_s):
-    """Conditioning of the product A1 * R_s; lies in [1, kappa(A1)]."""
-    A, A1, R_s = as_matrix(A), as_tall_matrix(A1), as_matrix(R_s)
-    if not A.any():  # ‖A‖₂ is the divisor
-        raise ValueError("A must be nonzero")
-    return _eta(singular_values(A1), R_s, spectral_norm(A))
-
-
 def measure(A, norm_A, f, A1=None, R_s=None):
     """The metric cells of one trial row, given ``norm_A`` = ‖A‖₂.
 
-    Returns ``deviation``, ``residual``, ``kappa_A1``, ``eta`` and
-    ``estimate_5_2`` as :func:`ortho_deviation`, :func:`rel_residual`,
-    :func:`cond2`, :func:`eta` and :func:`~rpcqr.bounds.ortho_estimate`
-    define them; the last three are ``None`` without an A1.  The first two
-    are bit for bit those functions' values.  One set of A1's singular
-    values serves κ(A₁) and η: those of the CholeskyQR2 factor R3 R2 that
-    ``f.Q`` = A1 R2⁻¹ completes, within O(u κ(A₁)) relative of the SVD of
-    A1 that :func:`cond2` and :func:`eta` take, or that SVD itself when
-    ‖I - QᵀQ‖₂ >= 1/2.  Unlike those, it checks none of its arguments.
+    ``deviation`` and ``residual`` are bit for bit :func:`ortho_deviation`
+    and :func:`rel_residual`.  With an A1 = A R_s⁻¹ (else they are
+    ``None``), from A1's singular values σ₁ >= ... >= σₙ:
+
+    * ``kappa_A1`` is κ(A₁) = σ₁/σₙ (inf if σₙ = 0);
+    * ``eta`` is η = ‖A1‖₂‖R_s‖₂/‖A‖₂ = σ₁‖R_s‖₂/‖A‖₂, in [1, κ(A₁)];
+    * ``estimate_5_2`` is :func:`~rpcqr.bounds.ortho_estimate` of κ(A₁).
+
+    The σ are those of the CholeskyQR2 factor R3 R2 that ``f.Q`` = A1 R2⁻¹
+    completes, which hold A1's to O(u κ(A₁)) relative, or an SVD of A1
+    when ‖I - QᵀQ‖₂ >= 1/2.  Unlike the functions above, it checks none of
+    its arguments.
     """
     G = f.Q.T @ f.Q
     cells = dict(deviation=_deviation(G), residual=_residual(A, f, norm_A),
                  kappa_A1=None, eta=None, estimate_5_2=None)
     if A1 is not None:
         s = _a1_singular_values(A1, G, cells["deviation"])
-        cells["kappa_A1"] = _cond(s)
-        cells["eta"] = _eta(s, R_s, norm_A)
-        cells["estimate_5_2"] = ortho_estimate(cells["kappa_A1"])
+        kappa = math.inf if s[-1] == 0.0 else float(s[0] / s[-1])
+        cells.update(kappa_A1=kappa, estimate_5_2=ortho_estimate(kappa),
+                     eta=float(s[0]) * spectral_norm(R_s) / norm_A)
     return cells

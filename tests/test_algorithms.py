@@ -34,7 +34,7 @@ from rpcqr.kernels import (
     spectral_norm,
     tri_solve_right,
 )
-from rpcqr.metrics import coherence, cond2, eta
+from rpcqr.metrics import coherence, measure
 from rpcqr.transforms import (
     child_seeds,
     dct_columns,
@@ -44,6 +44,7 @@ from rpcqr.transforms import (
 )
 
 from dct_reference import sampled_frame_singular_values
+from svd_bound import svd_eta, svd_kappa
 
 
 class TestCholeskyQR:
@@ -168,7 +169,7 @@ class TestPreconditionedCholeskyQR:
         f, A1 = preconditioned_cholesky_qr(A, R_s)
         assert ortho_deviation(A1) <= 1e-14
         assert ortho_deviation(f.Q) <= 1e-14
-        assert eta(A, A1, R_s) == pytest.approx(1.0, abs=1e-6)
+        assert svd_eta(A, A1, R_s) == pytest.approx(1.0, abs=1e-6)
         assert rel_residual(A, f) <= 1e-13
 
     # The n cross the triangular solve's recursion, as in
@@ -185,14 +186,14 @@ class TestPreconditionedCholeskyQR:
     def test_sampled_preconditioner_tames_conditioning(self):
         A = haar_rotated(300, 30, 1e6, seed=11)
         _, _, A1 = rp_cholesky_qr(A, 120, seed=12)
-        assert cond2(A1) <= 10
+        assert svd_kappa(A1) <= 10
 
     def test_preconditioner_scale_invariance(self):
         A = haar_rotated(150, 15, 1e3, seed=13)
         R_s = householder_qr(A).R
         f1, A1 = preconditioned_cholesky_qr(A, R_s)
         f2, A2 = preconditioned_cholesky_qr(A, 7.5 * R_s)
-        assert cond2(A1) == pytest.approx(cond2(A2), rel=1e-12)
+        assert svd_kappa(A1) == pytest.approx(svd_kappa(A2), rel=1e-12)
         assert np.max(np.abs(f1.Q - f2.Q)) <= 1e-12
 
     # The pass checks no operand; a zero or non-finite entry still yields
@@ -247,7 +248,7 @@ class TestRpCholeskyQR:
         A = worst_coherence_stack(2000, 100, 1e15, seed=14)
         f, _, A1 = rp_cholesky_qr(A, 600, seed=15)
         assert ortho_deviation(f.Q) <= 1e-13
-        assert cond2(A1) < 10
+        assert svd_kappa(A1) < 10
         assert rel_residual(A, f) <= 1e-14
 
     def test_numerically_singular_small_sample(self):
@@ -305,10 +306,12 @@ class TestRpCholeskyQR:
         # roundoff-level residual but not its order nor eta.
         A = haar_rotated(400, 20, 1e6, seed=1)
         f, R_s, A1 = rp_cholesky_qr(A, 60, seed=3)
-        res, et = rel_residual(A, f), eta(A, A1, R_s)
+        res, et = rel_residual(A, f), measure(A, spectral_norm(A), f, A1,
+                                              R_s)["eta"]
         As = scale * A
         fs, R_ss, A1s = rp_cholesky_qr(As, 60, seed=3)
-        res_s, et_s = rel_residual(As, fs), eta(As, A1s, R_ss)
+        res_s, et_s = rel_residual(As, fs), measure(As, spectral_norm(As), fs,
+                                                    A1s, R_ss)["eta"]
         assert np.isfinite(res_s) and np.isfinite(et_s)
         assert et_s == pytest.approx(et, rel=1e-10, abs=0)
         if np.log2(scale).is_integer():
@@ -471,7 +474,7 @@ class TestSampledFrameSingularValues:
         A = worst_coherence_stack(500, 20, 1e3, seed=26)
         _, _, A1 = rp_cholesky_qr(A, 100, seed=27)
         s = sampled_frame_singular_values(A, 100, 27)
-        assert s[0] / s[-1] == pytest.approx(cond2(A1), rel=1e-8)
+        assert s[0] / s[-1] == pytest.approx(svd_kappa(A1), rel=1e-8)
 
     def test_scalar_case(self):
         A = haar_rotated(64, 1, 1.0, seed=28)
@@ -483,7 +486,6 @@ class TestSampledFrameSingularValues:
 # Every rejection of a public entry point, with its exact type and message.
 # One bad value per case: the other arguments stay valid.
 _A = haar_rotated(8, 3, 10.0, seed=0)
-_R_S = np.triu(np.ones((3, 3))) + np.eye(3)
 _F = householder_qr(_A)
 
 #: (entry point, argument, call with that argument replaced, its valid
@@ -495,10 +497,6 @@ _MATRIX_ARGS = [
     ("ortho_deviation", "Q", ortho_deviation, _F.Q, False),
     ("coherence", "Q", coherence, _F.Q, False),
     ("rel_residual", "A", lambda X: rel_residual(X, _F), _A, False),
-    ("cond2", "A", cond2, _A, True),
-    ("eta", "A", lambda X: eta(X, _A, _R_S), _A, False),
-    ("eta", "A1", lambda X: eta(_A, X, _R_S), _A, True),
-    ("eta", "R_s", lambda X: eta(_A, _A, X), _R_S, False),
 ]
 
 
@@ -565,8 +563,6 @@ def _rejections():
                                                     -np.zeros((8, 3)))]:
         yield pytest.param(lambda A=A: rel_residual(A, _F), ValueError,
                            "A must be nonzero", id=f"rel_residual-{name}")
-        yield pytest.param(lambda A=A: eta(A, _A, _R_S), ValueError,
-                           "A must be nonzero", id=f"eta-{name}")
     # The generators check the caller's scalars: (m, n), kappa and the seed.
     generators = [
         ("haar_frame", lambda m, n, kappa, seed: haar_frame(m, n, seed)),

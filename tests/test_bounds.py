@@ -165,6 +165,16 @@ def test_rejects_invalid_conditioning(bounds, kappa, eta):
         bounds(PerturbationSet.roundoff(), kappa, eta)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(eps_gram=-1e-16), "perturbations must be finite and nonnegative"),
+    (dict(eps_solve=math.nan), "perturbations must be finite and nonnegative"),
+    (dict(kappa_precond=0.5), "kappa_precond must be finite and >= 1"),
+], ids=["negative", "nan", "kappa_precond"])
+def test_perturbation_set_rejects_invalid_fields(kwargs, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        PerturbationSet(**kwargs)
+
+
 @pytest.mark.parametrize("bounds", [preconditioned_bounds,
                                     first_order_bounds])
 @pytest.mark.parametrize("kappa, eta", [

@@ -25,13 +25,13 @@ import functools
 import numpy as np
 import pytest
 
-from rpcqr import (CholeskyBreakdown, RankDeficientSampleError, cond2,
+from rpcqr import (CholeskyBreakdown, RankDeficientSampleError,
                    ortho_deviation, ortho_estimate, randsvd, rp_cholesky_qr)
 from rpcqr.algorithms import preconditioned_cholesky_qr
 from rpcqr.harness import MATRIX_KINDS
 from rpcqr.kernels import householder_r, spectral_norm
 from rpcqr.metrics import measure
-from svd_bound import BOUND, svd_ratios
+from svd_bound import BOUND, svd_kappa, svd_ratios
 
 M, N, KAPPA = 2000, 100, 1e15
 MATRIX_SEEDS = (1, 2)
@@ -44,7 +44,7 @@ T_SEEDS = range(3)
 def cells(A, norm_A, f, R_s, A1):
     """A row's ``deviation``, ``kappa_A1`` and ``estimate_5_2`` cells, and
     the :func:`svd_ratios` of its ``measure`` cells."""
-    kappa = cond2(A1)
+    kappa = svd_kappa(A1)
     return dict(deviation=ortho_deviation(f.Q), kappa_A1=kappa,
                 estimate_5_2=ortho_estimate(kappa),
                 svd_ratios=svd_ratios(measure(A, norm_A, f, A1, R_s),

@@ -118,6 +118,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_load_config_names_a_missing_experiment(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "n": 5}))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"{path}: missing key experiment"
+
+    @pytest.mark.parametrize("text, reason", [
+        (None, "cannot read config"), ("{", "invalid config syntax")])
+    def test_load_config_names_an_unreadable_file(self, tmp_path, text,
+                                                  reason):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "
+                                              f"{reason}: "):
+            load_config(path)
+
     def test_load_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
         for key in ("samples", "regenerate_matrix_per_trial",
@@ -714,6 +732,14 @@ class TestEmitCsv:
         assert row["c"] == "" and row["kappa_A1"] == "" and row["eta"] == ""
         assert row["breakdown"] in ("true", "false")
 
+    def test_unwritable_path_is_named(self, tmp_path):
+        rows = run_experiment(ExperimentConfig(
+            experiment="single", m=100, n=10, method="basic"))
+        path = tmp_path / "no_dir" / "out.csv"
+        with pytest.raises(OSError, match=f"^{re.escape(str(path))}: "
+                                          "cannot write CSV: "):
+            emit_csv(rows, path)
+
     def test_refuses_empty_table(self, tmp_path):
         with pytest.raises(ValueError):
             emit_csv([], tmp_path / "x.csv")
@@ -748,7 +774,9 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         array, fractional = tmp_path / "array.json", tmp_path / "frac.json"
+        syntax = tmp_path / "syntax.json"
         array.write_text("[]")
+        syntax.write_text("{")
         fractional.write_text(json.dumps({
             "schema_version": 1, "experiment": "single", "n": 10,
             "m": 200.0}))
@@ -780,6 +808,9 @@ class TestCli:
             ["bounds", "--kappa-a1", "10", "--eta", "nan"],
             ["bounds", "--kappa-a1", "10", "--eta", "-3"],
             ["bounds", "--kappa-a1", "10", "--eta", "20"],
+            ["bounds", "--eps", "-1", "--kappa-a1", "10"],
+            ["single", "--config", str(tmp_path / "missing.json")],
+            ["single", "--config", str(syntax)],
         ):
             rc = main(argv)
             assert rc == 1, argv
@@ -877,7 +908,12 @@ class TestCli:
           "--eta", "2"],
          ["assumption_ok=False", "cond_factor=None", "ortho_bound=None",
           "residual_bound=None", "eta=2.0", "kappa_preconditioned=1000.0"]),
-    ], ids=["assumption_holds", "assumption_fails"])
+        (["--eps", "1e-16", "--kappa-a1", "1e3", "--eta", "2",
+          "--first-order"],
+         ["assumption_ok=True", "cond_factor=1.0000000003000002",
+          "ortho_bound=4e-10", "residual_bound=2.005e-13", "eta=2.0",
+          "kappa_preconditioned=1000.0"]),
+    ], ids=["assumption_holds", "assumption_fails", "first_order"])
     def test_bounds_output_golden(self, argv, lines, capsys):
         assert main(["bounds", *argv]) == 0
         assert capsys.readouterr().out.splitlines() == lines
@@ -942,14 +978,32 @@ class TestCli:
         (["single", "--n", "10", "--c", "40"], [(10, 40)]),
         (["compare-cqr2", "--n", "10", "--c", "40"], [(10, 40)]),
         (["sweep-n", "--n", "10"], [(10, 30)]),
+        (["compare-cqr2", "--config", "fig8", "--n", "50", "--c", "300"],
+         [(50, 300)]),
+        (["sweep-n", "--n", "10,20"], [(10, 30), (20, 60)]),
+        (["sweep-c", "--config", "fig1", "--c", "300,400"],
+         [(100, 300), (100, 400)]),
+        (["compare-cqr2", "--config", "fig7", "--c", "300,600"],
+         [(200, 300), (200, 600)]),
+        (["compare-cqr2", "--config", "fig8", "--n", "50,60"],
+         [(50, 150), (60, 180)]),
+        (["compare-cqr2", "--n", "10", "--c", "40,50"],
+         [(10, 40), (10, 50)]),
     ])
     def test_flag_replaces_the_files_whole_axis(self, argv, points):
-        # A flag's one value takes the list key when the file held it, or
-        # when the experiment takes no scalar of that key.
+        # A flag's one value sets the scalar key when the experiment takes
+        # it, else the list key, whichever of the two the file set.
         argv = [str(CONFIGS / f"{a}.json") if a.startswith("fig") else a
                 for a in argv]
         args = build_parser().parse_args(argv + ["--matrix", "haar"])
         assert sweep_points(_build_config(args)) == points
+
+    def test_several_values_need_an_experiment_that_takes_the_list(
+            self, capsys):
+        # Several values set the list key, which single takes for neither.
+        assert main(["single", "--n", "10,20"]) == 1
+        assert capsys.readouterr().err == \
+            "error: single takes n or n+c, got n_list\n"
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfgp = tmp_path / "cfg.json"

@@ -317,6 +317,25 @@ class TestSpectralNorm:
         expected = s * np.sqrt(np.linalg.eigvalsh(G)[-1])
         assert spectral_norm(A) == pytest.approx(expected, rel=4 * EPS, abs=0)
 
+    # The scaled copy B goes to ``out``; the metrics hand over a
+    # temporary as both A and ``out``.  Either way, the same bits.
+    OUT_SHAPES = [(300, 20), (20, 300), (40, 40), (60, 1), (1, 60)]
+
+    @pytest.mark.parametrize("shape", OUT_SHAPES)
+    def test_out_leaves_a_intact(self, shape):
+        A = rng(11).standard_normal(shape)
+        A_before = A.copy()
+        out = np.empty_like(A)
+        assert spectral_norm(A, out=out) == spectral_norm(A)
+        assert np.array_equal(A, A_before)
+        assert np.array_equal(out, A / np.abs(A).max())
+
+    @pytest.mark.parametrize("shape", OUT_SHAPES)
+    def test_out_may_be_a_itself(self, shape):
+        A = rng(12).standard_normal(shape)
+        want = spectral_norm(A)
+        assert spectral_norm(A, out=A) == want
+
     def test_no_convergence(self, monkeypatch):
         monkeypatch.setattr(rpcqr.kernels, "dsyevr",
                             lambda G, **kw: (np.zeros(len(G)), None, 0, None, 3))

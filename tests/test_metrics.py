@@ -14,8 +14,6 @@ from rpcqr import (
     QRFactors,
     cholesky_qr,
     cholesky_qr2,
-    cond2,
-    eta,
     haar_frame,
     haar_rotated,
     ortho_deviation,
@@ -25,10 +23,10 @@ from rpcqr import (
     rp_cholesky_qr,
     worst_coherence_stack,
 )
-from rpcqr.algorithms import _cholesky_qr
-from rpcqr.kernels import householder_qr, spectral_norm
+from rpcqr.algorithms import _cholesky_qr, preconditioned_cholesky_qr
+from rpcqr.kernels import householder_qr, householder_r, spectral_norm
 from rpcqr.metrics import measure
-from svd_bound import BOUND, svd_ratios
+from svd_bound import BOUND, svd_eta, svd_kappa, svd_ratios
 
 
 class TestOrthoDeviation:
@@ -157,8 +155,8 @@ class TestMeasure:
         f, R_s, A1 = rp_cholesky_qr(A, 60, seed=14)
         cells = measure(A, spectral_norm(A), replace(f, Q=2 * f.Q), A1, R_s)
         assert cells["deviation"] >= 0.5
-        assert cells["kappa_A1"] == cond2(A1)
-        assert cells["eta"] == eta(A, A1, R_s)
+        assert cells["kappa_A1"] == svd_kappa(A1)
+        assert cells["eta"] == svd_eta(A, A1, R_s)
 
     def test_recomputed_r2_is_the_pass_factor(self, monkeypatch):
         A = worst_coherence_stack(300, 20, 1e12, seed=13)
@@ -175,6 +173,20 @@ class TestMeasure:
         assert len(factors) == 2  # R3, then R2
         assert np.array_equal(factors[1], _cholesky_qr(A1).R)
 
+    # Small samples c give the largest κ(A₁), where R3 R2's O(u κ(A₁))
+    # error in the σ is largest.
+    @pytest.mark.parametrize("make, kappa, c", [
+        (haar_rotated, 1e2, 60), (haar_rotated, 1e14, 60),
+        (haar_rotated, 1e14, 22), (worst_coherence_stack, 1e2, 60),
+        (worst_coherence_stack, 1e14, 60), (worst_coherence_stack, 1e14, 22),
+    ])
+    def test_rp_row_lies_within_the_svd_bound(self, make, kappa, c):
+        A = make(400, 20, kappa, 16)
+        f, R_s, A1 = rp_cholesky_qr(A, c, seed=17)
+        cells = measure(A, spectral_norm(A), f, A1, R_s)
+        assert cells["deviation"] < 0.5
+        assert max(svd_ratios(cells, A, A1, R_s)) <= BOUND
+
     def test_no_preconditioned_matrix(self):
         A = haar_rotated(200, 20, 1e5, seed=15)
         f = cholesky_qr2(A)
@@ -184,45 +196,66 @@ class TestMeasure:
                              eta=None, estimate_5_2=None)
 
 
-class TestCond2:
+def _kappa_cell(A):
+    """measure's κ(A₁) of the preconditioned pass on A with R_s = I."""
+    R_s = np.eye(A.shape[1])
+    f, A1 = preconditioned_cholesky_qr(A, R_s)
+    return measure(A, spectral_norm(A), f, A1, R_s)["kappa_A1"]
+
+
+class TestMeasureKappa:
+    # κ(A₁) = σ₁/σₙ of A1; with R_s = I, A1 is A itself.
     def test_orthonormal(self):
-        assert cond2(haar_frame(200, 10, seed=8)) == pytest.approx(1.0, abs=1e-12)
+        assert _kappa_cell(haar_frame(200, 10, seed=8)) == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_stack(self):
         A = np.vstack([np.diag([4.0, 2.0]), np.zeros((3, 2))])
-        assert cond2(A) == pytest.approx(2.0)
+        assert _kappa_cell(A) == pytest.approx(2.0)
 
     def test_generator_round_trip(self):
         A = randsvd(20, 1e6, seed=9)
-        assert cond2(A) == pytest.approx(1e6, rel=1e-6)
+        assert _kappa_cell(A) == pytest.approx(1e6, rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [1e-8, 1.0, 1e8])
     def test_scale_invariance(self, alpha):
+        # Each κ carries O(u κ(A₁)) of R3 R2's error.
         A = haar_rotated(80, 8, 1e4, seed=10)
-        assert cond2(alpha * A) == pytest.approx(cond2(A), rel=1e-12)
+        assert _kappa_cell(alpha * A) == pytest.approx(
+            _kappa_cell(A), rel=2 * BOUND * EPS * 1e4)
 
     def test_exact_rank_deficiency(self):
+        # A singular A1 breaks the pass down, so only a factor whose
+        # deviation reaches 1/2 (an SVD of A1) can meet it: κ is inf.
         A = np.zeros((5, 2))
         A[0, 0] = 1.0
-        assert cond2(A) == np.inf
+        f = householder_qr(A)
+        cells = measure(A, spectral_norm(A), replace(f, Q=2 * f.Q), A,
+                        np.eye(2))
+        assert cells["kappa_A1"] == np.inf
+        assert cells["estimate_5_2"] == np.inf
 
 
-class TestEta:
+class TestMeasureEta:
+    # η = ‖A1‖₂‖R_s‖₂/‖A‖₂ lies in [1, κ(A₁)], as A = A1 R_s.
     def test_perfect_preconditioner(self):
         A = haar_rotated(100, 10, 10.0, seed=11)
-        R_s = householder_qr(A).R
-        from rpcqr.kernels import tri_solve_right
-
-        A1 = tri_solve_right(A, R_s)
-        assert eta(A, A1, R_s) == pytest.approx(1.0, abs=1e-6)
+        R_s = householder_r(A)
+        f, A1 = preconditioned_cholesky_qr(A, R_s)
+        cells = measure(A, spectral_norm(A), f, A1, R_s)
+        assert cells["eta"] == pytest.approx(1.0, abs=1e-6)
+        assert cells["kappa_A1"] == pytest.approx(1.0, abs=1e-6)
 
     def test_identity_preconditioner(self):
         A = haar_rotated(100, 10, 1e3, seed=12)
-        assert eta(A, A, np.eye(10)) == pytest.approx(1.0, abs=1e-9)
+        f, A1 = preconditioned_cholesky_qr(A, np.eye(10))
+        cells = measure(A, spectral_norm(A), f, A1, np.eye(10))
+        assert cells["eta"] == pytest.approx(1.0, abs=1e-9)
+        assert cells["kappa_A1"] == pytest.approx(1e3, rel=1e-6)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_within_theoretical_range(self, seed):
         A = worst_coherence_stack(300, 20, 1e8, seed=seed)
         f, R_s, A1 = rp_cholesky_qr(A, 60, seed=seed + 100)
-        e = eta(A, A1, R_s)
-        assert 1.0 - 1e-6 <= e <= cond2(A1) * (1.0 + 1e-6)
+        cells = measure(A, spectral_norm(A), f, A1, R_s)
+        assert 1.0 <= cells["eta"] <= cells["kappa_A1"] * (1.0 + 1e-6)
