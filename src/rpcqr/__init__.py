@@ -31,7 +31,6 @@ from .errors import (
     CholeskyBreakdown,
     DomainError,
     NoConvergenceError,
-    NotOrthonormalError,
     RankDeficientSampleError,
 )
 from .genmat import (
@@ -50,6 +49,6 @@ from .harness import (
     load_config,
     run_experiment,
 )
-from .metrics import coherence, ortho_deviation, rel_residual
+from .metrics import ortho_deviation, rel_residual
 
 __version__ = "0.1.0"

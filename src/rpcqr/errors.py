@@ -25,10 +25,6 @@ class NoConvergenceError(Exception):
     """An iterative eigenvalue/singular-value computation failed to converge."""
 
 
-class NotOrthonormalError(Exception):
-    """Input expected to have (nearly) orthonormal columns does not."""
-
-
 class RankDeficientSampleError(Exception):
     """The sampled row matrix is numerically rank deficient.
 

@@ -163,7 +163,8 @@ def _read_config(path):
         raise ConfigError(f"{path}: invalid config syntax: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    if raw.pop("schema_version", None) != SCHEMA_VERSION:
+    version = raw.pop("schema_version", None)
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(f"{path}: missing or unsupported schema_version")
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(raw) - known

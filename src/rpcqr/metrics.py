@@ -13,11 +13,7 @@ from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf
 
 from .bounds import ortho_estimate
-from .errors import NotOrthonormalError
 from .kernels import as_matrix, singular_values, spectral_norm
-
-#: Largest deviation from orthonormality :func:`coherence` accepts.
-ORTHO_TOL = 1e-8
 
 
 def ortho_deviation(Q):
@@ -36,20 +32,6 @@ def _deviation(G):  # ‖I - G‖₂ of a checked Q's Gram G = QᵀQ, left intac
     S = np.negative(G)
     S.flat[::len(S) + 1] += 1.0  # I - QᵀQ, rounded as np.eye(n) - QᵀQ
     return spectral_norm(S, out=S)
-
-
-def coherence(Q):
-    """Largest squared row norm of a matrix with orthonormal columns.
-
-    Lies in [n/m, 1]; equals 1 when the column space is aligned with
-    coordinate axes (worst case for uniform sampling).  Raises
-    :class:`NotOrthonormalError` if :func:`ortho_deviation` > ``ORTHO_TOL``.
-    """
-    Q = as_matrix(Q)
-    if _deviation(Q.T @ Q) > ORTHO_TOL:
-        raise NotOrthonormalError("columns deviate from orthonormality by "
-                                  f"more than {ORTHO_TOL:g}")
-    return float(np.max(np.einsum("ij,ij->i", Q, Q)))
 
 
 def _residual(A, f, norm_A):

@@ -1,6 +1,7 @@
 """DCT oracles for the tests: the naive O(m^2) DCT-II that the fast DCT is
-compared against, and the singular values of the DCT-sketched orthonormal
-frame that the preconditioned spectrum is compared against."""
+compared against, the singular values of the DCT-sketched orthonormal frame
+that the preconditioned spectrum is compared against, and the coherence μ
+that the sign flip and the DCT flatten."""
 
 import math
 
@@ -34,6 +35,19 @@ def dct_columns_reference(A):
     """O(m^2) reference DCT-II; agrees with the fast path to ~1e-13."""
     A = as_matrix(A)
     return dct_matrix(A.shape[0]) @ A
+
+
+def coherence(Q):
+    """Largest squared row norm of Q, in [n/m, 1] when Q is orthonormal.
+
+    For an orthonormal basis of A's column space it is the coherence μ that
+    :func:`~rpcqr.bounds.sampling_lower_bound` takes: 1 when that space
+    holds a coordinate axis (the worst case for uniform row sampling), n/m
+    when every row carries equal weight.  Q is not checked for
+    orthonormality.
+    """
+    Q = as_matrix(Q)
+    return float(np.max(np.einsum("ij,ij->i", Q, Q)))
 
 
 def sampled_frame_singular_values(A, c, seed):

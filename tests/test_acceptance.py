@@ -17,7 +17,6 @@ from rpcqr import (
     ExperimentConfig,
     PerturbationSet,
     basic_bounds,
-    coherence,
     first_order_bounds,
     growth_factors,
     haar_rotated,
@@ -41,7 +40,7 @@ from rpcqr.kernels import (
 from rpcqr.transforms import dct_columns, rademacher_diag, sample_rows
 
 import bounds_reference as oracle
-from dct_reference import dct_matrix, sampled_frame_singular_values
+from dct_reference import coherence, dct_matrix, sampled_frame_singular_values
 
 
 def report(capsys, number, name, ok, detail=""):

@@ -56,6 +56,20 @@ def test_float_drift_is_reported_not_failed(tmp_path, capsys, rows):
     assert float(max_rel) == pytest.approx(2 ** -50, rel=1e-2)
 
 
+@pytest.mark.parametrize("before, after", [
+    (float("inf"), 12.0), (float("nan"), 2.0), (2.0, float("nan")),
+], ids=["inf_base", "nan_base", "nan_new"])
+def test_non_finite_drift_is_infinite(tmp_path, capsys, rows, before, after):
+    # A singular A1 writes kappa_A1 = inf; a change from it is not 0 drift.
+    table = [dict(r) for r in rows]
+    table[0]["kappa_A1"] = before
+    base = write(tmp_path, "base.csv", table)
+    table[0]["kappa_A1"] = after
+    new = write(tmp_path, "new.csv", table)
+    assert csv_drift.main([base, new]) == 0
+    assert report(capsys)["kappa_A1"] == ["1/4", "inf", "inf"]
+
+
 @pytest.mark.parametrize("change", [
     lambda rs: [dict(rs[0], seed=rs[0]["seed"] + 1)] + rs[1:],
     lambda rs: [dict(rs[0], method="basic")] + rs[1:],

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rpcqr import (
-    coherence,
-    haar_frame,
-    haar_rotated,
-    randsvd,
-    worst_coherence_stack,
-)
+from rpcqr import haar_frame, haar_rotated, randsvd, worst_coherence_stack
 from rpcqr.kernels import householder_qr, singular_values, spectral_norm
+from dct_reference import coherence
 
 
 class TestHaarFrame:

@@ -148,6 +148,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("text", [
         "[1, 2]",
+        '{"schema_version": true, "experiment": "single", "n": 5}',
+        '{"schema_version": 1.0, "experiment": "single", "n": 5}',
         '{"schema_version": 1, "experiment": "single", "n": 5, "trials": 2.5}',
         '{"schema_version": 1, "experiment": "single", "n": 5, "m": 200.0}',
         '{"schema_version": 1, "experiment": "single", "n": 5, '

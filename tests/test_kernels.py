@@ -278,6 +278,14 @@ class TestSingularValues:
         s = singular_values(A)
         assert s[0] / s[-1] == pytest.approx(1e4, rel=1e-8)
 
+    def test_no_convergence(self, monkeypatch):
+        def svd(A, compute_uv):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        with pytest.raises(NoConvergenceError, match="SVD did not converge"):
+            singular_values(np.ones((4, 2)))
+
 
 class TestSpectralNorm:
     def test_zero_matrix(self):

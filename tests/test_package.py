@@ -7,9 +7,9 @@ import rpcqr
 EXPORTS = [
     "BoundSet", "CSV_COLUMNS", "CholeskyBreakdown", "ConfigError",
     "DomainError", "EPS", "ExperimentConfig", "GrowthFactors",
-    "NoConvergenceError", "NotOrthonormalError", "PerturbationSet",
+    "NoConvergenceError", "PerturbationSet",
     "QRFactors", "RankDeficientSampleError", "SamplingBound", "basic_bounds",
-    "cholesky_qr", "cholesky_qr2", "coherence", "emit_csv",
+    "cholesky_qr", "cholesky_qr2", "emit_csv",
     "first_order_bounds", "format_summary", "growth_factors", "haar_frame",
     "haar_rotated", "load_config", "ortho_deviation", "ortho_estimate",
     "preconditioned_bounds", "randsvd", "rel_residual", "rp_cholesky_qr",

@@ -5,7 +5,8 @@
 Prints one line per column (``wall_time_s`` is skipped): how many cells
 differ, and the largest absolute and relative drift of the float cells,
 relative to BASE.  A float cell is one that parses as a float but not as an
-int, as ``emit_csv`` writes floats.  Exits 1 when the headers or row counts
+int, as ``emit_csv`` writes floats; one that changes from or to ``nan``, or
+from ``inf``, drifts by inf, absolute and relative.  Exits 1 when the headers or row counts
 differ or any other cell differs (an empty cell against a float counts),
 and 0 otherwise, so float drift alone passes and is reported.  A reader
 that closes the pipe early, such as ``head``, ends it quietly with status 1.
@@ -57,8 +58,10 @@ def drift(base, new):
                 exact = True
                 continue
             d = abs(y - x)
-            max_abs = max(max_abs, d)
-            max_rel = max(max_rel, d / abs(x) if x else math.inf)
+            rel = d / abs(x) if x else math.inf
+            if math.isnan(d + rel):  # from a nan or an inf base: unbounded
+                d = rel = math.inf
+            max_abs, max_rel = max(max_abs, d), max(max_rel, rel)
         out[name] = (differ, max_abs, max_rel, exact)
     return out
 
