@@ -5,7 +5,8 @@ method) through :func:`rpcqr.transforms.child_seeds`, whose hashing is
 documented stable, so any CSV row can be replayed in isolation.  The test
 matrix is fixed per sweep point, so each task that runs trials of a point
 makes it column-major, and takes its norm, once; a seed-free method (all
-but ``rp``) runs once per point, at trial 0.
+but ``rp``) runs once per point, at trial 0.  Serial or forked, a run deals
+the same tasks and places each row by its (point, trial, method).
 
 Breakdowns never abort a sweep: they become rows with breakdown=true and
 empty metric cells.
@@ -60,19 +61,18 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-Experiment = namedtuple("Experiment", "point_keys methods matrix_kind")
+Experiment = namedtuple("Experiment", "point_keys methods")
 
 #: Experiments, each also a CLI subcommand (``_`` becomes ``-``):
 #: ``point_keys`` are the sets of ``n``, ``c``, ``n_list`` and ``c_list``
 #: (in that order) a config may set; ``methods`` run at every point
-#: (None: ``config.method``); a ``matrix_kind`` is the only one taken.
+#: (None: ``config.method``).
 EXPERIMENTS = {
-    "single": Experiment((("n",), ("n", "c")), None, None),
-    "sweep_c": Experiment((("n", "c_list"),), None, None),
-    "sweep_n": Experiment((("n_list",),), None, None),
+    "single": Experiment((("n",), ("n", "c")), None),
+    "sweep_c": Experiment((("n", "c_list"),), None),
+    "sweep_n": Experiment((("n_list",),), None),
     "compare_cqr2": Experiment(
-        (("n_list",), ("n",), ("n", "c"), ("n", "c_list")), ("rp", "cqr2"),
-        "haar_rotated"),
+        (("n_list",), ("n",), ("n", "c"), ("n", "c_list")), ("rp", "cqr2")),
 }
 
 
@@ -121,9 +121,6 @@ class ExperimentConfig:
         if self.trials < 1 or self.jobs < 1 or self.master_seed < 0:
             raise ConfigError("trials and jobs must be >= 1, master_seed >= 0")
         spec = EXPERIMENTS[self.experiment]
-        if spec.matrix_kind not in (None, self.matrix_kind):
-            raise ConfigError(f"{self.experiment} requires "
-                              f"matrix_kind={spec.matrix_kind}")
         if spec.methods and self.method != ExperimentConfig.method:
             raise ConfigError(
                 f"{self.experiment} ignores method={self.method}")
@@ -264,11 +261,11 @@ def run_experiment(config):
     """Run ``config``'s experiment over :func:`sweep_points`; return its rows.
 
     Each point runs the methods of the experiment's :data:`EXPERIMENTS`
-    entry; ``single`` runs one trial.  Rows come point by point, trial by
-    trial, also when ``min(jobs, points, cores)`` > 1 forked workers (none
-    without ``fork``, as on Windows) run the :func:`_tasks`: they inherit
-    the modules, rebound names and BLAS threads.  A seed-free method runs
-    at trial 0 only, and its later trials copy that row.
+    entry; ``single`` runs one trial.  Its :func:`_tasks`, dealt for
+    ``min(jobs, points, cores)`` jobs, run here at one job (also without
+    ``fork``, as on Windows), else in forked workers, which inherit the
+    modules, rebound names and BLAS threads.  Rows come point by point,
+    trial by trial, each found by its own (point, trial, method).
     """
     config.validate()
     if config.experiment == "single":
@@ -276,28 +273,24 @@ def run_experiment(config):
     points = [(i, n, c) for i, (n, c) in enumerate(sweep_points(config))]
     methods = _methods(config)
     run_task = partial(_task_rows, config, methods)
-    jobs = min(config.jobs, len(points), os.cpu_count() or 1)
-    if jobs == 1 or "fork" not in mp.get_all_start_methods():
-        done = [run_task(*p, 0, config.trials) for p in points]
+    jobs = (min(config.jobs, len(points), os.cpu_count() or 1)
+            if "fork" in mp.get_all_start_methods() else 1)
+    tasks = _tasks(points, config.trials, jobs)
+    if jobs == 1:
+        done = [run_task(*task) for task in tasks]
     else:
-        tasks = _tasks(points, config.trials, jobs)
         with mp.get_context("fork").Pool(  # an error terminates it
                 jobs, initializer=_keep_freed_pages) as pool:
             done = pool.starmap(run_task, tasks, chunksize=1)
             pool.close()
             pool.join()
-        by_task = dict(zip(tasks, done))
-        done = [by_task[task] for task in sorted(tasks)]
-    ran, rows = (row for task_rows in done for row in task_rows), []
+    ran = {(task[0], row["trial"], row["method"]): row
+           for task, task_rows in zip(tasks, done) for row in task_rows}
     seed = partial(derive_seed, config.master_seed)
-    for i, _, _ in points:
-        row0 = len(rows)
-        for t in range(config.trials):
-            for j, meth in enumerate(methods):  # rows[row0 + j]: trial 0
-                rows.append(next(ran) if t == 0 or METHODS[meth].samples_c
-                            else dict(rows[row0 + j], trial=t,
-                                      seed=seed(i, t, meth)))
-    return rows
+    return [ran.get((i, t, meth))
+            or dict(ran[i, 0, meth], trial=t, seed=seed(i, t, meth))
+            for i, _, _ in points for t in range(config.trials)
+            for meth in methods]
 
 
 def _tasks(points, trials, jobs):
@@ -334,7 +327,7 @@ def _keep_freed_pages():
 def _task_rows(config, methods, point_index, n, c, start, stop):
     """The rows that trials start..stop-1 of a point run, on one A and ‖A‖.
 
-    A seed-free method runs at trial 0 only; the caller copies its row.
+    A seed-free method runs at trial 0 only; the caller copies its row by key.
     """
     A = np.asfortranarray(MATRIX_KINDS[config.matrix_kind](
         config.m, n, config.kappa,
@@ -382,13 +375,14 @@ def emit_csv(rows, path):
 
 
 def _mean(values, geometric):
-    """Mean of the finite ``values``, or None if there are none (or, for a
-    geometric mean, if one is <= 0)."""
+    """Mean of the finite ``values``, or None if there are none; a geometric
+    mean of non-negative values (norms, estimates) is 0 if one is 0."""
     vals = [v for v in values if v is not None and math.isfinite(v)]
-    if not vals or (geometric and min(vals) <= 0):
+    if not vals:
         return None
     if geometric:
-        return math.exp(sum(math.log(v) for v in vals) / len(vals))
+        return 0.0 if min(vals) == 0 else math.exp(
+            sum(math.log(v) for v in vals) / len(vals))
     return sum(vals) / len(vals)
 
 

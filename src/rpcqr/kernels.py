@@ -160,21 +160,20 @@ def singular_values(A):
 def spectral_norm(A, out=None):
     """Largest singular value, as s * sqrt(lambda_max) of a scaled Gram.
 
-    s is the largest absolute entry of A.  The Gram matrix of B = A / s
-    (B^T B, or B B^T when A is wide) cannot overflow, and its lambda_max
-    >= 1 (``dsyevr`` computes it alone; a nonzero ``info`` raises
-    :class:`NoConvergenceError`) sits far above anything that underflows,
-    so at any scale the relative error is of order max(m, n) times unit
-    roundoff.  Returns 0 for the zero matrix.  B is written to ``out``, if
-    given: a caller that hands over a temporary as both A and ``out`` saves
-    an m x n array.  The Gram is formed here, not by :func:`gram`, so
-    metric work never counts as factorization work.
+    s is the largest absolute entry of A.  The Gram B^T B of B = A / s
+    cannot overflow, and its lambda_max >= 1 (``dsyevr`` computes it
+    alone; a nonzero ``info`` raises :class:`NoConvergenceError`) sits far
+    above anything that underflows, so at any scale the relative error is
+    of order max(m, n) times unit roundoff.  Returns 0 for the zero matrix.
+    B is written to ``out``, if given: a caller that hands over a temporary
+    as both A and ``out`` saves an m x n array.  The Gram is formed here,
+    not by :func:`gram`, so metric work never counts as factorization work.
     """
     s = float(max(A.max(), -A.min()))
     if s == 0.0:
         return 0.0
     B = np.divide(A, s, out=out)
-    G = B.T @ B if B.shape[0] >= B.shape[1] else B @ B.T
+    G = B.T @ B
     w, _, _, _, info = dsyevr(G, compute_v=0, range="I", il=len(G), iu=len(G))
     if info:
         raise NoConvergenceError(f"dsyevr failed with info={info}")

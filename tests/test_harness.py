@@ -64,7 +64,7 @@ POINT_VALUES = {"n": 5, "c": 20, "n_list": [5], "c_list": [20]}
 
 
 def point_config(experiment, keys):
-    # Every experiment takes haar_rotated; compare_cqr2 takes only that.
+    # Every experiment takes haar_rotated.
     return ExperimentConfig(experiment=experiment, matrix_kind="haar_rotated",
                             m=200, **{k: POINT_VALUES[k] for k in keys})
 
@@ -245,14 +245,13 @@ class TestConfig:
 
     def test_configs_readme_tables_the_experiments(self):
         keys = (CONFIGS / "README.md").read_text().split("## Keys")[1]
-        rows = re.findall(r"^\| `(\w+)` \| (.+) \| (.+) \| (.+) \|$",
+        rows = re.findall(r"^\| `(\w+)` \| (.+) \| (.+) \|$",
                           keys.split("\n## ")[0], re.M)
         table = {name: (
             tuple(tuple(k.split("+")) for k in re.findall(r"`(.+?)`", sets)),
             None if methods == "`method`"
             else tuple(re.findall(r"`(\w+)`", methods)),
-            None if kind == "any" else kind.strip("`"),
-        ) for name, sets, methods, kind in rows}
+        ) for name, sets, methods in rows}
         assert table == {name: tuple(spec)
                          for name, spec in harness.EXPERIMENTS.items()}
         assert ACCEPTED_POINT_KEYS == {
@@ -619,6 +618,36 @@ class TestParallelPoints:
                                  set()).add(row["wall_time_s"])
         assert all(len(wall) == 1 for wall in walls.values())
 
+    def test_serial_run_deals_tasks_and_places_rows_by_key(self,
+                                                           monkeypatch):
+        # Each trial its own task, in reverse order: the rows still land at
+        # their (point, trial, method), as the run with whole points.
+        cfg = ExperimentConfig(experiment="compare_cqr2",
+                               matrix_kind="haar_rotated", m=150, n=15,
+                               kappa=1e7, c_list=[30, 45], trials=3,
+                               master_seed=23)
+        whole = run_experiment(cfg)
+        dealt = []
+
+        def per_trial(points, trials, jobs):
+            dealt.append(jobs)
+            return [(*p, t, t + 1) for p in reversed(points)
+                    for t in reversed(range(trials))]
+
+        monkeypatch.setattr(harness, "_tasks", per_trial)
+        rows = run_experiment(cfg)
+        assert dealt == [1]
+        assert _stripped(rows) == _stripped(whole)
+        for point in (rows[:6], rows[6:]):  # cqr2 ran at trial 0 only
+            assert len({r["wall_time_s"] for r in point
+                        if r["method"] == "cqr2"}) == 1
+        # A task list without trial 0 leaves no row to copy: an error, not
+        # a shifted table.
+        monkeypatch.setattr(harness, "_tasks", lambda points, trials, jobs:
+                            [(*p, 1, trials) for p in points])
+        with pytest.raises(KeyError):
+            run_experiment(cfg)
+
     def test_tasks_deal_whole_points_then_split_the_rest(self):
         points = [(i, 100, c) for i, c in enumerate([200, 300, 400, 600])]
         points.append((4, 50, 800))  # n * c = 40000, as at point 2
@@ -941,6 +970,22 @@ class TestCli:
         for line in (lines[1], lines[3]):  # rp: four finite statistics
             assert all(re.fullmatch(r"\d\.\d{3}e[-+]\d\d", cell)
                        for cell in line.split()[4:])
+        # A geometric mean over exact zeros is 0, not a point with no data:
+        # the one-column precond Q is exact.
+        assert main(["sweep-n", "--m", "10", "--n", "1,2", "--kappa", "1",
+                     "--trials", "1", "--method", "precond"]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.split()[:6] == ["1", "-", "precond", "0", "0.000e+00",
+                                    "0.000e+00"]
+
+    def test_compare_cqr2_runs_on_worst_coherence(self, capsys):
+        # Either matrix kind: at kappa 1e15 CholeskyQR2 breaks down where
+        # the randomized method does not.
+        assert main(["compare-cqr2", "--m", "400", "--n", "40", "--kappa",
+                     "1e15", "--trials", "2", "--seed", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[2:4] for line in lines[1:]] == [
+            ["rp", "0"], ["cqr2", "2"]]
 
     def test_compare_cqr2_with_one_n_runs_at_three_n(self, capsys):
         assert main(["compare-cqr2", "--m", "100", "--n", "10", "--kappa",
