@@ -18,6 +18,7 @@ from rpcqr import (
     rp_cholesky_qr,
     worst_coherence_stack,
 )
+from rpcqr.kernels import tri_solve_right
 
 m, n, kappa = 1000, 50, 1e15
 A = worst_coherence_stack(m, n, kappa, seed=0)
@@ -32,7 +33,8 @@ for name, algorithm in [("Cholesky-QR", cholesky_qr),
         print(f"{name:14s} breakdown: pivot {exc.pivot_index} "
               f"went nonpositive ({exc.pivot_value:.2e})")
 
-f, _, A1 = rp_cholesky_qr(A, c=3 * n, seed=1)
+f, R_s, _ = rp_cholesky_qr(A, c=3 * n, seed=1)
+A1 = tri_solve_right(A, R_s)  # the preconditioned matrix A R_s^{-1}
 print(f"{'randomized':14s} deviation {ortho_deviation(f.Q):.2e}, "
       f"residual {rel_residual(A, f):.2e}")
 print(f"\npreconditioned matrix: kappa(A1) = {np.linalg.cond(A1):.2f} "

@@ -23,6 +23,7 @@ from scipy.linalg.blas import dtrmm
 from .errors import CholeskyBreakdown, RankDeficientSampleError
 from .kernels import (
     QRFactors,
+    _solve_in_place,
     as_tall_matrix,
     cholesky,
     gram,
@@ -36,14 +37,9 @@ from .transforms import (_as_integer, child_seeds, dct_columns,
 
 def cholesky_qr(A):
     """Basic Cholesky-QR: Gram matrix, Cholesky, triangular solve."""
-    return _cholesky_qr(as_tall_matrix(A))
-
-
-# The private body trusts an A that its public caller checked.
-def _cholesky_qr(A):
+    A = as_tall_matrix(A)
     R = cholesky(gram(A))
-    Q = tri_solve_right(A, R)
-    return QRFactors(Q=Q, R=R, method="basic")
+    return QRFactors(Q=tri_solve_right(A, R), R=R, method="basic")
 
 
 def preconditioned_cholesky_qr(A, R_s):
@@ -51,15 +47,17 @@ def preconditioned_cholesky_qr(A, R_s):
 
     Internal, like :func:`build_preconditioner`: A was checked by the
     public caller, and R_s is upper triangular with a nonzero diagonal.
-    Returns the factors of A (R = R2 R_s) together with A1, which callers
-    keep for condition-number diagnostics.  With R_s = I this reproduces
-    :func:`cholesky_qr` bit for bit.
+    Returns the factors of A (R = R2 R_s) together with R2 = chol(A1^T A1),
+    which callers keep for condition-number diagnostics.  Q is solved in
+    A1's memory; ``tri_solve_right(A, R_s)`` rebuilds A1 bit for bit.  With
+    R_s = I this reproduces :func:`cholesky_qr` bit for bit.
     """
-    A1 = tri_solve_right(A, R_s)
-    f = _cholesky_qr(A1)
-    # R^T = R_s^T R2^T by one dtrmm in R2's memory: R stays C-ordered.
-    R = dtrmm(1.0, R_s.T, f.R.T, lower=1, overwrite_b=1).T
-    return QRFactors(Q=f.Q, R=R, method="preconditioned"), A1
+    Q = tri_solve_right(A, R_s)  # A1, Fortran-ordered and ours
+    R2 = cholesky(gram(Q))
+    _solve_in_place(Q, R2)
+    # R^T = R_s^T R2^T by one dtrmm on a copy of R2: R stays C-ordered.
+    R = dtrmm(1.0, R_s.T, R2.T, lower=1).T
+    return QRFactors(Q=Q, R=R, method="preconditioned"), R2
 
 
 def cholesky_qr2(A):
@@ -103,8 +101,9 @@ def build_preconditioner(A, c, seed, rank_tol=0.0):
     if c < n:
         raise ValueError(f"need c >= cols, got c={c}, cols={n}")
     sign_seed, sample_seed = child_seeds([seed], 2)
-    FA = dct_columns(rademacher_diag(m, sign_seed)[:, None] * A)
-    A_s = sample_rows(FA, c, sample_seed)
+    # FA, the m x n sign-flipped DCT, lives only until the rows are drawn.
+    A_s = sample_rows(dct_columns(rademacher_diag(m, sign_seed)[:, None] * A),
+                      c, sample_seed)
     if len(A_s) < n:
         raise RankDeficientSampleError(
             f"c={c} draws hold {len(A_s)} distinct rows, fewer than n={n}")
@@ -121,13 +120,14 @@ def build_preconditioner(A, c, seed, rank_tol=0.0):
 def rp_cholesky_qr(A, c, seed, rank_tol=0.0):
     """Randomized preconditioned Cholesky-QR.
 
-    Returns (factors, R_s, A1): the factors of A, the preconditioner and
-    A1 = A R_s^{-1}.  Deterministic for fixed (A, c, seed).  Only the
+    Returns (factors, R_s, R2): the factors of A, the preconditioner and
+    the Cholesky factor R2 of A1^T A1, A1 = A R_s^{-1}, so R = R2 R_s.
+    Deterministic for fixed (A, c, seed); A is only read.  Only the
     triangular factor of the sampled matrix is computed; its orthonormal
     factor is never formed.
     """
     A = as_tall_matrix(A)
     c = _as_integer(c, "c")
     R_s = build_preconditioner(A, c, seed, rank_tol)
-    f, A1 = preconditioned_cholesky_qr(A, R_s)
-    return replace(f, method="rpcholesky"), R_s, A1
+    f, R2 = preconditioned_cholesky_qr(A, R_s)
+    return replace(f, method="rpcholesky"), R_s, R2

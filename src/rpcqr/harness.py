@@ -216,15 +216,15 @@ MATRIX_KINDS = {
 def _run_precond(A, c, seed):
     # Ideal-preconditioner baseline: exact triangular factor of A, unchecked.
     R_s = householder_r(A)
-    f, A1 = preconditioned_cholesky_qr(A, R_s)
-    return f, R_s, A1
+    f, R2 = preconditioned_cholesky_qr(A, R_s)
+    return f, R_s, R2
 
 
 Method = namedtuple("Method", "code samples_c run")
 
 #: Factorization methods.  ``code`` enters every trial seed, so it must never
 #: change; ``samples_c`` marks the one method that uses c and its seed;
-#: ``run(A, c, seed)`` returns (factors, R_s or None, A1 or None), the order
+#: ``run(A, c, seed)`` returns (factors, R_s or None, R2 or None), the order
 #: of ``rp_cholesky_qr``, which runs once, on exactly the row's seed.
 METHODS = {
     "basic": Method(0, False, lambda A, c, seed: (cholesky_qr(A), None, None)),
@@ -242,9 +242,9 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
     """
     t0 = time.perf_counter()
     try:
-        f, R_s, A1 = METHODS[method].run(A, c, seed)
+        f, R_s, R2 = METHODS[method].run(A, c, seed)
     except (CholeskyBreakdown, RankDeficientSampleError):
-        f = R_s = A1 = None
+        f = R_s = R2 = None
     wall = time.perf_counter() - t0
     row = dict.fromkeys(CSV_COLUMNS)
     row.update(
@@ -253,7 +253,7 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
         kappa_target=float(config.kappa), trial=trial, seed=seed,
         method=method, breakdown=f is None, wall_time_s=wall)
     if f is not None:
-        row.update(measure(A, norm_A, f, A1, R_s))
+        row.update(measure(A, norm_A, f, R2, R_s))
     return row
 
 
@@ -262,9 +262,10 @@ def run_experiment(config):
 
     Each point runs the methods of the experiment's :data:`EXPERIMENTS`
     entry; ``single`` runs one trial.  Its :func:`_tasks`, dealt for
-    ``min(jobs, points, cores)`` jobs, run here at one job (also without
-    ``fork``, as on Windows), else in forked workers, which inherit the
-    modules, rebound names and BLAS threads.  Rows come point by point,
+    ``min(jobs, points, cores)`` jobs, the cores being those of the CPU
+    affinity mask (else ``os.cpu_count()``), run here at one job (also
+    without ``fork``, as on Windows), else in forked workers, which inherit
+    the modules, rebound names and BLAS threads.  Rows come point by point,
     trial by trial, each found by its own (point, trial, method).
     """
     config.validate()
@@ -273,7 +274,9 @@ def run_experiment(config):
     points = [(i, n, c) for i, (n, c) in enumerate(sweep_points(config))]
     methods = _methods(config)
     run_task = partial(_task_rows, config, methods)
-    jobs = (min(config.jobs, len(points), os.cpu_count() or 1)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    jobs = (min(config.jobs, len(points), cores)
             if "fork" in mp.get_all_start_methods() else 1)
     tasks = _tasks(points, config.trials, jobs)
     if jobs == 1:

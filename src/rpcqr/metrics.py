@@ -13,7 +13,7 @@ from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpotrf
 
 from .bounds import ortho_estimate
-from .kernels import as_matrix, singular_values, spectral_norm
+from .kernels import as_matrix, singular_values, spectral_norm, tri_solve_right
 
 
 def ortho_deviation(Q):
@@ -41,17 +41,16 @@ def _residual(A, f, norm_A):
     return spectral_norm(np.subtract(A, D, out=D), out=D) / norm_A
 
 
-def _a1_singular_values(A1, G, deviation):
+def _a1_singular_values(A, R_s, R2, G, deviation):
     # G = QᵀQ of the pass's Q = A1 R2⁻¹; R3 = chol(G) completes CholeskyQR2,
     # whose R3 R2 holds A1's singular values to O(u κ(A₁)) while
     # ‖I - G‖₂ < 1/2 (Yamamoto et al., ETNA 2015), R2 alone to O(u κ(A₁)²).
-    # R2 is the pass's syrk and dpotrf again, so bit for bit its factor;
+    # R2 is the pass's own (no m x n work), and past 1/2 so is A1's solve.
     # LAPACK is called directly, so no metric counts as factorization work.
     if deviation >= 0.5:
-        return singular_values(A1)
+        return singular_values(tri_solve_right(A, R_s))
     R3 = dpotrf(G, lower=False, clean=True)[0]
-    R2 = dpotrf(A1.T @ A1, lower=False, clean=True)[0]
-    return singular_values(dtrmm(1.0, R3, R2, overwrite_b=1))
+    return singular_values(dtrmm(1.0, R3, R2))  # R2, the caller's, is kept
 
 
 def rel_residual(A, f):
@@ -71,12 +70,13 @@ def rel_residual(A, f):
     return _residual(A, f, spectral_norm(A))
 
 
-def measure(A, norm_A, f, A1=None, R_s=None):
+def measure(A, norm_A, f, R2=None, R_s=None):
     """The metric cells of one trial row, given ``norm_A`` = ‖A‖₂.
 
     ``deviation`` and ``residual`` are bit for bit :func:`ortho_deviation`
-    and :func:`rel_residual`.  With an A1 = A R_s⁻¹ (else they are
-    ``None``), from A1's singular values σ₁ >= ... >= σₙ:
+    and :func:`rel_residual`.  With the R2 and R_s of a preconditioned pass
+    (else they are ``None``), from the singular values σ₁ >= ... >= σₙ of
+    its A1 = A R_s⁻¹:
 
     * ``kappa_A1`` is κ(A₁) = σ₁/σₙ (inf if σₙ = 0);
     * ``eta`` is η = ‖A1‖₂‖R_s‖₂/‖A‖₂ = σ₁‖R_s‖₂/‖A‖₂, in [1, κ(A₁)];
@@ -84,14 +84,13 @@ def measure(A, norm_A, f, A1=None, R_s=None):
 
     The σ are those of the CholeskyQR2 factor R3 R2 that ``f.Q`` = A1 R2⁻¹
     completes, which hold A1's to O(u κ(A₁)) relative, or an SVD of A1
-    when ‖I - QᵀQ‖₂ >= 1/2.  Unlike the functions above, it checks none of
-    its arguments.
+    when ‖I - QᵀQ‖₂ >= 1/2.  It only reads R2, and checks no argument.
     """
     G = f.Q.T @ f.Q
     cells = dict(deviation=_deviation(G), residual=_residual(A, f, norm_A),
                  kappa_A1=None, eta=None, estimate_5_2=None)
-    if A1 is not None:
-        s = _a1_singular_values(A1, G, cells["deviation"])
+    if R2 is not None:
+        s = _a1_singular_values(A, R_s, R2, G, cells["deviation"])
         kappa = math.inf if s[-1] == 0.0 else float(s[0] / s[-1])
         cells.update(kappa_A1=kappa, estimate_5_2=ortho_estimate(kappa),
                      eta=float(s[0]) * spectral_norm(R_s) / norm_A)

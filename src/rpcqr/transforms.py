@@ -56,11 +56,15 @@ def sample_rows(FA, c, seed):
 
     A row drawn k of c times appears once, in ascending row order, scaled
     by sqrt(k m / c): the Gram matrix is that of all c draws scaled by
-    sqrt(m/c), the same unbiased sketch of FA^T FA, from fewer rows.
+    sqrt(m/c), the same unbiased sketch of FA^T FA, from fewer rows.  The
+    indices one call would draw are drawn and counted 2**16 at a time.
     """
     m = FA.shape[0]
-    rows, k = np.unique(philox(seed).integers(0, m, size=c),
-                        return_counts=True)
+    rng, k = philox(seed), np.zeros(m, dtype=np.int64)
+    for start in range(0, c, 1 << 16):  # O(m) memory whatever c is
+        k += np.bincount(rng.integers(0, m, min(1 << 16, c - start)),
+                         minlength=m)
+    rows = np.flatnonzero(k)
     A_s = FA[rows, :]
-    A_s *= np.sqrt(k * m / c)[:, None]  # in place: A_s is a fresh gather
+    A_s *= np.sqrt(k[rows] * m / c)[:, None]  # in place: a fresh gather
     return A_s

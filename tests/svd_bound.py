@@ -11,9 +11,15 @@ import math
 import numpy as np
 
 from rpcqr import EPS
-from rpcqr.kernels import spectral_norm
+from rpcqr.kernels import spectral_norm, tri_solve_right
 
 BOUND = 10
+
+
+def a1(A, R_s):
+    """A1 = A R_s⁻¹ by the solve the pass runs, so bit for bit the pass's A1:
+    the factorizations return R2, not A1."""
+    return tri_solve_right(A, R_s)
 
 
 def svd_kappa(A):

@@ -1,5 +1,6 @@
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from rpcqr.kernels import (
     householder_r,
     singular_values,
     spectral_norm,
-    tri_solve_right,
 )
 from rpcqr.metrics import measure
 from rpcqr.transforms import (
@@ -44,7 +44,7 @@ from rpcqr.transforms import (
 )
 
 from dct_reference import coherence, sampled_frame_singular_values
-from svd_bound import svd_eta, svd_kappa
+from svd_bound import a1, svd_eta, svd_kappa
 
 
 class TestCholeskyQR:
@@ -166,7 +166,8 @@ class TestPreconditionedCholeskyQR:
     def test_perfect_preconditioner(self):
         A = haar_rotated(200, 20, 10.0, seed=9)
         R_s = householder_qr(A).R
-        f, A1 = preconditioned_cholesky_qr(A, R_s)
+        f, _ = preconditioned_cholesky_qr(A, R_s)
+        A1 = a1(A, R_s)
         assert ortho_deviation(A1) <= 1e-14
         assert ortho_deviation(f.Q) <= 1e-14
         assert svd_eta(A, A1, R_s) == pytest.approx(1.0, abs=1e-6)
@@ -178,22 +179,24 @@ class TestPreconditionedCholeskyQR:
     def test_identity_preconditioner_is_bitwise_basic(self, n):
         A = haar_rotated(10 * n, n, 1e3, seed=10)
         f0 = cholesky_qr(A)
-        f1, A1 = preconditioned_cholesky_qr(A, np.eye(n))
+        f1, R2 = preconditioned_cholesky_qr(A, np.eye(n))
         assert np.array_equal(f1.Q, f0.Q)
         assert np.array_equal(f1.R, f0.R)
-        assert np.array_equal(A1, A)
+        assert np.array_equal(R2, f0.R)
+        assert np.array_equal(a1(A, np.eye(n)), A)
 
     def test_sampled_preconditioner_tames_conditioning(self):
         A = haar_rotated(300, 30, 1e6, seed=11)
-        _, _, A1 = rp_cholesky_qr(A, 120, seed=12)
-        assert svd_kappa(A1) <= 10
+        _, R_s, _ = rp_cholesky_qr(A, 120, seed=12)
+        assert svd_kappa(a1(A, R_s)) <= 10
 
     def test_preconditioner_scale_invariance(self):
         A = haar_rotated(150, 15, 1e3, seed=13)
         R_s = householder_qr(A).R
-        f1, A1 = preconditioned_cholesky_qr(A, R_s)
-        f2, A2 = preconditioned_cholesky_qr(A, 7.5 * R_s)
-        assert svd_kappa(A1) == pytest.approx(svd_kappa(A2), rel=1e-12)
+        f1, _ = preconditioned_cholesky_qr(A, R_s)
+        f2, _ = preconditioned_cholesky_qr(A, 7.5 * R_s)
+        assert svd_kappa(a1(A, R_s)) == pytest.approx(
+            svd_kappa(a1(A, 7.5 * R_s)), rel=1e-12)
         assert np.max(np.abs(f1.Q - f2.Q)) <= 1e-12
 
     # The pass checks no operand; a zero or non-finite entry still yields
@@ -229,26 +232,28 @@ class TestPreconditionedCholeskyQR:
         A = haar_rotated(10 * n, n, 1e5, seed=16)
         if method == "cqr2":
             R_s = cholesky(gram(A))
-            f = cholesky_qr2(A)
+            f, R2 = cholesky_qr2(A), None
         elif method == "rpcholesky":
             R_s = build_preconditioner(A, 2 * n, 17)
-            f = rp_cholesky_qr(A, 2 * n, 17)[0]
+            f, _, R2 = rp_cholesky_qr(A, 2 * n, 17)
         else:
             R_s = householder_r(A)
-            f = harness.METHODS["precond"].run(A, None, 0)[0]
-        g, A1 = preconditioned_cholesky_qr(A, R_s)
+            f, _, R2 = harness.METHODS["precond"].run(A, None, 0)
+        g, S2 = preconditioned_cholesky_qr(A, R_s)
         assert f.method == method
         assert np.array_equal(f.Q, g.Q)
         assert np.array_equal(f.R, g.R)
-        assert np.array_equal(A1, tri_solve_right(A, R_s))
+        # The R2 returned is the Cholesky factor of A1's Gram, bit for bit.
+        assert np.array_equal(S2, cholesky(gram(a1(A, R_s))))
+        assert R2 is None or np.array_equal(R2, S2)
 
 
 class TestRpCholeskyQR:
     def test_numerically_singular_full_accuracy(self):
         A = worst_coherence_stack(2000, 100, 1e15, seed=14)
-        f, _, A1 = rp_cholesky_qr(A, 600, seed=15)
+        f, R_s, _ = rp_cholesky_qr(A, 600, seed=15)
         assert ortho_deviation(f.Q) <= 1e-13
-        assert svd_kappa(A1) < 10
+        assert svd_kappa(a1(A, R_s)) < 10
         assert rel_residual(A, f) <= 1e-14
 
     def test_numerically_singular_small_sample(self):
@@ -264,12 +269,12 @@ class TestRpCholeskyQR:
 
     def test_deterministic(self):
         A = haar_rotated(200, 10, 1e4, seed=20)
-        f1, R_s1, A1 = rp_cholesky_qr(A, 40, seed=21)
-        f2, R_s2, A2 = rp_cholesky_qr(A, 40, seed=21)
+        f1, R_s1, R21 = rp_cholesky_qr(A, 40, seed=21)
+        f2, R_s2, R22 = rp_cholesky_qr(A, 40, seed=21)
         assert np.array_equal(f1.Q, f2.Q)
         assert np.array_equal(f1.R, f2.R)
         assert np.array_equal(R_s1, R_s2)
-        assert np.array_equal(A1, A2)
+        assert np.array_equal(R21, R22)
 
     def test_rejects_small_c(self):
         A = haar_rotated(50, 10, 1e2, seed=22)
@@ -305,13 +310,13 @@ class TestRpCholeskyQR:
         # scales exactly too; 1e+-160 round each entry, which moves the
         # roundoff-level residual but not its order nor eta.
         A = haar_rotated(400, 20, 1e6, seed=1)
-        f, R_s, A1 = rp_cholesky_qr(A, 60, seed=3)
-        res, et = rel_residual(A, f), measure(A, spectral_norm(A), f, A1,
+        f, R_s, R2 = rp_cholesky_qr(A, 60, seed=3)
+        res, et = rel_residual(A, f), measure(A, spectral_norm(A), f, R2,
                                               R_s)["eta"]
         As = scale * A
-        fs, R_ss, A1s = rp_cholesky_qr(As, 60, seed=3)
+        fs, R_ss, R2s = rp_cholesky_qr(As, 60, seed=3)
         res_s, et_s = rel_residual(As, fs), measure(As, spectral_norm(As), fs,
-                                                    A1s, R_ss)["eta"]
+                                                    R2s, R_ss)["eta"]
         assert np.isfinite(res_s) and np.isfinite(et_s)
         assert et_s == pytest.approx(et, rel=1e-10, abs=0)
         if np.log2(scale).is_integer():
@@ -462,25 +467,65 @@ class TestRpCholeskyQRProperties:
         _q_or_error(A, c, seed)  # any other exception fails the test
 
 
+#: The factors of each method that runs the preconditioned pass, called as
+#: a library user or the harness calls it, at c = 3n for rp.
+_FACTOR = {
+    "rp": lambda A: rp_cholesky_qr(A, 3 * A.shape[1], 1)[0],
+    "cqr2": cholesky_qr2,
+    "precond": lambda A: harness.METHODS["precond"].run(A, None, 0)[0],
+}
+
+
+class TestMemory:
+    """A is only read, and a call holds one m x n working array at a time."""
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("method", sorted(_FACTOR))
+    def test_a_is_only_read(self, method, order, writeable):
+        A = np.array(haar_rotated(300, 20, 1e5, seed=3), order=order)
+        before = A.copy()
+        A.setflags(write=writeable)
+        f = _FACTOR[method](A)
+        assert np.array_equal(A, before)
+        assert not np.shares_memory(f.Q, A)
+
+    # The pass solves Q in A1's memory, and rp's DCT buffer is gone before
+    # it starts.  At 2000 x 200, each n x n array is 0.1 A.nbytes: both
+    # peak at 1.40 A.nbytes in the pass, one m x n array and four n x n
+    # ones, against 2.23 when A1 and Q were both kept.
+    @pytest.mark.parametrize("method", ["rp", "cqr2"])
+    def test_peak_is_one_m_by_n_array(self, method):
+        A = np.asfortranarray(haar_rotated(2000, 200, 1e5, seed=4))
+        tracemalloc.start()
+        try:
+            _FACTOR[method](A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * A.nbytes
+
+
 class TestSampledFrameSingularValues:
     def test_reciprocal_pairing(self):
         A = haar_rotated(500, 20, 1e2, seed=24)
-        _, _, A1 = rp_cholesky_qr(A, 100, seed=25)
+        _, R_s, _ = rp_cholesky_qr(A, 100, seed=25)
         s = sampled_frame_singular_values(A, 100, 25)
-        s1 = singular_values(A1)
+        s1 = singular_values(a1(A, R_s))
         assert np.max(np.abs(s * s1[::-1] - 1.0)) <= 1e-8
 
     def test_shared_condition_number(self):
         A = worst_coherence_stack(500, 20, 1e3, seed=26)
-        _, _, A1 = rp_cholesky_qr(A, 100, seed=27)
+        _, R_s, _ = rp_cholesky_qr(A, 100, seed=27)
         s = sampled_frame_singular_values(A, 100, 27)
-        assert s[0] / s[-1] == pytest.approx(svd_kappa(A1), rel=1e-8)
+        assert s[0] / s[-1] == pytest.approx(svd_kappa(a1(A, R_s)), rel=1e-8)
 
     def test_scalar_case(self):
         A = haar_rotated(64, 1, 1.0, seed=28)
-        _, _, A1 = rp_cholesky_qr(A, 8, seed=29)
+        _, R_s, _ = rp_cholesky_qr(A, 8, seed=29)
         s = sampled_frame_singular_values(A, 8, 29)
-        assert s[0] * singular_values(A1)[0] == pytest.approx(1.0, rel=1e-10)
+        assert s[0] * singular_values(a1(A, R_s))[0] == pytest.approx(
+            1.0, rel=1e-10)
 
 
 # Every rejection of a public entry point, with its exact type and message.

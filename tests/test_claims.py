@@ -31,7 +31,7 @@ from rpcqr.algorithms import preconditioned_cholesky_qr
 from rpcqr.harness import MATRIX_KINDS
 from rpcqr.kernels import householder_r, spectral_norm
 from rpcqr.metrics import measure
-from svd_bound import BOUND, svd_kappa, svd_ratios
+from svd_bound import BOUND, a1, svd_kappa, svd_ratios
 
 M, N, KAPPA = 2000, 100, 1e15
 MATRIX_SEEDS = (1, 2)
@@ -41,13 +41,14 @@ T_CONDITIONS = [10.0 ** e for e in range(9)]
 T_SEEDS = range(3)
 
 
-def cells(A, norm_A, f, R_s, A1):
+def cells(A, norm_A, f, R_s, R2):
     """A row's ``deviation``, ``kappa_A1`` and ``estimate_5_2`` cells, and
     the :func:`svd_ratios` of its ``measure`` cells."""
+    A1 = a1(A, R_s)
     kappa = svd_kappa(A1)
     return dict(deviation=ortho_deviation(f.Q), kappa_A1=kappa,
                 estimate_5_2=ortho_estimate(kappa),
-                svd_ratios=svd_ratios(measure(A, norm_A, f, A1, R_s),
+                svd_ratios=svd_ratios(measure(A, norm_A, f, R2, R_s),
                                       A, A1, R_s))
 
 
@@ -65,24 +66,24 @@ def runs(kind):
         for c in C_VALUES:
             for seed in SAMPLE_SEEDS:
                 try:
-                    f, R_s, A1 = rp_cholesky_qr(A, c, seed)
+                    f, R_s, R2 = rp_cholesky_qr(A, c, seed)
                 except RankDeficientSampleError:
                     raised["rank deficient"][c] += 1
                     continue
                 except CholeskyBreakdown:
                     raised["sampled breakdown"][c] += 1
                     continue
-                rows["sampled"].append(cells(A, norm_A, f, R_s, A1))
+                rows["sampled"].append(cells(A, norm_A, f, R_s, R2))
         R = householder_r(A)
         for t in T_CONDITIONS:
             for seed in T_SEEDS:
                 R_s = householder_r(randsvd(N, t, seed)) @ R
                 try:
-                    f, A1 = preconditioned_cholesky_qr(A, R_s)
+                    f, R2 = preconditioned_cholesky_qr(A, R_s)
                 except CholeskyBreakdown:
                     raised["controlled breakdown"][t] += 1
                     continue
-                rows["controlled"].append(cells(A, norm_A, f, R_s, A1))
+                rows["controlled"].append(cells(A, norm_A, f, R_s, R2))
     return rows, raised
 
 

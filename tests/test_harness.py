@@ -38,7 +38,7 @@ from rpcqr.harness import (
 )
 from rpcqr.kernels import spectral_norm
 from rpcqr.metrics import measure
-from svd_bound import BOUND, svd_ratios
+from svd_bound import BOUND, a1, svd_ratios
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -510,11 +510,11 @@ class TestSweeps:
                 derive_matrix_seed(cfg.master_seed, i // per_point))
             assert not row["breakdown"]
             if row["method"] == "rp":
-                f, R_s, A1 = rp_cholesky_qr(A, row["c"], row["seed"])
-                cells = measure(A, spectral_norm(A), f, A1, R_s)
+                f, R_s, R2 = rp_cholesky_qr(A, row["c"], row["seed"])
+                cells = measure(A, spectral_norm(A), f, R2, R_s)
                 for key in ("kappa_A1", "eta", "estimate_5_2"):
                     assert row[key] == cells[key]
-                assert max(svd_ratios(row, A, A1, R_s)) <= BOUND
+                assert max(svd_ratios(row, A, a1(A, R_s), R_s)) <= BOUND
             else:
                 f = cholesky_qr2(A)
                 assert row["kappa_A1"] is None and row["eta"] is None
@@ -530,6 +530,13 @@ class TestSweeps:
         assert all(r["breakdown"] for r in rows)
         assert all(r["deviation"] is None for r in rows)
         assert format_summary(cfg, rows).splitlines()[1].split()[3] == "2"
+
+
+def _set_cores(monkeypatch, cores):
+    """Both of the OS's core counts read ``cores``."""
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(harness.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
 
 
 def _stripped(rows):
@@ -575,7 +582,7 @@ class TestParallelPoints:
             assert method == "fork"
             return Context()
 
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        _set_cores(monkeypatch, 8)
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
         faulthandler.dump_traceback_later(120, exit=True)
         yield sizes
@@ -668,10 +675,33 @@ class TestParallelPoints:
     @pytest.mark.parametrize("jobs, cores, size", [
         (2, 8, 2), (5, 8, 3), (5, 2, 2), (5, 1, None), (1, 8, None)])
     def test_pool_size(self, pools, monkeypatch, jobs, cores, size):
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        # The affinity mask counts the cores; os.cpu_count() still reads 8.
+        monkeypatch.setattr(harness.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
         run_experiment(small_sweep_config(c_list=[40, 60, 80], trials=1,
                                           jobs=jobs))
         assert pools == ([] if size is None else [size])
+
+    def test_pool_size_without_affinity_mask(self, pools, monkeypatch):
+        # Where the OS has no affinity mask (macOS, Windows), cpu_count().
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        run_experiment(small_sweep_config(c_list=[40, 60, 80], trials=1,
+                                          jobs=5))
+        assert pools == [2]
+
+    def test_one_core_in_the_affinity_mask_runs_serially(self, monkeypatch):
+        # Under `taskset -c 0` on an 8-core machine, "jobs": 2 forks nothing.
+        def no_pool(method):
+            raise AssertionError("a pool was made")
+
+        cfg = small_sweep_config(jobs=2)
+        serial = run_experiment(replace(cfg, jobs=1))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert _stripped(run_experiment(cfg)) == _stripped(serial)
 
     def test_jobs_above_one_runs_serially_without_fork(self, monkeypatch):
         # Where multiprocessing has no fork (Windows), a shipped config with
@@ -681,7 +711,7 @@ class TestParallelPoints:
 
         cfg = small_sweep_config(jobs=2)
         serial = run_experiment(replace(cfg, jobs=1))
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        _set_cores(monkeypatch, 8)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dpotrf
 
 import rpcqr.kernels
-import rpcqr.metrics
 from rpcqr import (
     EPS,
     NoConvergenceError,
@@ -23,10 +21,11 @@ from rpcqr import (
     rp_cholesky_qr,
     worst_coherence_stack,
 )
-from rpcqr.algorithms import _cholesky_qr, preconditioned_cholesky_qr
-from rpcqr.kernels import householder_qr, householder_r, spectral_norm
+from rpcqr.algorithms import preconditioned_cholesky_qr
+from rpcqr.kernels import (cholesky, gram, householder_qr, householder_r,
+                           spectral_norm)
 from rpcqr.metrics import measure
-from svd_bound import BOUND, svd_eta, svd_kappa, svd_ratios
+from svd_bound import BOUND, a1, svd_eta, svd_kappa, svd_ratios
 
 
 class TestOrthoDeviation:
@@ -140,38 +139,38 @@ class TestRelResidual:
 class TestMeasure:
     def test_rp_row_matches_the_single_metrics(self):
         A = worst_coherence_stack(300, 20, 1e12, seed=13)
-        f, R_s, A1 = rp_cholesky_qr(A, 60, seed=14)
-        cells = measure(A, spectral_norm(A), f, A1, R_s)
+        f, R_s, R2 = rp_cholesky_qr(A, 60, seed=14)
+        cells = measure(A, spectral_norm(A), f, R2, R_s)
         assert cells["deviation"] == ortho_deviation(f.Q)
         assert cells["residual"] == rel_residual(A, f)
-        f, R_s, A1 = rp_cholesky_qr(A, 60, seed=14)
-        assert measure(A, spectral_norm(A), f, A1, R_s) == cells
+        f, R_s, R2 = rp_cholesky_qr(A, 60, seed=14)
+        assert measure(A, spectral_norm(A), f, R2, R_s) == cells
         assert cells["estimate_5_2"] == ortho_estimate(cells["kappa_A1"])
-        assert max(svd_ratios(cells, A, A1, R_s)) <= BOUND
+        assert max(svd_ratios(cells, A, a1(A, R_s), R_s)) <= BOUND
 
     def test_unsound_factor_keeps_the_svd(self):
         # ‖I - QᵀQ‖₂ >= 1/2: R3 R2 no longer holds A1's singular values.
         A = worst_coherence_stack(300, 20, 1e12, seed=13)
-        f, R_s, A1 = rp_cholesky_qr(A, 60, seed=14)
-        cells = measure(A, spectral_norm(A), replace(f, Q=2 * f.Q), A1, R_s)
+        f, R_s, R2 = rp_cholesky_qr(A, 60, seed=14)
+        cells = measure(A, spectral_norm(A), replace(f, Q=2 * f.Q), R2, R_s)
         assert cells["deviation"] >= 0.5
-        assert cells["kappa_A1"] == svd_kappa(A1)
-        assert cells["eta"] == svd_eta(A, A1, R_s)
+        assert cells["kappa_A1"] == svd_kappa(a1(A, R_s))
+        assert cells["eta"] == svd_eta(A, a1(A, R_s), R_s)
 
-    def test_recomputed_r2_is_the_pass_factor(self, monkeypatch):
+    def test_returned_r2_is_the_pass_factor(self):
+        # R3 R2 holds A1's σ only if R2 is chol(A1ᵀA1) of the row's own A1.
         A = worst_coherence_stack(300, 20, 1e12, seed=13)
-        f, R_s, A1 = rp_cholesky_qr(A, 60, seed=14)
-        factors = []
+        _, R_s, R2 = rp_cholesky_qr(A, 60, seed=14)
+        assert np.array_equal(R2, cholesky(gram(a1(A, R_s))))
 
-        def recording(G, **kwargs):
-            out = dpotrf(G, **kwargs)
-            factors.append(out[0].copy())  # before dtrmm overwrites R2
-            return out
-
-        monkeypatch.setattr(rpcqr.metrics, "dpotrf", recording)
-        measure(A, spectral_norm(A), f, A1, R_s)
-        assert len(factors) == 2  # R3, then R2
-        assert np.array_equal(factors[1], _cholesky_qr(A1).R)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_leaves_the_given_r2_intact(self, order):
+        A = worst_coherence_stack(300, 20, 1e12, seed=13)
+        f, R_s, R2 = rp_cholesky_qr(A, 60, seed=14)
+        R2 = np.array(R2, order=order)
+        before = R2.copy()
+        measure(A, spectral_norm(A), f, R2, R_s)
+        assert np.array_equal(R2, before)
 
     # Small samples c give the largest κ(A₁), where R3 R2's O(u κ(A₁))
     # error in the σ is largest.
@@ -182,10 +181,10 @@ class TestMeasure:
     ])
     def test_rp_row_lies_within_the_svd_bound(self, make, kappa, c):
         A = make(400, 20, kappa, 16)
-        f, R_s, A1 = rp_cholesky_qr(A, c, seed=17)
-        cells = measure(A, spectral_norm(A), f, A1, R_s)
+        f, R_s, R2 = rp_cholesky_qr(A, c, seed=17)
+        cells = measure(A, spectral_norm(A), f, R2, R_s)
         assert cells["deviation"] < 0.5
-        assert max(svd_ratios(cells, A, A1, R_s)) <= BOUND
+        assert max(svd_ratios(cells, A, a1(A, R_s), R_s)) <= BOUND
 
     def test_no_preconditioned_matrix(self):
         A = haar_rotated(200, 20, 1e5, seed=15)
@@ -199,8 +198,8 @@ class TestMeasure:
 def _kappa_cell(A):
     """measure's κ(A₁) of the preconditioned pass on A with R_s = I."""
     R_s = np.eye(A.shape[1])
-    f, A1 = preconditioned_cholesky_qr(A, R_s)
-    return measure(A, spectral_norm(A), f, A1, R_s)["kappa_A1"]
+    f, R2 = preconditioned_cholesky_qr(A, R_s)
+    return measure(A, spectral_norm(A), f, R2, R_s)["kappa_A1"]
 
 
 class TestMeasureKappa:
@@ -230,7 +229,7 @@ class TestMeasureKappa:
         A = np.zeros((5, 2))
         A[0, 0] = 1.0
         f = householder_qr(A)
-        cells = measure(A, spectral_norm(A), replace(f, Q=2 * f.Q), A,
+        cells = measure(A, spectral_norm(A), replace(f, Q=2 * f.Q), f.R,
                         np.eye(2))
         assert cells["kappa_A1"] == np.inf
         assert cells["estimate_5_2"] == np.inf
@@ -241,21 +240,21 @@ class TestMeasureEta:
     def test_perfect_preconditioner(self):
         A = haar_rotated(100, 10, 10.0, seed=11)
         R_s = householder_r(A)
-        f, A1 = preconditioned_cholesky_qr(A, R_s)
-        cells = measure(A, spectral_norm(A), f, A1, R_s)
+        f, R2 = preconditioned_cholesky_qr(A, R_s)
+        cells = measure(A, spectral_norm(A), f, R2, R_s)
         assert cells["eta"] == pytest.approx(1.0, abs=1e-6)
         assert cells["kappa_A1"] == pytest.approx(1.0, abs=1e-6)
 
     def test_identity_preconditioner(self):
         A = haar_rotated(100, 10, 1e3, seed=12)
-        f, A1 = preconditioned_cholesky_qr(A, np.eye(10))
-        cells = measure(A, spectral_norm(A), f, A1, np.eye(10))
+        f, R2 = preconditioned_cholesky_qr(A, np.eye(10))
+        cells = measure(A, spectral_norm(A), f, R2, np.eye(10))
         assert cells["eta"] == pytest.approx(1.0, abs=1e-9)
         assert cells["kappa_A1"] == pytest.approx(1e3, rel=1e-6)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_within_theoretical_range(self, seed):
         A = worst_coherence_stack(300, 20, 1e8, seed=seed)
-        f, R_s, A1 = rp_cholesky_qr(A, 60, seed=seed + 100)
-        cells = measure(A, spectral_norm(A), f, A1, R_s)
+        f, R_s, R2 = rp_cholesky_qr(A, 60, seed=seed + 100)
+        cells = measure(A, spectral_norm(A), f, R2, R_s)
         assert 1.0 <= cells["eta"] <= cells["kappa_A1"] * (1.0 + 1e-6)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,27 @@ class TestSampleRows:
         FA = np.arange(128.0).reshape(64, 2)  # distinct rows name indices
         assert np.array_equal(sample_rows(FA, 8, seed=77),
                               sample_rows(FA, 8, seed=77))
+
+    # c below, at and above the 2**16 draws that are counted at a time.
+    @pytest.mark.parametrize("m", [1, 2, 7, 300, 2000, 6000])
+    def test_chunked_count_is_the_one_shot_draw(self, m):
+        FA = np.arange(1.0, m + 1.0)[:, None]  # distinct rows name indices
+        for c in (1, 5, 300, 3000, 65535, 65536, 65537, 131073, 200001):
+            for seed in (0, 1, 12345678901234567):
+                rows, k = distinct_draws(m, c, seed)
+                assert np.array_equal(sample_rows(FA, c, seed),
+                                      np.sqrt(k * m / c)[:, None] * FA[rows])
+
+    def test_memory_does_not_grow_with_c(self):
+        # Drawn at once, 10**7 indices take 80 MB, and their sort as much.
+        FA = np.ones((6000, 1))
+        tracemalloc.start()
+        try:
+            sample_rows(FA, 10**7, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_monte_carlo_unbiasedness(self):
         # E[A_s^T A_s] = (FA)^T (FA) with the sqrt(m/c) scaling.
