@@ -40,7 +40,7 @@ print(f"{'regime':>22} {'kappa(A1)':>10} {'deviation':>12} "
 f, R_s, _ = rp_cholesky_qr(A, 3 * n, seed=0)
 row(f"sampled, c = {3 * n}", f, R_s)
 R_s = householder_r(randsvd(n, 1e6, seed=0)) @ householder_r(A)
-f, _ = preconditioned_cholesky_qr(A, R_s)
+f, _, _ = preconditioned_cholesky_qr(A, R_s, "preconditioned")
 row("controlled, T R", f, R_s)
 
 print("\nbelow kappa(A1) ~ 1e3 the ratio sits within [1e-2, 1e2]; above it "

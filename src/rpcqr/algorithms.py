@@ -15,8 +15,6 @@ factor, the R of a few rows sampled from the sign-flipped DCT of A, or A's
 Householder R.
 """
 
-from dataclasses import replace
-
 import numpy as np
 from scipy.linalg.blas import dtrmm
 
@@ -42,13 +40,15 @@ def cholesky_qr(A):
     return QRFactors(Q=tri_solve_right(A, R), R=R, method="basic")
 
 
-def preconditioned_cholesky_qr(A, R_s):
+def preconditioned_cholesky_qr(A, R_s, method):
     """Cholesky-QR of the preconditioned matrix A1 = A R_s^{-1}.
 
     Internal, like :func:`build_preconditioner`: A was checked by the
     public caller, and R_s is upper triangular with a nonzero diagonal.
-    Returns the factors of A (R = R2 R_s) together with R2 = chol(A1^T A1),
-    which callers keep for condition-number diagnostics.  Q is solved in
+    Returns (factors, R_s, R2): the factors of A tagged ``method``
+    (R = R2 R_s), the R_s it was given, and R2 = chol(A1^T A1), which
+    callers keep for condition-number diagnostics.  That is the triple of
+    :func:`rp_cholesky_qr` and of every harness method.  Q is solved in
     A1's memory; ``tri_solve_right(A, R_s)`` rebuilds A1 bit for bit.  With
     R_s = I this reproduces :func:`cholesky_qr` bit for bit.
     """
@@ -57,7 +57,7 @@ def preconditioned_cholesky_qr(A, R_s):
     _solve_in_place(Q, R2)
     # R^T = R_s^T R2^T by one dtrmm on a copy of R2: R stays C-ordered.
     R = dtrmm(1.0, R_s.T, R2.T, lower=1).T
-    return QRFactors(Q=Q, R=R, method="preconditioned"), R2
+    return QRFactors(Q=Q, R=R, method=method), R_s, R2
 
 
 def cholesky_qr2(A):
@@ -72,11 +72,10 @@ def cholesky_qr2(A):
     try:
         R1 = cholesky(gram(A))
         stage = 2
-        f, _ = preconditioned_cholesky_qr(A, R1)
+        return preconditioned_cholesky_qr(A, R1, "cqr2")[0]
     except CholeskyBreakdown as exc:
         exc.stage = stage
         raise
-    return replace(f, method="cqr2")
 
 
 def build_preconditioner(A, c, seed, rank_tol=0.0):
@@ -128,6 +127,5 @@ def rp_cholesky_qr(A, c, seed, rank_tol=0.0):
     """
     A = as_tall_matrix(A)
     c = _as_integer(c, "c")
-    R_s = build_preconditioner(A, c, seed, rank_tol)
-    f, R2 = preconditioned_cholesky_qr(A, R_s)
-    return replace(f, method="rpcholesky"), R_s, R2
+    return preconditioned_cholesky_qr(
+        A, build_preconditioner(A, c, seed, rank_tol), "rpcholesky")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .errors import DomainError
+from .genmat import _check
 from .kernels import EPS
 
 
@@ -196,8 +197,7 @@ class SamplingBound:
 
 def sampling_lower_bound(m, n, mu, eps, delta):
     """c_min = ceil(2 m mu (1 + eps/3) ln(n/delta) / eps^2)."""
-    if not 1 <= n <= m:
-        raise DomainError(f"need 1 <= n <= m, got m={m}, n={n}")
+    _check(m, n, error=DomainError)
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must be in (0, 1)")
     if not 0.0 < delta < 1.0:

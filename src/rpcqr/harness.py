@@ -213,23 +213,19 @@ MATRIX_KINDS = {
 }
 
 
-def _run_precond(A, c, seed):
-    # Ideal-preconditioner baseline: exact triangular factor of A, unchecked.
-    R_s = householder_r(A)
-    f, R2 = preconditioned_cholesky_qr(A, R_s)
-    return f, R_s, R2
-
-
 Method = namedtuple("Method", "code samples_c run")
 
 #: Factorization methods.  ``code`` enters every trial seed, so it must never
 #: change; ``samples_c`` marks the one method that uses c and its seed;
-#: ``run(A, c, seed)`` returns (factors, R_s or None, R2 or None), the order
-#: of ``rp_cholesky_qr``, which runs once, on exactly the row's seed.
+#: ``run(A, c, seed)`` returns (factors, R_s or None, R2 or None), the
+#: triple of ``preconditioned_cholesky_qr`` and of ``rp_cholesky_qr``, which
+#: runs once, on exactly the row's seed.
 METHODS = {
     "basic": Method(0, False, lambda A, c, seed: (cholesky_qr(A), None, None)),
     "cqr2": Method(1, False, lambda A, c, seed: (cholesky_qr2(A), None, None)),
-    "precond": Method(2, False, _run_precond),
+    # Ideal-preconditioner baseline: exact triangular factor of A, unchecked.
+    "precond": Method(2, False, lambda A, c, seed: preconditioned_cholesky_qr(
+        A, householder_r(A), "preconditioned")),
     "rp": Method(3, True, lambda A, c, seed: rp_cholesky_qr(A, c, seed)),
 }
 
@@ -253,7 +249,7 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
         kappa_target=float(config.kappa), trial=trial, seed=seed,
         method=method, breakdown=f is None, wall_time_s=wall)
     if f is not None:
-        row.update(measure(A, norm_A, f, R2, R_s))
+        row.update(measure(A, norm_A, f, R2=R2, R_s=R_s))
     return row
 
 
@@ -353,18 +349,9 @@ def sweep_c(config):
 compare_cqr2 = sweep_c
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_csv(rows, path):
-    """Write the trial table; floats as shortest round-trip decimals."""
+    """Write the trial table: ``csv`` writes None as an empty cell and a
+    float as its shortest round-trip ``repr``; a bool is true or false."""
     if not rows:
         raise ValueError("refusing to write an empty table")
     try:
@@ -372,7 +359,8 @@ def emit_csv(rows, path):
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for row in rows:
-                writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
+                writer.writerow([str(v).lower() if isinstance(v, bool) else v
+                                 for v in (row[col] for col in CSV_COLUMNS)])
     except OSError as exc:
         raise OSError(f"{path}: cannot write CSV: {exc}") from exc
 
@@ -413,7 +401,7 @@ def format_summary(config, rows):
                 return "-" if value is None else f"{value:.3e}"
 
             lines.append(
-                f"{n:>6} {_fmt(mine[0]['c']) or '-':>6} {method:>8} "
+                f"{n:>6} {mine[0]['c'] or '-':>6} {method:>8} "
                 f"{len(mine) - len(ok):>5} {cell('deviation'):>12} "
                 f"{cell('residual'):>12} {cell('kappa_A1', False):>12} "
                 f"{cell('estimate_5_2'):>12}"

@@ -29,8 +29,12 @@ def _as_integer(value, name):
 
 
 def child_seeds(key, n=1):
-    """The first n uint64 words of ``SeedSequence(key)``, as Python ints."""
-    ss = np.random.SeedSequence([_as_integer(k, "seed") for k in key])
+    """The first n uint64 words of ``SeedSequence(key)``, as Python ints;
+    each word of ``key`` must be an integer >= 0."""
+    key = [_as_integer(k, "seed") for k in key]
+    if min(key) < 0:
+        raise ValueError(f"seed must be >= 0, got {min(key)}")
+    ss = np.random.SeedSequence(key)
     return [int(s) for s in ss.generate_state(n, np.uint64)]
 
 

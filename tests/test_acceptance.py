@@ -221,7 +221,7 @@ def test_criterion_8_sampling_lower_bound(capsys):
         A_s = sample_rows(FA, c, seed=20_000 + seed)
         R_s = householder_qr(A_s).R
         try:
-            preconditioned_cholesky_qr(A, R_s)
+            preconditioned_cholesky_qr(A, R_s, "preconditioned")
         except CholeskyBreakdown:
             continue
         s = singular_values(a1(A, R_s))

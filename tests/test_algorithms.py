@@ -150,10 +150,10 @@ class TestCholeskyQR2:
         # Like the rp stages: a tracer sees the pass only under its name.
         calls = []
         for module in (algorithms, harness):
-            def counted(A, R_s, _fn=preconditioned_cholesky_qr,
+            def counted(A, R_s, method, _fn=preconditioned_cholesky_qr,
                         _module=module.__name__):
                 calls.append(_module)
-                return _fn(A, R_s)
+                return _fn(A, R_s, method)
             monkeypatch.setattr(module, "preconditioned_cholesky_qr", counted)
         A = haar_rotated(60, 6, 10.0, seed=2)
         assert cholesky_qr2(A).method == "cqr2"
@@ -166,7 +166,7 @@ class TestPreconditionedCholeskyQR:
     def test_perfect_preconditioner(self):
         A = haar_rotated(200, 20, 10.0, seed=9)
         R_s = householder_qr(A).R
-        f, _ = preconditioned_cholesky_qr(A, R_s)
+        f, _, _ = preconditioned_cholesky_qr(A, R_s, "preconditioned")
         A1 = a1(A, R_s)
         assert ortho_deviation(A1) <= 1e-14
         assert ortho_deviation(f.Q) <= 1e-14
@@ -179,7 +179,7 @@ class TestPreconditionedCholeskyQR:
     def test_identity_preconditioner_is_bitwise_basic(self, n):
         A = haar_rotated(10 * n, n, 1e3, seed=10)
         f0 = cholesky_qr(A)
-        f1, R2 = preconditioned_cholesky_qr(A, np.eye(n))
+        f1, _, R2 = preconditioned_cholesky_qr(A, np.eye(n), "basic")
         assert np.array_equal(f1.Q, f0.Q)
         assert np.array_equal(f1.R, f0.R)
         assert np.array_equal(R2, f0.R)
@@ -193,8 +193,8 @@ class TestPreconditionedCholeskyQR:
     def test_preconditioner_scale_invariance(self):
         A = haar_rotated(150, 15, 1e3, seed=13)
         R_s = householder_qr(A).R
-        f1, _ = preconditioned_cholesky_qr(A, R_s)
-        f2, _ = preconditioned_cholesky_qr(A, 7.5 * R_s)
+        f1, _, _ = preconditioned_cholesky_qr(A, R_s, "preconditioned")
+        f2, _, _ = preconditioned_cholesky_qr(A, 7.5 * R_s, "preconditioned")
         assert svd_kappa(a1(A, R_s)) == pytest.approx(
             svd_kappa(a1(A, 7.5 * R_s)), rel=1e-12)
         assert np.max(np.abs(f1.Q - f2.Q)) <= 1e-12
@@ -208,7 +208,7 @@ class TestPreconditionedCholeskyQR:
         R = np.triu(np.ones((3, 3)))
         R[1, 1] = 0.0
         with np.errstate(all="ignore"), pytest.raises(CholeskyBreakdown):
-            preconditioned_cholesky_qr(A, R)
+            preconditioned_cholesky_qr(A, R, "preconditioned")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("operand", ["A", "R_diag", "R_offdiag"])
@@ -222,7 +222,7 @@ class TestPreconditionedCholeskyQR:
         else:
             R[0, 2] = bad
         with np.errstate(all="ignore"), pytest.raises(CholeskyBreakdown):
-            preconditioned_cholesky_qr(A, R)
+            preconditioned_cholesky_qr(A, R, "preconditioned")
 
     # cqr2, rp and precond are this pass; only the source of R_s differs.
     @pytest.mark.parametrize("n", [12, 64, 65, 130])
@@ -239,8 +239,9 @@ class TestPreconditionedCholeskyQR:
         else:
             R_s = householder_r(A)
             f, _, R2 = harness.METHODS["precond"].run(A, None, 0)
-        g, S2 = preconditioned_cholesky_qr(A, R_s)
-        assert f.method == method
+        g, S, S2 = preconditioned_cholesky_qr(A, R_s, method)
+        assert S is R_s
+        assert f.method == g.method == method
         assert np.array_equal(f.Q, g.Q)
         assert np.array_equal(f.R, g.R)
         # The R2 returned is the Cholesky factor of A1's Gram, bit for bit.

@@ -253,6 +253,14 @@ class TestSamplingLowerBound:
                            match=rf"^need 1 <= n <= m, got m={m}, n={n}$"):
             sampling_lower_bound(m, n, 1.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("m, n, name", [
+        (6000.5, 100.2, "n"), (6000.5, 100, "m"), (6000, True, "n"),
+        (True, 1, "m")])
+    def test_needs_integer_dimensions(self, m, n, name):
+        # 6000.5 x 100.2 once gave c_min=193490, and True passed as 1.
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, "):
+            sampling_lower_bound(m, n, 0.5, 0.5, 0.1)
+
 
 class TestOrthoEstimate:
     def test_unit_kappa(self):

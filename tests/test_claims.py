@@ -79,7 +79,8 @@ def runs(kind):
             for seed in T_SEEDS:
                 R_s = householder_r(randsvd(N, t, seed)) @ R
                 try:
-                    f, R2 = preconditioned_cholesky_qr(A, R_s)
+                    f, _, R2 = preconditioned_cholesky_qr(A, R_s,
+                                                          "preconditioned")
                 except CholeskyBreakdown:
                     raised["controlled breakdown"][t] += 1
                     continue

@@ -733,10 +733,10 @@ class TestParallelPoints:
     def test_worker_error_reaches_the_caller(self, pools, monkeypatch):
         measure = harness.measure
 
-        def failing(A, *args):
+        def failing(A, *args, **kwargs):
             if A.shape[1] == 15:
                 raise _PlantedError("planted")
-            return measure(A, *args)
+            return measure(A, *args, **kwargs)
 
         monkeypatch.setattr(harness, "measure", failing)
         cfg = ExperimentConfig(experiment="sweep_n", m=150, n_list=[5, 10, 15],

@@ -198,7 +198,7 @@ class TestMeasure:
 def _kappa_cell(A):
     """measure's κ(A₁) of the preconditioned pass on A with R_s = I."""
     R_s = np.eye(A.shape[1])
-    f, R2 = preconditioned_cholesky_qr(A, R_s)
+    f, _, R2 = preconditioned_cholesky_qr(A, R_s, "preconditioned")
     return measure(A, spectral_norm(A), f, R2, R_s)["kappa_A1"]
 
 
@@ -240,14 +240,15 @@ class TestMeasureEta:
     def test_perfect_preconditioner(self):
         A = haar_rotated(100, 10, 10.0, seed=11)
         R_s = householder_r(A)
-        f, R2 = preconditioned_cholesky_qr(A, R_s)
+        f, _, R2 = preconditioned_cholesky_qr(A, R_s, "preconditioned")
         cells = measure(A, spectral_norm(A), f, R2, R_s)
         assert cells["eta"] == pytest.approx(1.0, abs=1e-6)
         assert cells["kappa_A1"] == pytest.approx(1.0, abs=1e-6)
 
     def test_identity_preconditioner(self):
         A = haar_rotated(100, 10, 1e3, seed=12)
-        f, R2 = preconditioned_cholesky_qr(A, np.eye(10))
+        f, _, R2 = preconditioned_cholesky_qr(A, np.eye(10),
+                                               "preconditioned")
         cells = measure(A, spectral_norm(A), f, R2, np.eye(10))
         assert cells["eta"] == pytest.approx(1.0, abs=1e-9)
         assert cells["kappa_A1"] == pytest.approx(1e3, rel=1e-6)

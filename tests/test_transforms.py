@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rpcqr import haar_frame, haar_rotated, rp_cholesky_qr
+from rpcqr import (haar_frame, haar_rotated, rp_cholesky_qr,
+                   worst_coherence_stack)
 from rpcqr.kernels import householder_qr, spectral_norm
 from rpcqr.transforms import (
     child_seeds,
@@ -44,6 +45,17 @@ class TestSeedRule:
         with pytest.raises(TypeError,
                            match=r"^seed must be an integer, got "):
             child_seeds([0, seed])
+
+    @pytest.mark.parametrize("call, seed", [
+        (lambda: rp_cholesky_qr(haar_rotated(40, 4, 1e3, seed=3), 30, -1), -1),
+        (lambda: haar_frame(20, 5, -3), -3),
+        (lambda: worst_coherence_stack(20, 5, 10.0, -1), -1),
+    ], ids=["rp_cholesky_qr", "haar_frame", "worst_coherence_stack"])
+    def test_negative_seed_is_rejected(self, call, seed):
+        # Once numpy's "expected non-negative integer", deep in SeedSequence.
+        with pytest.raises(ValueError,
+                           match=rf"^seed must be >= 0, got {seed}$"):
+            call()
 
 
 class TestRademacherDiag:
