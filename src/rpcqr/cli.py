@@ -62,9 +62,8 @@ def _build_config(args):
     """``--config``'s file or defaults, with the flags applied, then validated.
 
     A file whose ``experiment`` is not the subcommand's is a ConfigError.
-    ``--n`` replaces the file's whole axis: one value sets ``n`` if the
-    experiment takes ``n``, else ``n_list``; several set ``n_list``.  So
-    does ``--c``, for ``c`` and ``c_list``.
+    ``--n`` replaces the file's whole axis: one value sets ``n``, several
+    set ``n_list``.  So does ``--c``, for ``c`` and ``c_list``.
     """
     base = (_read_config(args.config) if args.config
             else ExperimentConfig(args.experiment))
@@ -74,13 +73,10 @@ def _build_config(args):
                           f"so it cannot run as {args.command}")
     flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
              if getattr(args, f.name, None) is not None}
-    takes = {k for keys in EXPERIMENTS[args.experiment].point_keys
-             for k in keys}
     for key, listed in (("n", "n_list"), ("c", "c_list")):
         values = flags.pop(key, None)
         if values is not None:
-            as_list = len(values) > 1 or key not in takes
-            flags.update({key: None, listed: values} if as_list
+            flags.update({key: None, listed: values} if len(values) > 1
                          else {key: values[0], listed: None})
     if "matrix_kind" in flags:
         flags["matrix_kind"] = _MATRIX_ALIASES[flags["matrix_kind"]]
@@ -96,11 +92,7 @@ def _run_experiment(args):
         except OSError as exc:
             raise OSError(f"{path}: cannot write CSV: {exc}") from exc
     rows = run_experiment(config)
-    if config.experiment == "single":
-        print(" ".join(f"{key}={rows[0][key]}" for key in (
-            "method", "breakdown", "deviation", "residual", "kappa_A1", "eta")))
-    else:
-        print(format_summary(config, rows))
+    print(format_summary(config, rows))
     if path:
         emit_csv(rows, path)
         print(f"wrote {len(rows)} rows to {path}")

@@ -12,6 +12,7 @@ All generators are deterministic functions of (dimensions, kappa, seed).
 """
 
 import numbers
+import sys
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .transforms import _as_integer, child_seeds, philox
 
 
 def _check(m, n, kappa=1.0, error=ValueError):
-    """Raise ``error`` unless 1 <= n <= m and kappa is a finite real >= 1.
+    """Raise ``error`` unless 1 <= n <= m and 1 <= kappa <= the largest float.
 
     A non-integer n or m is a TypeError that names it, whatever ``error``.
     """
@@ -29,7 +30,7 @@ def _check(m, n, kappa=1.0, error=ValueError):
     if not 1 <= n <= m:
         raise error(f"need 1 <= n <= m, got m={m}, n={n}")
     if type(kappa) is bool or not (isinstance(kappa, numbers.Real)
-                                   and 1.0 <= kappa < np.inf):
+                                   and 1.0 <= kappa <= sys.float_info.max):
         raise error(f"kappa must be a finite number >= 1, got {kappa!r}")
 
 

@@ -61,19 +61,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-Experiment = namedtuple("Experiment", "point_keys methods")
+#: Experiments, each also a CLI subcommand (``_`` becomes ``-``), and the
+#: methods each runs at every point (None: ``config.method``).
+EXPERIMENTS = {"single": None, "sweep_c": None, "sweep_n": None,
+               "compare_cqr2": ("rp", "cqr2")}
 
-#: Experiments, each also a CLI subcommand (``_`` becomes ``-``):
-#: ``point_keys`` are the sets of ``n``, ``c``, ``n_list`` and ``c_list``
-#: (in that order) a config may set; ``methods`` run at every point
-#: (None: ``config.method``).
-EXPERIMENTS = {
-    "single": Experiment((("n",), ("n", "c")), None),
-    "sweep_c": Experiment((("n", "c_list"),), None),
-    "sweep_n": Experiment((("n_list",),), None),
-    "compare_cqr2": Experiment(
-        (("n_list",), ("n",), ("n", "c"), ("n", "c_list")), ("rp", "cqr2")),
-}
+#: The sets of ``n``, ``c``, ``n_list`` and ``c_list`` (in that order) that
+#: a config of any experiment may set; :func:`sweep_points` reads each.
+_POINT_KEYS = (("n_list",), ("n",), ("n", "c"), ("n", "c_list"))
 
 
 @dataclass
@@ -104,6 +99,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def validate(self):
+        """Return self, or raise a ConfigError that names an offending key."""
         for key, table in (("experiment", EXPERIMENTS),
                            ("matrix_kind", MATRIX_KINDS), ("method", METHODS)):
             value = getattr(self, key)
@@ -120,8 +116,8 @@ class ExperimentConfig:
                               "and jobs must be integers")
         if self.trials < 1 or self.jobs < 1 or self.master_seed < 0:
             raise ConfigError("trials and jobs must be >= 1, master_seed >= 0")
-        spec = EXPERIMENTS[self.experiment]
-        if spec.methods and self.method != ExperimentConfig.method:
+        if (EXPERIMENTS[self.experiment]
+                and self.method != ExperimentConfig.method):
             raise ConfigError(
                 f"{self.experiment} ignores method={self.method}")
         if not isinstance(self.output_path, (str, type(None))):
@@ -129,8 +125,8 @@ class ExperimentConfig:
                 f"output_path must be a string, got {self.output_path!r}")
         used = tuple(k for k in ("n", "c", "n_list", "c_list")
                      if getattr(self, k) is not None)
-        if used not in spec.point_keys:
-            takes = " or ".join(map("+".join, spec.point_keys))
+        if used not in _POINT_KEYS:
+            takes = " or ".join(map("+".join, _POINT_KEYS))
             raise ConfigError(f"{self.experiment} takes {takes}, got "
                               f"{'+'.join(used) or 'none'}")
         if (self.c, self.c_list) != (None, None) and not any(
@@ -198,7 +194,7 @@ def sweep_points(config):
 
 def _methods(config):
     """The methods that ``config``'s experiment runs at every point."""
-    return EXPERIMENTS[config.experiment].methods or (config.method,)
+    return EXPERIMENTS[config.experiment] or (config.method,)
 
 
 # The tables below reach every library function through a lambda or a
@@ -257,7 +253,7 @@ def run_experiment(config):
     """Run ``config``'s experiment over :func:`sweep_points`; return its rows.
 
     Each point runs the methods of the experiment's :data:`EXPERIMENTS`
-    entry; ``single`` runs one trial.  Its :func:`_tasks`, dealt for
+    entry, at one trial for ``single``.  Its :func:`_tasks`, dealt for
     ``min(jobs, points, cores)`` jobs, the cores being those of the CPU
     affinity mask (else ``os.cpu_count()``), run here at one job (also
     without ``fork``, as on Windows), else in forked workers, which inherit

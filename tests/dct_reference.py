@@ -1,12 +1,14 @@
 """DCT oracles for the tests: the naive O(m^2) DCT-II that the fast DCT is
 compared against, the singular values of the DCT-sketched orthonormal frame
-that the preconditioned spectrum is compared against, and the coherence μ
-that the sign flip and the DCT flatten."""
+that the preconditioned spectrum is compared against, the coherence μ
+that the sign flip and the DCT flatten, and an input whose DCT has μ = 1."""
 
 import math
 
 import numpy as np
+import scipy.fft
 
+from rpcqr import worst_coherence_stack
 from rpcqr.kernels import as_matrix, householder_qr, singular_values
 from rpcqr.transforms import (
     child_seeds,
@@ -48,6 +50,16 @@ def coherence(Q):
     """
     Q = as_matrix(Q)
     return float(np.max(np.einsum("ij,ij->i", Q, Q)))
+
+
+def dct_aligned(m, n, kappa, seed):
+    """The orthonormal inverse DCT-II of :func:`worst_coherence_stack`.
+
+    Its DCT is that stack, of coherence 1, so without the sign flip the
+    preconditioner samples a worst-coherence matrix.
+    """
+    return scipy.fft.idct(worst_coherence_stack(m, n, kappa, seed), type=2,
+                          norm="ortho", axis=0)
 
 
 def sampled_frame_singular_values(A, c, seed):

@@ -43,7 +43,8 @@ from rpcqr.transforms import (
     sample_rows,
 )
 
-from dct_reference import coherence, sampled_frame_singular_values
+from dct_reference import (coherence, dct_aligned,
+                           sampled_frame_singular_values)
 from svd_bound import a1, svd_eta, svd_kappa
 
 
@@ -384,6 +385,28 @@ class TestBuildPreconditioner:
             monkeypatch.setattr(algorithms, name, counted)
         rp_cholesky_qr(haar_rotated(60, 5, 10.0, seed=0), 20, seed=1)
         assert sorted(calls) == sorted(stages)
+
+    @pytest.mark.parametrize("stage, identity, make, error", [
+        ("rademacher_diag", lambda m, seed: np.ones(m), dct_aligned,
+         CholeskyBreakdown),
+        ("dct_columns", lambda X: X, worst_coherence_stack,
+         RankDeficientSampleError),
+    ], ids=["sign_flip", "dct"])
+    def test_each_stage_is_needed(self, monkeypatch, stage, identity, make,
+                                  error):
+        # The input that the stage mixes: the full pipeline factors it in
+        # criterion 1's regime on every seed, and without the stage every
+        # seed fails.  Worst coherence needs the DCT; an input whose DCT is
+        # worst coherence needs the sign flip.
+        A = make(300, 30, 1e15, seed=0)
+        for seed in range(5):
+            f = rp_cholesky_qr(A, 90, seed)[0]
+            assert ortho_deviation(f.Q) <= 1e-11
+            assert rel_residual(A, f) <= 5e-15
+        monkeypatch.setattr(algorithms, stage, identity)
+        for seed in range(5):
+            with pytest.raises(error):
+                rp_cholesky_qr(A, 90, seed)
 
     def test_tiny_rank_tol_keeps_the_preconditioner(self):
         A = worst_coherence_stack(200, 10, 1e15, seed=8)

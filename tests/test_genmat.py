@@ -53,6 +53,17 @@ class TestRandsvd:
         with pytest.raises(ValueError):
             randsvd(3, 0.5, seed=1)
 
+    @pytest.mark.parametrize("make", [
+        lambda kappa: randsvd(3, kappa, seed=1),
+        lambda kappa: worst_coherence_stack(6, 3, kappa, seed=1),
+        lambda kappa: haar_rotated(6, 3, kappa, seed=1),
+    ], ids=["randsvd", "worst_coherence_stack", "haar_rotated"])
+    def test_rejects_an_integer_kappa_beyond_the_floats(self, make):
+        # 10**400 < inf holds for a Python int, but no float holds it.
+        with pytest.raises(ValueError, match="^kappa must be a finite "):
+            make(10 ** 400)
+        assert np.isfinite(make(10 ** 300)).all()
+
 
 class TestWorstCoherenceStack:
     def test_coherence_is_one(self):

@@ -53,13 +53,11 @@ def small_sweep_config(**overrides):
 
 
 # The point keys each experiment accepts (with the default method, rp),
-# written out here as an oracle independent of the harness's own table.
+# written out here as an oracle independent of the harness's own table:
+# every experiment takes the same four sets.
 ACCEPTED_POINT_KEYS = {
-    "single": [("n",), ("n", "c")],
-    "sweep_c": [("n", "c_list")],
-    "sweep_n": [("n_list",)],
-    "compare_cqr2": [("n_list",), ("n",), ("n", "c"), ("n", "c_list")],
-}
+    experiment: [("n_list",), ("n",), ("n", "c"), ("n", "c_list")]
+    for experiment in ("single", "sweep_c", "sweep_n", "compare_cqr2")}
 POINT_VALUES = {"n": 5, "c": 20, "n_list": [5], "c_list": [20]}
 
 
@@ -164,6 +162,8 @@ class TestConfig:
         '"kappa": true}',
         '{"schema_version": 1, "experiment": "single", "n": 5, '
         '"kappa": "1e7"}',
+        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '"kappa": 1' + "0" * 400 + '}',
         '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
         '"c_list": 20}',
         '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
@@ -185,7 +185,7 @@ class TestConfig:
         (dict(experiment="sweep_c", n=5, c_list=[20], n_list=[5]), "n_list"),
         (dict(experiment="sweep_c", n=5, c_list=[20], c=30), "c"),
         (dict(experiment="single", n=5, n_list=[5]), "n_list"),
-        (dict(experiment="single", n=5, c_list=[20, 30]), "c_list"),
+        (dict(experiment="single", n_list=[5], c_list=[20, 30]), "c_list"),
         (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=5,
               c_list=[20], n_list=[5]), "c_list"),
         (dict(experiment="sweep_n", n_list=5), "n_list"),
@@ -245,18 +245,18 @@ class TestConfig:
 
     def test_configs_readme_tables_the_experiments(self):
         keys = (CONFIGS / "README.md").read_text().split("## Keys")[1]
-        rows = re.findall(r"^\| `(\w+)` \| (.+) \| (.+) \|$",
-                          keys.split("\n## ")[0], re.M)
-        table = {name: (
-            tuple(tuple(k.split("+")) for k in re.findall(r"`(.+?)`", sets)),
-            None if methods == "`method`"
-            else tuple(re.findall(r"`(\w+)`", methods)),
-        ) for name, sets, methods in rows}
-        assert table == {name: tuple(spec)
-                         for name, spec in harness.EXPERIMENTS.items()}
-        assert ACCEPTED_POINT_KEYS == {
-            name: list(spec.point_keys)
-            for name, spec in harness.EXPERIMENTS.items()}
+        keys = keys.split("\n## ")[0]
+        rows = re.findall(r"^\| `(\w+)` \| (.+) \|$", keys, re.M)
+        assert {name: None if methods == "`method`"
+                else tuple(re.findall(r"`(\w+)`", methods))
+                for name, methods in rows} == harness.EXPERIMENTS
+        sets = re.search(r"point keys, (.+?), and runs", keys, re.S)[1]
+        point_keys = [tuple(k.split("+"))
+                      for k in re.findall(r"`(.+?)`", sets)]
+        assert point_keys == list(harness._POINT_KEYS)
+        assert all(accepted == point_keys
+                   for accepted in ACCEPTED_POINT_KEYS.values())
+        assert list(ACCEPTED_POINT_KEYS) == list(harness.EXPERIMENTS)
 
     def test_configs_readme_tables_the_csv_columns(self):
         # One table row per column, in order; the `m`, `n` row names two.
@@ -821,7 +821,25 @@ class TestCli:
         rc = main(["single", "--m", "200", "--n", "20", "--kappa", "1e10",
                    "--matrix", "worst", "--method", "rp", "--seed", "3"])
         assert rc == 0
-        assert "deviation=" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["n", "c", "method", "broke", "dev(gmean)",
+                                    "res(gmean)", "kA1(mean)", "est(gmean)"]
+        assert [line.split()[:4] for line in lines[1:]] == [
+            ["20", "60", "rp", "0"]]
+
+    def test_single_runs_one_trial_at_each_point(self, tmp_path, capsys):
+        out = tmp_path / "single.csv"
+        rc = main(["single", "--m", "200", "--n", "20", "--c", "40,60",
+                   "--trials", "5", "--out", str(out)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:4] for line in lines[1:-1]] == [
+            ["20", "40", "rp", "0"], ["20", "60", "rp", "0"]]
+        assert lines[-1] == f"wrote 2 rows to {out}"
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["c"], r["trial"]) for r in rows] == [("40", "0"),
+                                                        ("60", "0")]
 
     def test_sweep_c_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -852,8 +870,8 @@ class TestCli:
             ["sweep-n", "--n", "0,10"],
             ["sweep-c", "--config", str(CONFIGS / "fig1.json"),
              "--n", "10,20"],
-            ["single", "--n", "10", "--c", "20,30"],
-            ["sweep-n", "--n", "7", "--c", "50"],
+            ["single", "--n", "10,20", "--c", "30"],
+            ["sweep-n", "--config", str(CONFIGS / "fig3.json"), "--c", "50"],
             ["single", "--method", "basic", "--m", "100", "--n", "10",
              "--c", "50"],
             ["sweep-c", "--method", "cqr2", "--m", "100", "--n", "10",
@@ -945,9 +963,8 @@ class TestCli:
         rc = main(["single", "--m", "50", "--n", "10", "--c", "10",
                    "--matrix", "haar", "--seed", "3"])
         assert rc == 0
-        assert capsys.readouterr().out.split() == [
-            "method=rp", "breakdown=True", "deviation=None", "residual=None",
-            "kappa_A1=None", "eta=None"]
+        assert capsys.readouterr().out.splitlines()[1].split() == [
+            "10", "10", "rp", "1", "-", "-", "-", "-"]
         assert raised == [
             "c=10 draws hold 7 distinct rows, fewer than n=10"]
 
@@ -1066,21 +1083,37 @@ class TestCli:
          [(50, 150), (60, 180)]),
         (["compare-cqr2", "--n", "10", "--c", "40,50"],
          [(10, 40), (10, 50)]),
+        (["sweep-n", "--config", "fig3", "--n", "50", "--c", "200"],
+         [(50, 200)]),
+        (["sweep-c", "--n", "10,20"], [(10, 30), (20, 60)]),
+        (["single", "--n", "10,20"], [(10, 30), (20, 60)]),
     ])
     def test_flag_replaces_the_files_whole_axis(self, argv, points):
-        # A flag's one value sets the scalar key when the experiment takes
-        # it, else the list key, whichever of the two the file set.
+        # A flag's one value sets the scalar key and several the list key,
+        # whichever of the two the file set.
         argv = [str(CONFIGS / f"{a}.json") if a.startswith("fig") else a
                 for a in argv]
         args = build_parser().parse_args(argv + ["--matrix", "haar"])
         assert sweep_points(_build_config(args)) == points
 
-    def test_several_values_need_an_experiment_that_takes_the_list(
-            self, capsys):
-        # Several values set the list key, which single takes for neither.
-        assert main(["single", "--n", "10,20"]) == 1
-        assert capsys.readouterr().err == \
-            "error: single takes n or n+c, got n_list\n"
+    @pytest.mark.parametrize("experiment", list(ACCEPTED_POINT_KEYS))
+    @pytest.mark.parametrize("flags, listed", [
+        (["--n", "12"], dict(n_list=[12])),
+        (["--n", "12", "--c", "30"], dict(n=12, c_list=[30])),
+    ], ids=["n", "c"])
+    def test_one_value_flag_gives_the_one_element_list_rows(
+            self, experiment, flags, listed):
+        # The flag sets the scalar key; the rows are the list key's.
+        args = build_parser().parse_args(
+            [experiment.replace("_", "-"), *flags, "--m", "120", "--kappa",
+             "1e10", "--trials", "2", "--seed", "5"])
+        config = _build_config(args)
+        assert config.n_list is None and config.c_list is None
+        listed = ExperimentConfig(experiment, m=120, kappa=1e10, trials=2,
+                                  master_seed=5, **listed)
+        rows = [[dict(r, wall_time_s=None) for r in run_experiment(c)]
+                for c in (config, listed)]
+        assert rows[0] == rows[1] and rows[0]
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
