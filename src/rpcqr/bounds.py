@@ -43,10 +43,10 @@ class PerturbationSet:
     kappa_precond: float = 1.0
 
     def __post_init__(self):
-        eps = [getattr(self, name) for name in _stage_fields()]
+        eps = [_float(name, getattr(self, name)) for name in _stage_fields()]
         if any(not math.isfinite(v) or v < 0.0 for v in eps):
             raise DomainError("perturbations must be finite and nonnegative")
-        if not math.isfinite(self.kappa_precond) or self.kappa_precond < 1.0:
+        if not 1.0 <= _float("kappa_precond", self.kappa_precond) < math.inf:
             raise DomainError("kappa_precond must be finite and >= 1")
 
     @classmethod
@@ -54,6 +54,14 @@ class PerturbationSet:
         """All stage perturbations set to unit roundoff."""
         return cls(kappa_precond=kappa_precond,
                    **dict.fromkeys(_stage_fields(), EPS))
+
+
+def _float(name, value):
+    """``value`` as a float; an int beyond the float range is a DomainError."""
+    try:
+        return math.fsum((value,))  # float(value), but a str is a TypeError
+    except OverflowError:
+        raise DomainError(f"{name} is an int beyond the float range") from None
 
 
 def _stage_fields():
@@ -118,7 +126,8 @@ def _check_conditioning(kappa_preconditioned, eta):
     A measured eta may round just above a kappa(A1) of 1, hence the
     relative allowance of 1e-10 on the upper limit.
     """
-    k, eta = float(kappa_preconditioned), float(eta)
+    k = _float("kappa_preconditioned", kappa_preconditioned)
+    eta = _float("eta", eta)
     if not math.isfinite(k) or k < 1.0:
         raise DomainError("kappa_preconditioned must be finite and >= 1")
     if not math.isfinite(eta) or eta < 1.0:
@@ -218,7 +227,6 @@ def ortho_estimate(kappa_preconditioned):
     couple of orders of magnitude; the guaranteed bound carries kappa(A1)^2
     instead.  A singular A1 (kappa(A1) = inf) gives an infinite estimate.
     """
-    k = float(kappa_preconditioned)
-    if not k >= 1.0:
+    if not _float("kappa_preconditioned", kappa_preconditioned) >= 1.0:
         raise DomainError("kappa_preconditioned must be >= 1")
-    return 4.0 * EPS * k
+    return 4.0 * EPS * float(kappa_preconditioned)

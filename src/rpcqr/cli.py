@@ -1,9 +1,9 @@
 """Experiment command-line interface.
 
-Subcommands: single, sweep-c, sweep-n, compare-cqr2, bounds.  Options given
-on the command line override values from ``--config``.  Exit codes: 0 on
-success, 1 for configuration errors, 2 for I/O errors; breakdowns inside a
-sweep are recorded in the output and do not affect the exit code.
+Subcommands: sweep-c, sweep-n, compare-cqr2, bounds.  Options given on the
+command line override values from ``--config``.  Exit codes: 0 on success,
+1 for configuration errors, 2 for I/O errors; breakdowns inside a sweep are
+recorded in the output and do not affect the exit code.
 """
 
 import argparse

@@ -19,7 +19,7 @@ import multiprocessing as mp
 import os
 import time
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import List, Optional
 
@@ -63,8 +63,7 @@ class ConfigError(ValueError):
 
 #: Experiments, each also a CLI subcommand (``_`` becomes ``-``), and the
 #: methods each runs at every point (None: ``config.method``).
-EXPERIMENTS = {"single": None, "sweep_c": None, "sweep_n": None,
-               "compare_cqr2": ("rp", "cqr2")}
+EXPERIMENTS = {"sweep_c": None, "sweep_n": None, "compare_cqr2": ("rp", "cqr2")}
 
 #: The sets of ``n``, ``c``, ``n_list`` and ``c_list`` (in that order) that
 #: a config of any experiment may set; :func:`sweep_points` reads each.
@@ -252,8 +251,8 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
 def run_experiment(config):
     """Run ``config``'s experiment over :func:`sweep_points`; return its rows.
 
-    Each point runs the methods of the experiment's :data:`EXPERIMENTS`
-    entry, at one trial for ``single``.  Its :func:`_tasks`, dealt for
+    Each point runs ``trials`` trials of the methods of the experiment's
+    :data:`EXPERIMENTS` entry.  Its :func:`_tasks`, dealt for
     ``min(jobs, points, cores)`` jobs, the cores being those of the CPU
     affinity mask (else ``os.cpu_count()``), run here at one job (also
     without ``fork``, as on Windows), else in forked workers, which inherit
@@ -261,8 +260,6 @@ def run_experiment(config):
     trial by trial, each found by its own (point, trial, method).
     """
     config.validate()
-    if config.experiment == "single":
-        config = replace(config, trials=1)
     points = [(i, n, c) for i, (n, c) in enumerate(sweep_points(config))]
     methods = _methods(config)
     run_task = partial(_task_rows, config, methods)

@@ -175,6 +175,21 @@ def test_perturbation_set_rejects_invalid_fields(kwargs, message):
         PerturbationSet(**kwargs)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: PerturbationSet(eps_input=10**400), "eps_input"),
+    (lambda: PerturbationSet(kappa_precond=10**400), "kappa_precond"),
+    (lambda: ortho_estimate(10**400), "kappa_preconditioned"),
+    (lambda: preconditioned_bounds(PerturbationSet(), 10**400, 1.0),
+     "kappa_preconditioned"),
+    (lambda: first_order_bounds(PerturbationSet(), 10.0, 10**400), "eta"),
+], ids=["eps_input", "kappa_precond", "ortho_estimate",
+        "preconditioned_bounds", "first_order_bounds"])
+def test_an_int_beyond_the_floats_is_a_domain_error(call, name):
+    # Not an OverflowError from float(): the error names the argument.
+    with pytest.raises(DomainError, match=rf"^{name} "):
+        call()
+
+
 @pytest.mark.parametrize("bounds", [preconditioned_bounds,
                                     first_order_bounds])
 @pytest.mark.parametrize("kappa, eta", [

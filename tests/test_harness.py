@@ -57,7 +57,7 @@ def small_sweep_config(**overrides):
 # every experiment takes the same four sets.
 ACCEPTED_POINT_KEYS = {
     experiment: [("n_list",), ("n",), ("n", "c"), ("n", "c_list")]
-    for experiment in ("single", "sweep_c", "sweep_n", "compare_cqr2")}
+    for experiment in ("sweep_c", "sweep_n", "compare_cqr2")}
 POINT_VALUES = {"n": 5, "c": 20, "n_list": [5], "c_list": [20]}
 
 
@@ -69,13 +69,16 @@ def point_config(experiment, keys):
 
 class TestConfig:
     def test_validate_rejects_unknown_experiment(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(experiment="bogus").validate()
+        # A one-trial run is --trials 1 on a sweep: no experiment sets it.
+        for name in ("bogus", "single"):
+            with pytest.raises(ConfigError,
+                               match=f"^unknown experiment '{name}'$"):
+                ExperimentConfig(experiment=name, n=5).validate()
 
     def test_validate_rejects_c_below_n(self):
         for config in (
             small_sweep_config(c_list=[10]),
-            ExperimentConfig(experiment="single", m=200, n=100, c=50),
+            ExperimentConfig(experiment="sweep_c", m=200, n=100, c=50),
             ExperimentConfig(experiment="compare_cqr2", m=200, n=20, c=10,
                              matrix_kind="haar_rotated"),
         ):
@@ -84,8 +87,8 @@ class TestConfig:
 
     def test_validate_rejects_n_above_m(self):
         for config in (
-            ExperimentConfig(experiment="single", m=10, n=20),
-            ExperimentConfig(experiment="single", m=10, n=0),
+            ExperimentConfig(experiment="sweep_c", m=10, n=20),
+            ExperimentConfig(experiment="sweep_c", m=10, n=0),
             ExperimentConfig(experiment="sweep_n", m=10, n_list=[0, 5]),
             ExperimentConfig(experiment="sweep_n", m=10, n_list=[5, 20]),
         ):
@@ -112,7 +115,7 @@ class TestConfig:
 
     def test_load_config_requires_schema_version(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": "single", "m": 10, "n": 2}))
+        path.write_text(json.dumps({"experiment": "sweep_c", "m": 10, "n": 2}))
         with pytest.raises(ConfigError):
             load_config(path)
 
@@ -139,30 +142,31 @@ class TestConfig:
         for key in ("samples", "regenerate_matrix_per_trial",
                     "retry_on_rank_deficient"):
             path.write_text(json.dumps({"schema_version": 1,
-                                        "experiment": "single", "n": 5,
+                                        "experiment": "sweep_c", "n": 5,
                                         key: 3}))
             with pytest.raises(ConfigError):
                 load_config(path)
 
     @pytest.mark.parametrize("text", [
         "[1, 2]",
-        '{"schema_version": true, "experiment": "single", "n": 5}',
-        '{"schema_version": 1.0, "experiment": "single", "n": 5}',
-        '{"schema_version": 1, "experiment": "single", "n": 5, "trials": 2.5}',
-        '{"schema_version": 1, "experiment": "single", "n": 5, "m": 200.0}',
-        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '{"schema_version": true, "experiment": "sweep_c", "n": 5}',
+        '{"schema_version": 1.0, "experiment": "sweep_c", "n": 5}',
+        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
+        '"trials": 2.5}',
+        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, "m": 200.0}',
+        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
         '"trials": true}',
         '{"schema_version": 1, "experiment": "sweep_n", "n_list": [5.0]}',
         '{"schema_version": 1, "experiment": "sweep_n", "n_list": 5}',
-        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
         '"master_seed": -1}',
-        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
         '"output_path": 1}',
-        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
         '"kappa": true}',
-        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
         '"kappa": "1e7"}',
-        '{"schema_version": 1, "experiment": "single", "n": 5, '
+        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
         '"kappa": 1' + "0" * 400 + '}',
         '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
         '"c_list": 20}',
@@ -184,22 +188,22 @@ class TestConfig:
         (dict(experiment="sweep_n", n_list=[5], c_list=[20]), "c_list"),
         (dict(experiment="sweep_c", n=5, c_list=[20], n_list=[5]), "n_list"),
         (dict(experiment="sweep_c", n=5, c_list=[20], c=30), "c"),
-        (dict(experiment="single", n=5, n_list=[5]), "n_list"),
-        (dict(experiment="single", n_list=[5], c_list=[20, 30]), "c_list"),
+        (dict(experiment="sweep_c", n=5, n_list=[5]), "n_list"),
+        (dict(experiment="sweep_c", n_list=[5], c_list=[20, 30]), "c_list"),
         (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=5,
               c_list=[20], n_list=[5]), "c_list"),
         (dict(experiment="sweep_n", n_list=5), "n_list"),
         (dict(experiment="sweep_c", n=5, c_list=20), "c_list"),
         (dict(experiment="sweep_c", n=5, c_list="20"), "c_list"),
-        (dict(experiment="single", n=5, c=50, method="basic"), "c"),
+        (dict(experiment="sweep_c", n=5, c=50, method="basic"), "c"),
         (dict(experiment="sweep_c", n=5, c_list=[20, 30], method="cqr2"),
          "c_list"),
         (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=5,
               c=20, method="basic"), "method"),
         (dict(experiment=["sweep_c"], n=5, c_list=[20]), "experiment"),
-        (dict(experiment="single", n=5, matrix_kind=["haar_rotated"]),
+        (dict(experiment="sweep_c", n=5, matrix_kind=["haar_rotated"]),
          "matrix_kind"),
-        (dict(experiment="single", n=5, method=["rp"]), "method"),
+        (dict(experiment="sweep_c", n=5, method=["rp"]), "method"),
     ])
     def test_validate_names_an_ignored_or_malformed_point_key(self, config,
                                                               key):
@@ -209,9 +213,8 @@ class TestConfig:
     @pytest.mark.parametrize("experiment", list(ACCEPTED_POINT_KEYS))
     def test_validate_accepts_exactly_the_tabled_point_keys(self, experiment):
         # Every subset of the point keys, at valid values: the accepted
-        # sets pass, and any other names an offending key.  That is a key
-        # that would complete it, if an accepted set holds it, and else a
-        # key in which it differs from one of the accepted sets nearest it.
+        # sets pass, and any other is rejected by a message that ends with
+        # the keys it got, joined by + in (n, c, n_list, c_list) order.
         accepted = [set(keys) for keys in ACCEPTED_POINT_KEYS[experiment]]
         for size in range(len(POINT_VALUES) + 1):
             for keys in map(set, combinations(POINT_VALUES, size)):
@@ -219,16 +222,11 @@ class TestConfig:
                 if keys in accepted:
                     config.validate()
                     continue
-                near = [a for a in accepted if keys <= a]
-                if not near:
-                    gap = min(len(keys ^ a) for a in accepted)
-                    near = [a for a in accepted if len(keys ^ a) == gap]
-                offending = set().union(*(keys ^ a for a in near))
                 with pytest.raises(ConfigError) as exc:
                     config.validate()
-                named = {k for k in POINT_VALUES
-                         if re.search(rf"\b{k}\b", str(exc.value))}
-                assert named & offending, (experiment, keys, str(exc.value))
+                got = "+".join(k for k in POINT_VALUES if k in keys)
+                assert str(exc.value).rpartition("got ")[2] == (
+                    got or "none"), (experiment, keys, str(exc.value))
 
     @pytest.mark.parametrize("experiment", list(ACCEPTED_POINT_KEYS))
     @pytest.mark.parametrize("empty", ["n_list", "c_list"])
@@ -304,27 +302,27 @@ class TestSeedDerivation:
         assert len(seeds) == 3 * 4 * 5 * 4
 
 
-class TestRunSingle:
+class TestRunOneTrial:
     def test_rp_on_singular_matrix(self):
-        cfg = ExperimentConfig(experiment="single", m=500, n=50, kappa=1e15,
-                               c=150, method="rp", master_seed=3)
+        cfg = ExperimentConfig(experiment="sweep_c", m=500, n=50, kappa=1e15,
+                               c=150, method="rp", trials=1, master_seed=3)
         rows = run_experiment(cfg)
         assert not rows[0]["breakdown"]
         assert rows[0]["residual"] <= 1e-14
         assert rows[0]["kappa_A1"] is not None and rows[0]["eta"] is not None
 
     def test_basic_on_orthonormal_input(self):
-        cfg = ExperimentConfig(experiment="single", m=300, n=30, kappa=1.0,
+        cfg = ExperimentConfig(experiment="sweep_c", m=300, n=30, kappa=1.0,
                                matrix_kind="haar_rotated", method="basic",
-                               master_seed=4)
+                               trials=1, master_seed=4)
         rows = run_experiment(cfg)
         assert rows[0]["deviation"] <= 1e-14
         assert rows[0]["c"] is None and rows[0]["kappa_A1"] is None
         assert rows[0]["eta"] is None
 
     def test_deterministic_modulo_wall_time(self):
-        cfg = ExperimentConfig(experiment="single", m=200, n=20, kappa=1e10,
-                               c=60, method="rp", master_seed=5)
+        cfg = ExperimentConfig(experiment="sweep_c", m=200, n=20, kappa=1e10,
+                               c=60, method="rp", trials=1, master_seed=5)
         (r1,) = run_experiment(cfg)
         (r2,) = run_experiment(cfg)
         assert r1["deviation"] == r2["deviation"]
@@ -333,28 +331,29 @@ class TestRunSingle:
         assert r1["seed"] == r2["seed"]
 
     def test_basic_breakdown_recorded_not_raised(self):
-        cfg = ExperimentConfig(experiment="single", m=400, n=40, kappa=1e15,
-                               method="basic", master_seed=6)
+        cfg = ExperimentConfig(experiment="sweep_c", m=400, n=40, kappa=1e15,
+                               method="basic", trials=1, master_seed=6)
         rows = run_experiment(cfg)
         assert rows[0]["breakdown"]
         assert rows[0]["deviation"] is None and rows[0]["residual"] is None
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_is_one_point_one_trial_sweep(self, method):
-        # A method that samples no rows takes no c, so its single run
-        # matches the first point of a sweep over n instead.
+        # A one-trial run is trial 0 at the first point of any longer sweep:
+        # seeds derive from (point, trial, method), not from the experiment
+        # or the trial count.  A method that samples no rows takes no c.
         samples = METHODS[method].samples_c
-        single = ExperimentConfig(experiment="single", m=200, n=20,
-                                  kappa=1e10, c=60 if samples else None,
-                                  method=method, trials=5, master_seed=12)
-        (row,) = run_experiment(single)
-        sweep = (small_sweep_config(c_list=[60]) if samples else
-                 ExperimentConfig(experiment="sweep_n", m=200, n_list=[20]))
-        (swept,) = run_experiment(replace(sweep, kappa=1e10, method=method,
-                                          trials=1, master_seed=12))
+        one = ExperimentConfig(experiment="sweep_c", m=200, n=20, kappa=1e10,
+                               c=60 if samples else None, method=method,
+                               trials=1, master_seed=12)
+        (row,) = run_experiment(one)
+        points = (dict(c=None, c_list=[60, 80]) if samples else
+                  dict(n=None, n_list=[20, 30]))
+        swept = run_experiment(replace(one, experiment="sweep_n", trials=3,
+                                       **points))
         ignored = ("experiment", "wall_time_s")
         assert {k: v for k, v in row.items() if k not in ignored} == \
-            {k: v for k, v in swept.items() if k not in ignored}
+            {k: v for k, v in swept[0].items() if k not in ignored}
 
 
 class TestSweeps:
@@ -599,7 +598,7 @@ class TestParallelPoints:
               n=15, kappa=1e7, c_list=[30, 45], trials=2), 2),
         (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
               n_list=[5, 10, 15], kappa=1e7, trials=2), 3),
-        (dict(experiment="single", m=150, n=15, kappa=1e15), 1),
+        (dict(experiment="sweep_c", m=150, n=15, kappa=1e15, trials=1), 1),
         # The smallest point's 3 trials split 1 + 2 between the workers.
         (dict(experiment="sweep_c", m=150, n=15, kappa=1e15,
               c_list=[30, 45, 60, 75, 90], trials=3), 5),
@@ -607,7 +606,7 @@ class TestParallelPoints:
         (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
               n_list=[5, 10, 15], kappa=1e7, trials=1), 3),
     ], ids=["sweep_c", "sweep_n", "sweep_n-basic", "compare_cqr2-c_list",
-            "compare_cqr2-n_list", "single", "sweep_c-5-points",
+            "compare_cqr2-n_list", "sweep_c-one-trial", "sweep_c-5-points",
             "compare_cqr2-one-trial"])
     def test_rows_do_not_depend_on_jobs(self, pools, config, points):
         cfg = ExperimentConfig(master_seed=23, **config)
@@ -725,8 +724,9 @@ class TestParallelPoints:
         assert len(run_experiment(small_sweep_config(jobs=1))) == 2 * 3
         one_point = small_sweep_config(c_list=[40], jobs=2)
         assert len(run_experiment(one_point)) == 3
-        single = ExperimentConfig(experiment="single", m=200, n=20, jobs=2)
-        assert len(run_experiment(single)) == 1
+        one_row = ExperimentConfig(experiment="sweep_c", m=200, n=20,
+                                   trials=1, jobs=2)
+        assert len(run_experiment(one_row)) == 1
         with pytest.raises(ConfigError):
             run_experiment(small_sweep_config(jobs=0))
 
@@ -771,8 +771,8 @@ class TestRankDeficientSample:
 
         monkeypatch.setattr(harness, "rp_cholesky_qr", deficient)
         (row,) = run_experiment(ExperimentConfig(
-            experiment="single", m=200, n=20, kappa=1e10, c=60,
-            method="rp", master_seed=14))
+            experiment="sweep_c", m=200, n=20, kappa=1e10, c=60,
+            method="rp", trials=1, master_seed=14))
         assert row["breakdown"] and row["deviation"] is None
         assert row["kappa_A1"] is None and row["eta"] is None
         assert seeds == [row["seed"]]
@@ -780,8 +780,8 @@ class TestRankDeficientSample:
 
 class TestEmitCsv:
     def test_schema_and_empty_cells(self, tmp_path):
-        cfg = ExperimentConfig(experiment="single", m=100, n=10, kappa=1e15,
-                               method="basic", master_seed=10)
+        cfg = ExperimentConfig(experiment="sweep_c", m=100, n=10, kappa=1e15,
+                               method="basic", trials=1, master_seed=10)
         rows = run_experiment(cfg)
         path = tmp_path / "out.csv"
         emit_csv(rows, path)
@@ -795,7 +795,7 @@ class TestEmitCsv:
 
     def test_unwritable_path_is_named(self, tmp_path):
         rows = run_experiment(ExperimentConfig(
-            experiment="single", m=100, n=10, method="basic"))
+            experiment="sweep_c", m=100, n=10, method="basic", trials=1))
         path = tmp_path / "no_dir" / "out.csv"
         with pytest.raises(OSError, match=f"^{re.escape(str(path))}: "
                                           "cannot write CSV: "):
@@ -817,9 +817,10 @@ class TestEmitCsv:
 
 
 class TestCli:
-    def test_single_runs(self, capsys):
-        rc = main(["single", "--m", "200", "--n", "20", "--kappa", "1e10",
-                   "--matrix", "worst", "--method", "rp", "--seed", "3"])
+    def test_one_trial_runs(self, capsys):
+        rc = main(["sweep-c", "--m", "200", "--n", "20", "--trials", "1",
+                   "--kappa", "1e10", "--matrix", "worst", "--method", "rp",
+                   "--seed", "3"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["n", "c", "method", "broke", "dev(gmean)",
@@ -827,10 +828,10 @@ class TestCli:
         assert [line.split()[:4] for line in lines[1:]] == [
             ["20", "60", "rp", "0"]]
 
-    def test_single_runs_one_trial_at_each_point(self, tmp_path, capsys):
-        out = tmp_path / "single.csv"
-        rc = main(["single", "--m", "200", "--n", "20", "--c", "40,60",
-                   "--trials", "5", "--out", str(out)])
+    def test_trials_one_runs_one_trial_at_each_point(self, tmp_path, capsys):
+        out = tmp_path / "one.csv"
+        rc = main(["sweep-c", "--m", "200", "--n", "20", "--c", "40,60",
+                   "--trials", "1", "--out", str(out)])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[:4] for line in lines[1:-1]] == [
@@ -857,39 +858,39 @@ class TestCli:
         array.write_text("[]")
         syntax.write_text("{")
         fractional.write_text(json.dumps({
-            "schema_version": 1, "experiment": "single", "n": 10,
+            "schema_version": 1, "experiment": "sweep_c", "n": 10,
             "m": 200.0}))
         for argv in (
             ["sweep-c", "--m", "100", "--n", "200", "--c", "300"],
-            ["single", "--n", "100", "--c", "50"],
+            ["sweep-c", "--n", "100", "--c", "50"],
             ["compare-cqr2", "--c", "10", "--n", "20"],
-            ["single", "--n", "10", "--kappa", "nan"],
-            ["single", "--n", "10", "--kappa", "inf"],
-            ["single", "--n", "10", "--kappa", "0.5"],
-            ["single", "--n", "0"],
+            ["sweep-c", "--n", "10", "--kappa", "nan"],
+            ["sweep-c", "--n", "10", "--kappa", "inf"],
+            ["sweep-c", "--n", "10", "--kappa", "0.5"],
+            ["sweep-c", "--n", "0"],
             ["sweep-n", "--n", "0,10"],
             ["sweep-c", "--config", str(CONFIGS / "fig1.json"),
              "--n", "10,20"],
-            ["single", "--n", "10,20", "--c", "30"],
+            ["sweep-c", "--n", "10,20", "--c", "30"],
             ["sweep-n", "--config", str(CONFIGS / "fig3.json"), "--c", "50"],
-            ["single", "--method", "basic", "--m", "100", "--n", "10",
+            ["sweep-c", "--method", "basic", "--m", "100", "--n", "10",
              "--c", "50"],
             ["sweep-c", "--method", "cqr2", "--m", "100", "--n", "10",
              "--c", "20,30"],
-            ["single", "--n", "10", "--seed", "-1"],
+            ["sweep-c", "--n", "10", "--seed", "-1"],
             ["sweep-c", "--m", "100", "--n", "10", "--c", "20,30",
              "--jobs", "0"],
             ["compare-cqr2", "--method", "basic", "--matrix", "haar",
              "--m", "200", "--n", "10", "--c", "30", "--trials", "1",
              "--kappa", "1e3"],
-            ["single", "--config", str(array)],
-            ["single", "--config", str(fractional)],
+            ["sweep-c", "--config", str(array)],
+            ["sweep-c", "--config", str(fractional)],
             ["bounds", "--kappa-a1", "10", "--eta", "nan"],
             ["bounds", "--kappa-a1", "10", "--eta", "-3"],
             ["bounds", "--kappa-a1", "10", "--eta", "20"],
             ["bounds", "--eps", "-1", "--kappa-a1", "10"],
-            ["single", "--config", str(tmp_path / "missing.json")],
-            ["single", "--config", str(syntax)],
+            ["sweep-c", "--config", str(tmp_path / "missing.json")],
+            ["sweep-c", "--config", str(syntax)],
         ):
             rc = main(argv)
             assert rc == 1, argv
@@ -907,10 +908,26 @@ class TestCli:
             f"error: {path} sets experiment {experiment}, so it cannot run "
             f"as {command}\n")
 
+    def test_single_is_not_a_subcommand(self, tmp_path, capsys):
+        # One trial is --trials 1 on a sweep; no alias keeps the old name.
+        with pytest.raises(SystemExit) as exc:
+            main(["single", "--n", "10"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert re.findall(r"[\w-]+", err.split("choose from")[1]) == [
+            "sweep-c", "sweep-n", "compare-cqr2", "bounds"]
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "experiment": "single", "n": 10}))
+        assert main(["sweep-c", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: unknown experiment 'single'\n"
+
     @pytest.mark.parametrize("argv", [
-        ["single", "--n", ","],
-        ["single", "--n", "5", "--c", ","],
-        ["single", "--n", "abc"],
+        ["sweep-c", "--n", ","],
+        ["sweep-c", "--n", "5", "--c", ","],
+        ["sweep-c", "--n", "abc"],
     ])
     def test_int_list_without_ints_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -922,7 +939,7 @@ class TestCli:
 
     def test_method_choices_come_from_method_table(self):
         sub = next(a for a in build_parser()._actions if a.dest == "command")
-        method = next(a for a in sub.choices["single"]._actions
+        method = next(a for a in sub.choices["sweep-c"]._actions
                       if a.dest == "method")
         assert method.choices == sorted(METHODS)
 
@@ -960,8 +977,8 @@ class TestCli:
                 raise
 
         monkeypatch.setattr(harness, "rp_cholesky_qr", spy)
-        rc = main(["single", "--m", "50", "--n", "10", "--c", "10",
-                   "--matrix", "haar", "--seed", "3"])
+        rc = main(["sweep-c", "--m", "50", "--n", "10", "--c", "10",
+                   "--trials", "1", "--matrix", "haar", "--seed", "3"])
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[1].split() == [
             "10", "10", "rp", "1", "-", "-", "-", "-"]
@@ -1069,7 +1086,7 @@ class TestCli:
         (["sweep-c", "--config", "fig1", "--c", "300"], [(100, 300)]),
         (["sweep-c", "--config", "fig1", "--n", "50"],
          [(50, c) for c in (200, 300, 400, 600, 800)]),
-        (["single", "--n", "10", "--c", "40"], [(10, 40)]),
+        (["sweep-c", "--n", "10", "--c", "40"], [(10, 40)]),
         (["compare-cqr2", "--n", "10", "--c", "40"], [(10, 40)]),
         (["sweep-n", "--n", "10"], [(10, 30)]),
         (["compare-cqr2", "--config", "fig8", "--n", "50", "--c", "300"],
@@ -1086,7 +1103,7 @@ class TestCli:
         (["sweep-n", "--config", "fig3", "--n", "50", "--c", "200"],
          [(50, 200)]),
         (["sweep-c", "--n", "10,20"], [(10, 30), (20, 60)]),
-        (["single", "--n", "10,20"], [(10, 30), (20, 60)]),
+        (["sweep-n", "--n", "10", "--c", "40,50"], [(10, 40), (10, 50)]),
     ])
     def test_flag_replaces_the_files_whole_axis(self, argv, points):
         # A flag's one value sets the scalar key and several the list key,
@@ -1153,9 +1170,9 @@ class TestDeterminism:
         for name in ("x.csv", "y.csv"):
             out = tmp_path / name
             subprocess.run(
-                [sys.executable, "-m", "rpcqr.cli", "single", "--m", "120",
-                 "--n", "12", "--kappa", "1e10", "--seed", "9",
-                 "--out", str(out)],
+                [sys.executable, "-m", "rpcqr.cli", "sweep-c", "--m", "120",
+                 "--n", "12", "--trials", "1", "--kappa", "1e10", "--seed",
+                 "9", "--out", str(out)],
                 check=True, capture_output=True,
             )
             outs.append(_strip_wall_time(out.read_text()))
