@@ -43,10 +43,15 @@ class PerturbationSet:
     kappa_precond: float = 1.0
 
     def __post_init__(self):
-        eps = [_float(name, getattr(self, name)) for name in _stage_fields()]
-        if any(not math.isfinite(v) or v < 0.0 for v in eps):
+        # Store the checked Python floats: a float32 field would make the
+        # bound arithmetic run in float32.
+        for f in fields(self):
+            value = _float(f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+        if any(not 0.0 <= getattr(self, name) < math.inf
+               for name in _stage_fields()):
             raise DomainError("perturbations must be finite and nonnegative")
-        if not 1.0 <= _float("kappa_precond", self.kappa_precond) < math.inf:
+        if not 1.0 <= self.kappa_precond < math.inf:
             raise DomainError("kappa_precond must be finite and >= 1")
 
     @classmethod

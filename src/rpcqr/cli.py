@@ -45,7 +45,7 @@ def _add_experiment_args(p):
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=_int_list,
                    help="column count, or a comma-separated list of them")
-    p.add_argument("--c", type=_int_list,
+    p.add_argument("--c", type=_int_list, dest="c_list",
                    help="sampling amount, or a comma-separated list of them")
     p.add_argument("--kappa", type=float)
     p.add_argument("--trials", type=int)
@@ -62,8 +62,8 @@ def _build_config(args):
     """``--config``'s file or defaults, with the flags applied, then validated.
 
     A file whose ``experiment`` is not the subcommand's is a ConfigError.
-    ``--n`` replaces the file's whole axis: one value sets ``n``, several
-    set ``n_list``.  So does ``--c``, for ``c`` and ``c_list``.
+    ``--n`` replaces the file's ``n`` and ``--c`` its ``c_list``, each with
+    the flag's list of one or more values.
     """
     base = (_read_config(args.config) if args.config
             else ExperimentConfig(args.experiment))
@@ -73,11 +73,6 @@ def _build_config(args):
                           f"so it cannot run as {args.command}")
     flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
              if getattr(args, f.name, None) is not None}
-    for key, listed in (("n", "n_list"), ("c", "c_list")):
-        values = flags.pop(key, None)
-        if values is not None:
-            flags.update({key: None, listed: values} if len(values) > 1
-                         else {key: values[0], listed: None})
     if "matrix_kind" in flags:
         flags["matrix_kind"] = _MATRIX_ALIASES[flags["matrix_kind"]]
     return replace(base, **flags).validate()

@@ -21,7 +21,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class ConfigError(ValueError):
 #: methods each runs at every point (None: ``config.method``).
 EXPERIMENTS = {"sweep_c": None, "sweep_n": None, "compare_cqr2": ("rp", "cqr2")}
 
-#: The sets of ``n``, ``c``, ``n_list`` and ``c_list`` (in that order) that
-#: a config of any experiment may set; :func:`sweep_points` reads each.
-_POINT_KEYS = (("n_list",), ("n",), ("n", "c"), ("n", "c_list"))
-
 
 @dataclass
 class ExperimentConfig:
@@ -76,19 +72,17 @@ class ExperimentConfig:
 
     ``experiment``, ``matrix_kind`` and ``method`` name entries of
     :data:`EXPERIMENTS`, :data:`MATRIX_KINDS` and :data:`METHODS`.  The
-    points' matrices are ``m`` x n, of condition number ``kappa``; n runs
-    over ``n_list`` at c = 3n, or c over ``c_list`` (else is ``c``, else
-    3n) at ``n``.  Each point runs ``trials`` trials, seeded from
-    ``master_seed``, in up to ``jobs`` forked workers; the CLI writes the
-    rows to ``output_path``, if set.
+    points' matrices are ``m`` x n, of condition number ``kappa``; each n
+    of ``n`` (an int or a list) runs at every c of ``c_list``, else at 3n.
+    Each point runs ``trials`` trials, seeded from ``master_seed``, in up
+    to ``jobs`` forked workers; the CLI writes the rows to
+    ``output_path``, if set.
     """
 
     experiment: str
     matrix_kind: str = "worst_coherence"
     m: int = 2000
-    n: Optional[int] = None
-    n_list: Optional[List[int]] = None
-    c: Optional[int] = None
+    n: Union[int, List[int], None] = None
     c_list: Optional[List[int]] = None
     kappa: float = 1e15
     method: str = "rp"
@@ -104,15 +98,17 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not isinstance(value, str) or value not in table:
                 raise ConfigError(f"unknown {key} {value!r}")
-        if any(not isinstance(v, list) or not v
-               for v in (self.n_list, self.c_list) if v is not None):
-            raise ConfigError(
-                "n_list and c_list must be non-empty lists of integers")
-        ints = [self.m, self.trials, self.master_seed, self.jobs, self.n,
-                self.c, *(self.n_list or ()), *(self.c_list or ())]
-        if any(type(v) is not int for v in ints if v is not None):
-            raise ConfigError("m, n, c, n_list, c_list, trials, master_seed "
-                              "and jobs must be integers")
+        one, many = "an integer", "a non-empty list of integers"
+        for key, values, kind in (
+                *((k, [getattr(self, k)], one)
+                  for k in ("m", "trials", "master_seed", "jobs")),
+                ("n", self.n if isinstance(self.n, list) else [self.n],
+                 f"{one} or {many}"),
+                ("c_list", [0] if self.c_list is None else self.c_list, many)):
+            if not (isinstance(values, list) and values
+                    and all(type(v) is int for v in values)):
+                raise ConfigError(
+                    f"{key} must be {kind}, got {getattr(self, key)!r}")
         if self.trials < 1 or self.jobs < 1 or self.master_seed < 0:
             raise ConfigError("trials and jobs must be >= 1, master_seed >= 0")
         if (EXPERIMENTS[self.experiment]
@@ -122,16 +118,10 @@ class ExperimentConfig:
         if not isinstance(self.output_path, (str, type(None))):
             raise ConfigError(
                 f"output_path must be a string, got {self.output_path!r}")
-        used = tuple(k for k in ("n", "c", "n_list", "c_list")
-                     if getattr(self, k) is not None)
-        if used not in _POINT_KEYS:
-            takes = " or ".join(map("+".join, _POINT_KEYS))
-            raise ConfigError(f"{self.experiment} takes {takes}, got "
-                              f"{'+'.join(used) or 'none'}")
-        if (self.c, self.c_list) != (None, None) and not any(
+        if self.c_list is not None and not any(
                 METHODS[m].samples_c for m in _methods(self)):
             raise ConfigError(f"method {self.method} samples no rows, so "
-                              f"{self.experiment} takes no c or c_list")
+                              f"{self.experiment} takes no c_list")
         for n, c in sweep_points(self):
             _check(self.m, n, self.kappa, ConfigError)
             if c < n:
@@ -181,14 +171,12 @@ def derive_matrix_seed(master_seed, point_index):
 def sweep_points(config):
     """The (n, c) points of a validated ``config``, in run order.
 
-    ``n_list`` gives the points (n, 3n).  Otherwise n is ``n``, and c runs
-    over ``c_list``, or is ``c``, or 3n.  A method that samples no rows
-    ignores c, and its rows leave the cell empty.
+    Each n of ``n`` (one or a list) runs at every c of ``c_list``, else at
+    3n, in n-major order.  A method that samples no rows ignores c, and its
+    rows leave the cell empty.
     """
-    if config.n_list:
-        return [(n, 3 * n) for n in config.n_list]
-    c = 3 * config.n if config.c is None else config.c
-    return [(config.n, k) for k in config.c_list or [c]]
+    ns = config.n if isinstance(config.n, list) else [config.n]
+    return [(n, c) for n in ns for c in config.c_list or [3 * n]]
 
 
 def _methods(config):

@@ -143,7 +143,7 @@ def test_criterion_4_baseline_parity(capsys):
 def test_criterion_5_breakdown_contrast(capsys):
     # rp samples c = 3n = 150 rows.
     base = dict(experiment="sweep_n", matrix_kind="worst_coherence",
-                m=1000, n_list=[50], kappa=1e15, trials=10, master_seed=5)
+                m=1000, n=50, kappa=1e15, trials=10, master_seed=5)
     failed = {}
     for method in ("basic", "cqr2"):
         rows = run_experiment(ExperimentConfig(**base, method=method))

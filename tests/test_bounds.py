@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -188,6 +188,25 @@ def test_an_int_beyond_the_floats_is_a_domain_error(call, name):
     # Not an OverflowError from float(): the error names the argument.
     with pytest.raises(DomainError, match=rf"^{name} "):
         call()
+
+
+@pytest.mark.parametrize("bounds", [preconditioned_bounds,
+                                    first_order_bounds])
+def test_numpy_scalar_fields_are_stored_as_floats(bounds):
+    # float32 fields would make the bound arithmetic run in float32.
+    eps = np.float32(1e-16)
+    p = PerturbationSet(eps_input=eps, eps_gram=eps,
+                        kappa_precond=np.int64(10))
+    assert all(type(getattr(p, f.name)) is float for f in fields(p))
+    same = PerturbationSet(eps_input=float(eps), eps_gram=float(eps),
+                           kappa_precond=10.0)
+    b = bounds(p, 10.0, 2.0)
+    assert b == bounds(same, 10.0, 2.0)
+    assert all(type(v) is float
+               for v in (b.cond_factor, b.ortho_bound, b.residual_bound))
+    one = PerturbationSet(eps_input=eps, eps_gram=eps)
+    assert preconditioned_bounds(one, 10.0, 2.0).cond_factor == \
+        1.000000000000015
 
 
 @pytest.mark.parametrize("bounds", [preconditioned_bounds,

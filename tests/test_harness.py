@@ -5,7 +5,7 @@ import multiprocessing
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -52,19 +52,27 @@ def small_sweep_config(**overrides):
     return ExperimentConfig(**base)
 
 
-# The point keys each experiment accepts (with the default method, rp),
-# written out here as an oracle independent of the harness's own table:
-# every experiment takes the same four sets.
-ACCEPTED_POINT_KEYS = {
-    experiment: [("n_list",), ("n",), ("n", "c"), ("n", "c_list")]
-    for experiment in ("sweep_c", "sweep_n", "compare_cqr2")}
-POINT_VALUES = {"n": 5, "c": 20, "n_list": [5], "c_list": [20]}
+# Every experiment takes the same point keys (with the default method,
+# rp): n, one or a list, with or without c_list.
+EXPERIMENTS = ("sweep_c", "sweep_n", "compare_cqr2")
+POINT_VALUES = {"n": 5, "c_list": [20]}
+
+# Each shipped config's points, written out: each n at every c of c_list,
+# else at 3n.
+SHIPPED_POINTS = {
+    "fig1": [(100, 200), (100, 300), (100, 400), (100, 600), (100, 800)],
+    "fig2": [(200, 400), (200, 600), (200, 800), (200, 1200), (200, 1600)],
+    "fig3": [(50, 150), (100, 300), (150, 450), (200, 600)],
+    "fig7": [(200, 400), (200, 600), (200, 800), (200, 1200), (200, 1600)],
+    "fig8": [(50, 150), (100, 300), (150, 450), (200, 600)],
+}
 
 
-def point_config(experiment, keys):
+def point_config(experiment, keys=(), **points):
     # Every experiment takes haar_rotated.
     return ExperimentConfig(experiment=experiment, matrix_kind="haar_rotated",
-                            m=200, **{k: POINT_VALUES[k] for k in keys})
+                            m=200, **{k: POINT_VALUES[k] for k in keys},
+                            **points)
 
 
 class TestConfig:
@@ -78,9 +86,12 @@ class TestConfig:
     def test_validate_rejects_c_below_n(self):
         for config in (
             small_sweep_config(c_list=[10]),
-            ExperimentConfig(experiment="sweep_c", m=200, n=100, c=50),
-            ExperimentConfig(experiment="compare_cqr2", m=200, n=20, c=10,
-                             matrix_kind="haar_rotated"),
+            ExperimentConfig(experiment="sweep_c", m=200, n=100, c_list=[50]),
+            ExperimentConfig(experiment="compare_cqr2", m=200, n=20,
+                             c_list=[10], matrix_kind="haar_rotated"),
+            # One pair of the grid: c = 25 < n = 30.
+            ExperimentConfig(experiment="sweep_c", m=200, n=[20, 30],
+                             c_list=[25, 40]),
         ):
             with pytest.raises(ConfigError):
                 config.validate()
@@ -89,8 +100,8 @@ class TestConfig:
         for config in (
             ExperimentConfig(experiment="sweep_c", m=10, n=20),
             ExperimentConfig(experiment="sweep_c", m=10, n=0),
-            ExperimentConfig(experiment="sweep_n", m=10, n_list=[0, 5]),
-            ExperimentConfig(experiment="sweep_n", m=10, n_list=[5, 20]),
+            ExperimentConfig(experiment="sweep_n", m=10, n=[0, 5]),
+            ExperimentConfig(experiment="sweep_n", m=10, n=[5, 20]),
         ):
             # The generators' own rule and message, so a valid config
             # never fails in generation.
@@ -138,14 +149,16 @@ class TestConfig:
             load_config(path)
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
+        # n_list and c were point keys once: no alias keeps them.
         path = tmp_path / "cfg.json"
         for key in ("samples", "regenerate_matrix_per_trial",
-                    "retry_on_rank_deficient"):
+                    "retry_on_rank_deficient", "n_list", "c"):
             path.write_text(json.dumps({"schema_version": 1,
                                         "experiment": "sweep_c", "n": 5,
                                         key: 3}))
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError) as exc:
                 load_config(path)
+            assert str(exc.value) == f"{path}: unknown config keys ['{key}']"
 
     @pytest.mark.parametrize("text", [
         "[1, 2]",
@@ -156,8 +169,8 @@ class TestConfig:
         '{"schema_version": 1, "experiment": "sweep_c", "n": 5, "m": 200.0}',
         '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
         '"trials": true}',
-        '{"schema_version": 1, "experiment": "sweep_n", "n_list": [5.0]}',
-        '{"schema_version": 1, "experiment": "sweep_n", "n_list": 5}',
+        '{"schema_version": 1, "experiment": "sweep_n", "n": [5.0]}',
+        '{"schema_version": 1, "experiment": "sweep_n", "n": "5"}',
         '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
         '"master_seed": -1}',
         '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
@@ -170,11 +183,10 @@ class TestConfig:
         '"kappa": 1' + "0" * 400 + '}',
         '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
         '"c_list": 20}',
-        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
-        '"c_list": [20], "n_list": [5]}',
+        '{"schema_version": 1, "experiment": "sweep_c", "n": [5, 30], '
+        '"c_list": [20]}',
         '{"schema_version": 1, "experiment": "compare_cqr2", '
-        '"matrix_kind": "haar_rotated", "n": 5, "c_list": [20], '
-        '"n_list": [5]}',
+        '"matrix_kind": "haar_rotated", "n": [5, 30], "c_list": [20]}',
     ])
     def test_load_config_rejects_malformed_values(self, tmp_path, text):
         path = tmp_path / "cfg.json"
@@ -183,23 +195,20 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize("config, key", [
-        (dict(experiment="sweep_n", n_list=[5], n=7), "n"),
-        (dict(experiment="sweep_n", n_list=[5], c=50), "c"),
-        (dict(experiment="sweep_n", n_list=[5], c_list=[20]), "c_list"),
-        (dict(experiment="sweep_c", n=5, c_list=[20], n_list=[5]), "n_list"),
-        (dict(experiment="sweep_c", n=5, c_list=[20], c=30), "c"),
-        (dict(experiment="sweep_c", n=5, n_list=[5]), "n_list"),
-        (dict(experiment="sweep_c", n_list=[5], c_list=[20, 30]), "c_list"),
-        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=5,
-              c_list=[20], n_list=[5]), "c_list"),
-        (dict(experiment="sweep_n", n_list=5), "n_list"),
+        (dict(experiment="sweep_n"), "n"),
+        (dict(experiment="sweep_c", c_list=[20]), "n"),
+        (dict(experiment="sweep_n", n=[5, 5.0]), "n"),
+        (dict(experiment="sweep_n", n=(5,)), "n"),
+        (dict(experiment="sweep_c", n=[5], c_list=[20.0]), "c_list"),
+        (dict(experiment="sweep_c", n=[5, 6], c_list=[[20]]), "c_list"),
         (dict(experiment="sweep_c", n=5, c_list=20), "c_list"),
         (dict(experiment="sweep_c", n=5, c_list="20"), "c_list"),
-        (dict(experiment="sweep_c", n=5, c=50, method="basic"), "c"),
+        (dict(experiment="sweep_c", n=5, c_list=[50], method="basic"),
+         "c_list"),
         (dict(experiment="sweep_c", n=5, c_list=[20, 30], method="cqr2"),
          "c_list"),
         (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=5,
-              c=20, method="basic"), "method"),
+              c_list=[20], method="basic"), "method"),
         (dict(experiment=["sweep_c"], n=5, c_list=[20]), "experiment"),
         (dict(experiment="sweep_c", n=5, matrix_kind=["haar_rotated"]),
          "matrix_kind"),
@@ -210,29 +219,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"\b{key}\b"):
             ExperimentConfig(**config).validate()
 
-    @pytest.mark.parametrize("experiment", list(ACCEPTED_POINT_KEYS))
-    def test_validate_accepts_exactly_the_tabled_point_keys(self, experiment):
-        # Every subset of the point keys, at valid values: the accepted
-        # sets pass, and any other is rejected by a message that ends with
-        # the keys it got, joined by + in (n, c, n_list, c_list) order.
-        accepted = [set(keys) for keys in ACCEPTED_POINT_KEYS[experiment]]
-        for size in range(len(POINT_VALUES) + 1):
-            for keys in map(set, combinations(POINT_VALUES, size)):
-                config = point_config(experiment, keys)
-                if keys in accepted:
-                    config.validate()
-                    continue
-                with pytest.raises(ConfigError) as exc:
-                    config.validate()
-                got = "+".join(k for k in POINT_VALUES if k in keys)
-                assert str(exc.value).rpartition("got ")[2] == (
-                    got or "none"), (experiment, keys, str(exc.value))
+    @pytest.mark.parametrize("key", [
+        f.name for f in fields(ExperimentConfig)
+        if f.name not in ("c_list", "output_path")])
+    def test_validate_names_a_null_key(self, key):
+        # Only c_list and output_path may be None; the message names the
+        # null key and no other.
+        config = replace(small_sweep_config(), **{key: None})
+        with pytest.raises(ConfigError) as exc:
+            config.validate()
+        named = set(re.findall(r"\w+", str(exc.value)))
+        assert named & {f.name for f in fields(ExperimentConfig)} == {key}
 
-    @pytest.mark.parametrize("experiment", list(ACCEPTED_POINT_KEYS))
-    @pytest.mark.parametrize("empty", ["n_list", "c_list"])
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_validate_accepts_exactly_the_tabled_point_keys(self, experiment):
+        # n, one or a list, with or without c_list: every grid passes.
+        for n in (5, [5], [5, 6]):
+            for c_list in (None, [20], [20, 30]):
+                point_config(experiment, n=n, c_list=c_list).validate()
+        for c_list in (None, [20]):
+            with pytest.raises(ConfigError) as exc:
+                point_config(experiment, c_list=c_list).validate()
+            assert str(exc.value) == ("n must be an integer or a non-empty "
+                                      "list of integers, got None")
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("empty", ["n", "c_list"])
     def test_empty_list_is_an_error(self, tmp_path, experiment, empty):
         path = tmp_path / "cfg.json"
-        for keys in ACCEPTED_POINT_KEYS[experiment]:
+        for keys in (("n",), ("n", "c_list")):
             config = replace(point_config(experiment, keys), **{empty: []})
             with pytest.raises(ConfigError):
                 config.validate()
@@ -242,19 +257,17 @@ class TestConfig:
                 load_config(path)
 
     def test_configs_readme_tables_the_experiments(self):
+        # The Keys section tables the experiments (two cells a row) and
+        # the config keys (three cells a row).
         keys = (CONFIGS / "README.md").read_text().split("## Keys")[1]
         keys = keys.split("\n## ")[0]
-        rows = re.findall(r"^\| `(\w+)` \| (.+) \|$", keys, re.M)
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|$", keys, re.M)
         assert {name: None if methods == "`method`"
                 else tuple(re.findall(r"`(\w+)`", methods))
                 for name, methods in rows} == harness.EXPERIMENTS
-        sets = re.search(r"point keys, (.+?), and runs", keys, re.S)[1]
-        point_keys = [tuple(k.split("+"))
-                      for k in re.findall(r"`(.+?)`", sets)]
-        assert point_keys == list(harness._POINT_KEYS)
-        assert all(accepted == point_keys
-                   for accepted in ACCEPTED_POINT_KEYS.values())
-        assert list(ACCEPTED_POINT_KEYS) == list(harness.EXPERIMENTS)
+        assert re.findall(r"^\| `(\w+)` \|[^|]+\|[^|]+\|$", keys, re.M) == [
+            f.name for f in fields(ExperimentConfig)]
+        assert list(EXPERIMENTS) == list(harness.EXPERIMENTS)
 
     def test_configs_readme_tables_the_csv_columns(self):
         # One table row per column, in order; the `m`, `n` row names two.
@@ -274,8 +287,7 @@ class TestConfig:
         config = load_config(CONFIGS / f"{name}.json")
         sub = next(a for a in build_parser()._actions if a.dest == "command")
         assert config.experiment.replace("_", "-") in sub.choices
-        if config.n_list is not None:
-            assert all(c == 3 * n for n, c in sweep_points(config))
+        assert sweep_points(config) == SHIPPED_POINTS[name]
 
     def test_shipped_configs_are_distinct(self):
         # A figure that plots other columns of another figure's trials is
@@ -305,7 +317,8 @@ class TestSeedDerivation:
 class TestRunOneTrial:
     def test_rp_on_singular_matrix(self):
         cfg = ExperimentConfig(experiment="sweep_c", m=500, n=50, kappa=1e15,
-                               c=150, method="rp", trials=1, master_seed=3)
+                               c_list=[150], method="rp", trials=1,
+                               master_seed=3)
         rows = run_experiment(cfg)
         assert not rows[0]["breakdown"]
         assert rows[0]["residual"] <= 1e-14
@@ -322,7 +335,8 @@ class TestRunOneTrial:
 
     def test_deterministic_modulo_wall_time(self):
         cfg = ExperimentConfig(experiment="sweep_c", m=200, n=20, kappa=1e10,
-                               c=60, method="rp", trials=1, master_seed=5)
+                               c_list=[60], method="rp", trials=1,
+                               master_seed=5)
         (r1,) = run_experiment(cfg)
         (r2,) = run_experiment(cfg)
         assert r1["deviation"] == r2["deviation"]
@@ -344,11 +358,10 @@ class TestRunOneTrial:
         # or the trial count.  A method that samples no rows takes no c.
         samples = METHODS[method].samples_c
         one = ExperimentConfig(experiment="sweep_c", m=200, n=20, kappa=1e10,
-                               c=60 if samples else None, method=method,
-                               trials=1, master_seed=12)
+                               c_list=[60] if samples else None,
+                               method=method, trials=1, master_seed=12)
         (row,) = run_experiment(one)
-        points = (dict(c=None, c_list=[60, 80]) if samples else
-                  dict(n=None, n_list=[20, 30]))
+        points = dict(c_list=[60, 80]) if samples else dict(n=[20, 30])
         swept = run_experiment(replace(one, experiment="sweep_n", trials=3,
                                        **points))
         ignored = ("experiment", "wall_time_s")
@@ -365,13 +378,24 @@ class TestSweeps:
 
     def test_sweep_n_uses_3n_samples(self):
         cfg = ExperimentConfig(experiment="sweep_n", m=300, kappa=1e12,
-                               n_list=[10, 20], trials=2, master_seed=7)
+                               n=[10, 20], trials=2, master_seed=7)
         rows = run_experiment(cfg)
         assert {r["c"] for r in rows} == {30, 60}
         est = [r["estimate_5_2"] for r in rows if not r["breakdown"]]
         kap = [r["kappa_A1"] for r in rows if not r["breakdown"]]
         u = 2.220446049250313e-16
         assert all(e == 4 * u * k for e, k in zip(est, kap))
+
+    def test_list_n_with_c_list_runs_the_grid(self):
+        cfg = small_sweep_config(n=[20, 30], c_list=[60, 90], trials=2)
+        assert sweep_points(cfg) == [(20, 60), (20, 90), (30, 60), (30, 90)]
+        rows = run_experiment(cfg)
+        assert [(r["n"], r["c"], r["trial"]) for r in rows] == [
+            (20, 60, 0), (20, 60, 1), (20, 90, 0), (20, 90, 1),
+            (30, 60, 0), (30, 60, 1), (30, 90, 0), (30, 90, 1)]
+        assert [line.split()[:2] for line in
+                format_summary(cfg, rows).splitlines()[1:]] == [
+            ["20", "60"], ["20", "90"], ["30", "60"], ["30", "90"]]
 
     def test_compare_cqr2_pairs_methods(self):
         cfg = ExperimentConfig(experiment="compare_cqr2",
@@ -444,7 +468,7 @@ class TestSweeps:
     @pytest.mark.parametrize("config", [
         dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=15,
              kappa=1e7, c_list=[30, 45]),
-        *(dict(experiment="sweep_n", n_list=[10, 15], kappa=1e12, method=m)
+        *(dict(experiment="sweep_n", n=[10, 15], kappa=1e12, method=m)
           for m in ("basic", "cqr2", "precond")),
     ], ids=["compare_cqr2", "sweep_n-basic", "sweep_n-cqr2",
             "sweep_n-precond"])
@@ -486,7 +510,7 @@ class TestSweeps:
             monkeypatch.setattr(harness, name, capturing(name))
         run_experiment(ExperimentConfig(
             experiment="compare_cqr2", matrix_kind="haar_rotated", m=100,
-            n=10, kappa=1e5, c=30, trials=2, master_seed=25))
+            n=10, kappa=1e5, c_list=[30], trials=2, master_seed=25))
         assert flags == [("rp_cholesky_qr", True, False),
                          ("cholesky_qr2", True, False),
                          ("rp_cholesky_qr", True, False)]
@@ -521,7 +545,7 @@ class TestSweeps:
             assert row["residual"] == rel_residual(A, f)
 
     def test_breakdowns_become_rows(self):
-        cfg = ExperimentConfig(experiment="sweep_n", m=300, n_list=[30],
+        cfg = ExperimentConfig(experiment="sweep_n", m=300, n=30,
                                kappa=1e15, trials=2, method="basic",
                                master_seed=9)
         rows = run_experiment(cfg)
@@ -590,24 +614,26 @@ class TestParallelPoints:
     @pytest.mark.parametrize("config, points", [
         (dict(experiment="sweep_c", m=150, n=15, kappa=1e15,
               c_list=[30, 45, 60], trials=2), 3),
-        (dict(experiment="sweep_n", m=150, n_list=[5, 10, 15], kappa=1e12,
+        (dict(experiment="sweep_n", m=150, n=[5, 10, 15], kappa=1e12,
               trials=2), 3),
-        (dict(experiment="sweep_n", m=150, n_list=[10, 15], kappa=1e15,
+        (dict(experiment="sweep_n", m=150, n=[10, 15], kappa=1e15,
               method="basic", trials=2), 2),
         (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
               n=15, kappa=1e7, c_list=[30, 45], trials=2), 2),
         (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
-              n_list=[5, 10, 15], kappa=1e7, trials=2), 3),
+              n=[5, 10, 15], kappa=1e7, trials=2), 3),
+        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
+              n=[10, 15], c_list=[30, 45], kappa=1e7, trials=2), 4),
         (dict(experiment="sweep_c", m=150, n=15, kappa=1e15, trials=1), 1),
         # The smallest point's 3 trials split 1 + 2 between the workers.
         (dict(experiment="sweep_c", m=150, n=15, kappa=1e15,
               c_list=[30, 45, 60, 75, 90], trials=3), 5),
         # The smallest point's one trial is one task, not 0 + 1.
         (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
-              n_list=[5, 10, 15], kappa=1e7, trials=1), 3),
+              n=[5, 10, 15], kappa=1e7, trials=1), 3),
     ], ids=["sweep_c", "sweep_n", "sweep_n-basic", "compare_cqr2-c_list",
-            "compare_cqr2-n_list", "sweep_c-one-trial", "sweep_c-5-points",
-            "compare_cqr2-one-trial"])
+            "compare_cqr2-n-list", "compare_cqr2-grid", "sweep_c-one-trial",
+            "sweep_c-5-points", "compare_cqr2-one-trial"])
     def test_rows_do_not_depend_on_jobs(self, pools, config, points):
         cfg = ExperimentConfig(master_seed=23, **config)
         serial = run_experiment(cfg)
@@ -739,7 +765,7 @@ class TestParallelPoints:
             return measure(A, *args, **kwargs)
 
         monkeypatch.setattr(harness, "measure", failing)
-        cfg = ExperimentConfig(experiment="sweep_n", m=150, n_list=[5, 10, 15],
+        cfg = ExperimentConfig(experiment="sweep_n", m=150, n=[5, 10, 15],
                                kappa=1e12, trials=2, jobs=2)
         with pytest.raises(_PlantedError, match="^planted$"):
             run_experiment(cfg)
@@ -771,7 +797,7 @@ class TestRankDeficientSample:
 
         monkeypatch.setattr(harness, "rp_cholesky_qr", deficient)
         (row,) = run_experiment(ExperimentConfig(
-            experiment="sweep_c", m=200, n=20, kappa=1e10, c=60,
+            experiment="sweep_c", m=200, n=20, kappa=1e10, c_list=[60],
             method="rp", trials=1, master_seed=14))
         assert row["breakdown"] and row["deviation"] is None
         assert row["kappa_A1"] is None and row["eta"] is None
@@ -852,6 +878,21 @@ class TestCli:
         with open(out) as fh:
             assert fh.readline().strip() == ",".join(CSV_COLUMNS)
 
+    @pytest.mark.parametrize("key, raw", [
+        *((k, {"n": 10, k: None})
+          for k in ("trials", "jobs", "master_seed", "m")),
+        ("n", {"n": None}), ("n", {}),
+    ], ids=["trials", "jobs", "master_seed", "m", "n", "no-n"])
+    def test_null_or_missing_key_is_named(self, tmp_path, capsys, key, raw):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema_version": 1, "m": 100,
+                                    "experiment": "sweep_c", **raw}))
+        assert main(["sweep-c", "--config", str(path)]) == 1
+        kind = ("an integer or a non-empty list of integers" if key == "n"
+                else "an integer")
+        assert capsys.readouterr() == (
+            "", f"error: {key} must be {kind}, got None\n")
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         array, fractional = tmp_path / "array.json", tmp_path / "frac.json"
         syntax = tmp_path / "syntax.json"
@@ -870,8 +911,8 @@ class TestCli:
             ["sweep-c", "--n", "0"],
             ["sweep-n", "--n", "0,10"],
             ["sweep-c", "--config", str(CONFIGS / "fig1.json"),
-             "--n", "10,20"],
-            ["sweep-c", "--n", "10,20", "--c", "30"],
+             "--n", "10,300"],
+            ["sweep-c", "--n", "10,40", "--c", "30"],
             ["sweep-n", "--config", str(CONFIGS / "fig3.json"), "--c", "50"],
             ["sweep-c", "--method", "basic", "--m", "100", "--n", "10",
              "--c", "50"],
@@ -1104,33 +1145,43 @@ class TestCli:
          [(50, 200)]),
         (["sweep-c", "--n", "10,20"], [(10, 30), (20, 60)]),
         (["sweep-n", "--n", "10", "--c", "40,50"], [(10, 40), (10, 50)]),
+        (["sweep-c", "--config", "fig1", "--n", "50,100"],
+         [(n, c) for n in (50, 100) for c in (200, 300, 400, 600, 800)]),
+        (["sweep-n", "--config", "fig3", "--c", "400,500"],
+         [(n, c) for n in (50, 100, 150, 200) for c in (400, 500)]),
     ])
     def test_flag_replaces_the_files_whole_axis(self, argv, points):
-        # A flag's one value sets the scalar key and several the list key,
-        # whichever of the two the file set.
+        # --n sets n and --c sets c_list, with one value or several.
         argv = [str(CONFIGS / f"{a}.json") if a.startswith("fig") else a
                 for a in argv]
         args = build_parser().parse_args(argv + ["--matrix", "haar"])
         assert sweep_points(_build_config(args)) == points
 
-    @pytest.mark.parametrize("experiment", list(ACCEPTED_POINT_KEYS))
-    @pytest.mark.parametrize("flags, listed", [
-        (["--n", "12"], dict(n_list=[12])),
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("flags, keys", [
+        (["--n", "12"], dict(n=12)),
         (["--n", "12", "--c", "30"], dict(n=12, c_list=[30])),
     ], ids=["n", "c"])
-    def test_one_value_flag_gives_the_one_element_list_rows(
-            self, experiment, flags, listed):
-        # The flag sets the scalar key; the rows are the list key's.
-        args = build_parser().parse_args(
-            [experiment.replace("_", "-"), *flags, "--m", "120", "--kappa",
-             "1e10", "--trials", "2", "--seed", "5"])
-        config = _build_config(args)
-        assert config.n_list is None and config.c_list is None
-        listed = ExperimentConfig(experiment, m=120, kappa=1e10, trials=2,
-                                  master_seed=5, **listed)
-        rows = [[dict(r, wall_time_s=None) for r in run_experiment(c)]
-                for c in (config, listed)]
-        assert rows[0] == rows[1] and rows[0]
+    def test_one_value_flag_writes_the_scalar_keys_rows(
+            self, tmp_path, experiment, flags, keys):
+        # --n 12 sets n to the list [12], which runs as n = 12 does.
+        command = experiment.replace("_", "-")
+        common = ["--m", "120", "--kappa", "1e10", "--trials", "2",
+                  "--seed", "5"]
+        assert _build_config(build_parser().parse_args(
+            [command, *flags, *common])).n == [12]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(
+            keys, schema_version=1, experiment=experiment, m=120,
+            kappa=1e10, trials=2, master_seed=5)))
+        flagged, filed = tmp_path / "flag.csv", tmp_path / "file.csv"
+        assert main([command, *flags, *common, "--out", str(flagged)]) == 0
+        assert main([command, "--config", str(path), "--out",
+                     str(filed)]) == 0
+        lines = _strip_wall_time(flagged.read_text())
+        assert lines == _strip_wall_time(filed.read_text())
+        assert len(lines) == 1 + 2 * (2 if experiment == "compare_cqr2"
+                                      else 1)
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
