@@ -10,7 +10,6 @@ residual sits at roundoff regardless.
 from rpcqr import ExperimentConfig, format_summary, run_experiment
 
 config = ExperimentConfig(
-    experiment="sweep_c",
     matrix_kind="worst_coherence",
     m=1000,
     n=50,
@@ -26,4 +25,5 @@ print(format_summary(config, rows))
 
 breakdowns = sum(r["breakdown"] for r in rows)
 print(f"\n{len(rows)} trials, {breakdowns} breakdowns")
-print("the same table is what `rpcqr sweep-c` writes as CSV")
+print("`rpcqr run` prints the same table for these settings "
+      "and, with --out, writes the rows as CSV")

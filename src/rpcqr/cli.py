@@ -1,6 +1,6 @@
 """Experiment command-line interface.
 
-Subcommands: sweep-c, sweep-n, compare-cqr2, bounds.  Options given on the
+Subcommands: run (a sweep of any config) and bounds.  Options given on the
 command line override values from ``--config``.  Exit codes: 0 on success,
 1 for configuration errors, 2 for I/O errors; breakdowns inside a sweep are
 recorded in the output and do not affect the exit code.
@@ -14,7 +14,6 @@ from .bounds import (PerturbationSet, _stage_fields, first_order_bounds,
                      preconditioned_bounds)
 from .errors import DomainError
 from .harness import (
-    EXPERIMENTS,
     MATRIX_KINDS,
     METHODS,
     ConfigError,
@@ -24,9 +23,6 @@ from .harness import (
     format_summary,
     run_experiment,
 )
-
-# Short --matrix names: the first word of each kind ("worst", "haar").
-_MATRIX_ALIASES = {kind.split("_")[0]: kind for kind in MATRIX_KINDS}
 
 
 def _int_list(text):
@@ -39,48 +35,21 @@ def _int_list(text):
     return values
 
 
-def _add_experiment_args(p):
-    # Each dest but --config's names the ExperimentConfig field it sets.
-    p.add_argument("--config", metavar="PATH", help="JSON config file")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=_int_list,
-                   help="column count, or a comma-separated list of them")
-    p.add_argument("--c", type=_int_list, dest="c_list",
-                   help="sampling amount, or a comma-separated list of them")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
-    p.add_argument("--matrix", choices=sorted(_MATRIX_ALIASES),
-                   dest="matrix_kind")
-    p.add_argument("--method", choices=sorted(METHODS))
-    p.add_argument("--out", metavar="PATH", dest="output_path",
-                   help="CSV output path")
-    p.add_argument("--jobs", type=int, help="worker processes for the points")
-
-
 def _build_config(args):
     """``--config``'s file or defaults, with the flags applied, then validated.
 
-    A file whose ``experiment`` is not the subcommand's is a ConfigError.
-    ``--n`` replaces the file's ``n`` and ``--c`` its ``c_list``, each with
-    the flag's list of one or more values.
+    ``--n``, ``--c`` and ``--method`` replace the file's ``n``, ``c_list``
+    and ``method``, each with the flag's list of one or more values.
     """
-    base = (_read_config(args.config) if args.config
-            else ExperimentConfig(args.experiment))
-    if base.experiment != args.experiment:
-        base.validate()  # the file's own error, if it has one, comes first
-        raise ConfigError(f"{args.config} sets experiment {base.experiment}, "
-                          f"so it cannot run as {args.command}")
+    base = _read_config(args.config) if args.config else ExperimentConfig()
     flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-             if getattr(args, f.name, None) is not None}
-    if "matrix_kind" in flags:
-        flags["matrix_kind"] = _MATRIX_ALIASES[flags["matrix_kind"]]
+             if getattr(args, f.name) is not None}
     return replace(base, **flags).validate()
 
 
 def _run_experiment(args):
     config = _build_config(args)
-    path = config.output_path
+    path = args.out
     if path:  # an unwritable path fails before any trial runs
         try:
             open(path, "a").close()
@@ -114,10 +83,26 @@ def build_parser():
         description="Randomized preconditioned Cholesky-QR experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for experiment in EXPERIMENTS:
-        p = sub.add_parser(experiment.replace("_", "-"))
-        _add_experiment_args(p)
-        p.set_defaults(experiment=experiment)
+    p = sub.add_parser(
+        "run", help="run a sweep: every method at every (n, c) point")
+    # Each dest but --config's and --out's names the ExperimentConfig
+    # field it sets.
+    p.add_argument("--config", metavar="PATH", help="JSON config file")
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=_int_list,
+                   help="column count, or a comma-separated list of them")
+    p.add_argument("--c", type=_int_list, dest="c_list",
+                   help="sampling amount, or a comma-separated list of them")
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
+    p.add_argument("--matrix", choices=sorted(MATRIX_KINDS),
+                   dest="matrix_kind")
+    p.add_argument("--method", type=lambda text: text.split(","),
+                   help=f"one of {', '.join(METHODS)}, or a comma-separated "
+                        "list of them")
+    p.add_argument("--out", metavar="PATH", help="CSV output path")
+    p.add_argument("--jobs", type=int, help="worker processes for the points")
 
     b = sub.add_parser("bounds", help="evaluate the perturbation bounds")
     b.add_argument("--eps", type=float, help="value for all stage perturbations")

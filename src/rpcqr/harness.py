@@ -33,10 +33,9 @@ from .kernels import householder_r, spectral_norm
 from .metrics import measure
 from .transforms import child_seeds
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = [
-    "experiment",
     "matrix_kind",
     "m",
     "n",
@@ -61,43 +60,40 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-#: Experiments, each also a CLI subcommand (``_`` becomes ``-``), and the
-#: methods each runs at every point (None: ``config.method``).
-EXPERIMENTS = {"sweep_c": None, "sweep_n": None, "compare_cqr2": ("rp", "cqr2")}
-
-
 @dataclass
 class ExperimentConfig:
-    """One experiment's settings, from a config file or the CLI's flags.
+    """One sweep's settings, from a config file or the CLI's flags.
 
-    ``experiment``, ``matrix_kind`` and ``method`` name entries of
-    :data:`EXPERIMENTS`, :data:`MATRIX_KINDS` and :data:`METHODS`.  The
-    points' matrices are ``m`` x n, of condition number ``kappa``; each n
-    of ``n`` (an int or a list) runs at every c of ``c_list``, else at 3n.
-    Each point runs ``trials`` trials, seeded from ``master_seed``, in up
-    to ``jobs`` forked workers; the CLI writes the rows to
-    ``output_path``, if set.
+    ``matrix_kind`` names an entry of :data:`MATRIX_KINDS`, and ``method``
+    one of :data:`METHODS` or a list of distinct ones, run in its order.
+    The points' matrices are ``m`` x n, of condition number ``kappa``; each
+    n of ``n`` (an int or a list) runs at every c of ``c_list``, else at
+    3n.  Each point runs ``trials`` trials of every method, seeded from
+    ``master_seed``, in up to ``jobs`` forked workers.
     """
 
-    experiment: str
     matrix_kind: str = "worst_coherence"
     m: int = 2000
     n: Union[int, List[int], None] = None
     c_list: Optional[List[int]] = None
     kappa: float = 1e15
-    method: str = "rp"
+    method: Union[str, List[str]] = "rp"
     trials: int = 10
     master_seed: int = 0
-    output_path: Optional[str] = None
     jobs: int = 1
 
     def validate(self):
         """Return self, or raise a ConfigError that names an offending key."""
-        for key, table in (("experiment", EXPERIMENTS),
-                           ("matrix_kind", MATRIX_KINDS), ("method", METHODS)):
-            value = getattr(self, key)
-            if not isinstance(value, str) or value not in table:
-                raise ConfigError(f"unknown {key} {value!r}")
+        if (not isinstance(self.matrix_kind, str)
+                or self.matrix_kind not in MATRIX_KINDS):
+            raise ConfigError(f"unknown matrix_kind {self.matrix_kind!r}")
+        methods = _methods(self)
+        if not (methods and all(isinstance(m, str) and m in METHODS
+                                for m in methods)
+                and len(set(methods)) == len(methods)):
+            raise ConfigError(
+                f"method must be one of {', '.join(METHODS)} or a non-empty "
+                f"list of distinct ones, got {self.method!r}")
         one, many = "an integer", "a non-empty list of integers"
         for key, values, kind in (
                 *((k, [getattr(self, k)], one)
@@ -111,19 +107,15 @@ class ExperimentConfig:
                     f"{key} must be {kind}, got {getattr(self, key)!r}")
         if self.trials < 1 or self.jobs < 1 or self.master_seed < 0:
             raise ConfigError("trials and jobs must be >= 1, master_seed >= 0")
-        if (EXPERIMENTS[self.experiment]
-                and self.method != ExperimentConfig.method):
-            raise ConfigError(
-                f"{self.experiment} ignores method={self.method}")
-        if not isinstance(self.output_path, (str, type(None))):
-            raise ConfigError(
-                f"output_path must be a string, got {self.output_path!r}")
         if self.c_list is not None and not any(
-                METHODS[m].samples_c for m in _methods(self)):
-            raise ConfigError(f"method {self.method} samples no rows, so "
-                              f"{self.experiment} takes no c_list")
+                METHODS[m].samples_c for m in methods):
+            raise ConfigError(f"method {self.method!r} samples no rows, so "
+                              "it takes no c_list")
         for n, c in sweep_points(self):
             _check(self.m, n, self.kappa, ConfigError)
+            if self.m * n * 8 > np.iinfo(np.intp).max:
+                raise ConfigError(f"an m x n float64 array is beyond numpy's "
+                                  f"size limit, got m={self.m}, n={n}")
             if c < n:
                 raise ConfigError(f"every c must be >= n, got c={c}, n={n}")
         return self
@@ -152,8 +144,6 @@ def _read_config(path):
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    if "experiment" not in raw:
-        raise ConfigError(f"{path}: missing key experiment")
     return ExperimentConfig(**raw)
 
 
@@ -180,8 +170,9 @@ def sweep_points(config):
 
 
 def _methods(config):
-    """The methods that ``config``'s experiment runs at every point."""
-    return EXPERIMENTS[config.experiment] or (config.method,)
+    """``config.method`` as a list: the methods each trial runs, in order."""
+    method = config.method
+    return method if isinstance(method, list) else [method]
 
 
 # The tables below reach every library function through a lambda or a
@@ -227,8 +218,8 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
     wall = time.perf_counter() - t0
     row = dict.fromkeys(CSV_COLUMNS)
     row.update(
-        experiment=config.experiment, matrix_kind=config.matrix_kind,
-        m=config.m, n=n, c=c if METHODS[method].samples_c else None,
+        matrix_kind=config.matrix_kind, m=config.m, n=n,
+        c=c if METHODS[method].samples_c else None,
         kappa_target=float(config.kappa), trial=trial, seed=seed,
         method=method, breakdown=f is None, wall_time_s=wall)
     if f is not None:
@@ -237,10 +228,10 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
 
 
 def run_experiment(config):
-    """Run ``config``'s experiment over :func:`sweep_points`; return its rows.
+    """Run ``config`` over :func:`sweep_points`; return its rows.
 
-    Each point runs ``trials`` trials of the methods of the experiment's
-    :data:`EXPERIMENTS` entry.  Its :func:`_tasks`, dealt for
+    Each point runs ``trials`` trials, each of every method of ``method``,
+    in the list's order.  Its :func:`_tasks`, dealt for
     ``min(jobs, points, cores)`` jobs, the cores being those of the CPU
     affinity mask (else ``os.cpu_count()``), run here at one job (also
     without ``fork``, as on Windows), else in forked workers, which inherit
@@ -321,8 +312,8 @@ def _task_rows(config, methods, point_index, n, c, start, stop):
 
 
 # Kept only for the benchmark (perfbench/), which calls these names,
-# unpacks ``rows, _`` and monkeypatches ``sweep_c``; ``config.experiment``
-# still picks the points.  Both go with ROADMAP item 1.
+# unpacks ``rows, _`` and monkeypatches ``sweep_c``; each runs its config
+# as ``run_experiment`` does.  Both go with ROADMAP item 1.
 def sweep_c(config):
     return run_experiment(config), None
 

@@ -61,7 +61,7 @@ def geomean(values):
 def sampling_sweep():
     """Shared data for criteria 2 and 3: c in {2n..8n} on the singular stack."""
     cfg = ExperimentConfig(
-        experiment="sweep_c", matrix_kind="worst_coherence", m=2000, n=100,
+        matrix_kind="worst_coherence", m=2000, n=100,
         kappa=1e15, c_list=[200, 300, 400, 600, 800], trials=10,
         method="rp", master_seed=2024,
     )
@@ -70,7 +70,7 @@ def sampling_sweep():
 
 def test_criterion_1_singular_robustness(capsys):
     cfg = ExperimentConfig(
-        experiment="sweep_c", matrix_kind="worst_coherence", m=2000, n=100,
+        matrix_kind="worst_coherence", m=2000, n=100,
         kappa=1e15, c_list=[300], trials=10, method="rp", master_seed=1,
     )
     t0 = time.perf_counter()
@@ -118,7 +118,7 @@ def test_criterion_3_estimate_tracking(capsys, sampling_sweep):
 
 def test_criterion_4_baseline_parity(capsys):
     cfg = ExperimentConfig(
-        experiment="compare_cqr2", matrix_kind="haar_rotated", m=2000, n=200,
+        method=["rp", "cqr2"], matrix_kind="haar_rotated", m=2000, n=200,
         kappa=1e7, c_list=[600], trials=10, master_seed=4,
     )
     rows = run_experiment(cfg)
@@ -142,7 +142,7 @@ def test_criterion_4_baseline_parity(capsys):
 
 def test_criterion_5_breakdown_contrast(capsys):
     # rp samples c = 3n = 150 rows.
-    base = dict(experiment="sweep_n", matrix_kind="worst_coherence",
+    base = dict(matrix_kind="worst_coherence",
                 m=1000, n=50, kappa=1e15, trials=10, master_seed=5)
     failed = {}
     for method in ("basic", "cqr2"):
@@ -310,7 +310,7 @@ def test_criterion_10_kernel_stability(capsys):
 
 
 def test_criterion_11_cli_determinism(capsys, tmp_path):
-    args = ["sweep-c", "--m", "400", "--n", "40", "--c", "80,120",
+    args = ["run", "--m", "400", "--n", "40", "--c", "80,120",
             "--kappa", "1e15", "--trials", "5", "--seed", "77"]
     texts = []
     for name in ("first.csv", "second.csv"):

@@ -16,7 +16,7 @@ _spec.loader.exec_module(csv_drift)
 
 @pytest.fixture(scope="module")
 def rows():
-    cfg = ExperimentConfig(experiment="compare_cqr2",
+    cfg = ExperimentConfig(method=["rp", "cqr2"],
                            matrix_kind="haar_rotated", m=100, n=10,
                            kappa=1e5, c_list=[30], trials=2, master_seed=18)
     return run_experiment(cfg)
@@ -91,6 +91,33 @@ def test_header_mismatch_fails(tmp_path, rows):
     with open(new, "w", newline="") as fh:
         csv.writer(fh).writerows(table)
     assert csv_drift.main([base, str(new)]) == 1
+
+
+def test_header_mismatch_names_the_columns_and_compares_the_rest(
+        tmp_path, capsys, rows):
+    # A schema change that drops a column, as schema 2 dropped experiment:
+    # the shared columns are still compared, matched by name.
+    with open(write(tmp_path, "same.csv", rows), newline="") as fh:
+        table = list(csv.reader(fh))
+    base = tmp_path / "base.csv"
+    with open(base, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [["experiment"] + table[0][::-1]]
+            + [["compare_cqr2"] + row[::-1] for row in table[1:]])
+    moved = [dict(r) for r in rows]
+    moved[1]["residual"] *= 1 + 2 ** -50
+    new = write(tmp_path, "new.csv", moved)
+    assert csv_drift.main([str(base), new]) == 1
+    out, err = capsys.readouterr()
+    assert err == "headers differ: only BASE has ['experiment'], " \
+                  "only NEW has []\n"
+    lines = out.splitlines()[1:]
+    cells = {line.split()[0]: line.split()[1:] for line in lines}
+    assert list(cells) == [c for c in CSV_COLUMNS[::-1]
+                           if c != "wall_time_s"]
+    assert cells["residual"][0] == "1/4"
+    assert all(cells[c] == ["0/4", "0", "0"] for c in cells
+               if c != "residual")
 
 
 def test_closed_pipe_exits_quietly(tmp_path, rows):

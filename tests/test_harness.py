@@ -45,16 +45,17 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def small_sweep_config(**overrides):
     base = dict(
-        experiment="sweep_c", matrix_kind="worst_coherence", m=200, n=20,
+        matrix_kind="worst_coherence", m=200, n=20,
         kappa=1e15, c_list=[40, 60], trials=3, master_seed=11,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
 
 
-# Every experiment takes the same point keys (with the default method,
-# rp): n, one or a list, with or without c_list.
-EXPERIMENTS = ("sweep_c", "sweep_n", "compare_cqr2")
+# Every method value that samples rows takes the same point keys: n, one
+# or a list, with or without c_list.
+METHOD_VALUES = ("rp", ["rp"], ["rp", "cqr2"])
+METHOD_IDS = ["rp", "rp-list", "rp-cqr2"]
 POINT_VALUES = {"n": 5, "c_list": [20]}
 
 # Each shipped config's points, written out: each n at every c of c_list,
@@ -66,42 +67,61 @@ SHIPPED_POINTS = {
     "fig7": [(200, 400), (200, 600), (200, 800), (200, 1200), (200, 1600)],
     "fig8": [(50, 150), (100, 300), (150, 450), (200, 600)],
 }
+# fig7 and fig8 compare the randomized method with CholeskyQR2.
+SHIPPED_METHODS = {"fig1": "rp", "fig2": "rp", "fig3": "rp",
+                   "fig7": ["rp", "cqr2"], "fig8": ["rp", "cqr2"]}
 
 
-def point_config(experiment, keys=(), **points):
-    # Every experiment takes haar_rotated.
-    return ExperimentConfig(experiment=experiment, matrix_kind="haar_rotated",
-                            m=200, **{k: POINT_VALUES[k] for k in keys},
+def point_config(method, keys=(), **points):
+    return ExperimentConfig(method=method, matrix_kind="haar_rotated", m=200,
+                            **{k: POINT_VALUES[k] for k in keys},
                             **points)
 
 
 class TestConfig:
-    def test_validate_rejects_unknown_experiment(self):
-        # A one-trial run is --trials 1 on a sweep: no experiment sets it.
-        for name in ("bogus", "single"):
-            with pytest.raises(ConfigError,
-                               match=f"^unknown experiment '{name}'$"):
-                ExperimentConfig(experiment=name, n=5).validate()
+    @pytest.mark.parametrize("method", [
+        "bogus", "single", ["rp", "bogus"], [], ["rp", "rp"],
+        ["cqr2", "rp", "cqr2"]])
+    def test_validate_rejects_a_bad_method_value(self, method):
+        # An unknown name, alone or in a list, an empty list and a repeated
+        # name: each error names the whole value.
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(n=5, method=method).validate()
+        assert str(exc.value) == (
+            "method must be one of basic, cqr2, precond, rp or a non-empty "
+            f"list of distinct ones, got {method!r}")
 
     def test_validate_rejects_c_below_n(self):
         for config in (
             small_sweep_config(c_list=[10]),
-            ExperimentConfig(experiment="sweep_c", m=200, n=100, c_list=[50]),
-            ExperimentConfig(experiment="compare_cqr2", m=200, n=20,
+            ExperimentConfig(m=200, n=100, c_list=[50]),
+            ExperimentConfig(method=["rp", "cqr2"], m=200, n=20,
                              c_list=[10], matrix_kind="haar_rotated"),
             # One pair of the grid: c = 25 < n = 30.
-            ExperimentConfig(experiment="sweep_c", m=200, n=[20, 30],
+            ExperimentConfig(m=200, n=[20, 30],
                              c_list=[25, 40]),
         ):
             with pytest.raises(ConfigError):
                 config.validate()
 
+    def test_validate_rejects_an_m_numpy_cannot_shape(self):
+        # m x n float64 cells of 8 bytes past the largest intp: numpy
+        # could not even shape the array, so no generator may run.
+        limit = np.iinfo(np.intp).max
+        ExperimentConfig(m=limit // 8, n=1).validate()  # nothing allocated
+        for m, n in ((limit // 8 + 1, 1), (limit // 16 + 1, 2),
+                     (10 ** 30, 5)):
+            with pytest.raises(ConfigError, match=(
+                    r"^an m x n float64 array is beyond numpy's size limit, "
+                    rf"got m={m}, n={n}$")):
+                ExperimentConfig(m=m, n=n).validate()
+
     def test_validate_rejects_n_above_m(self):
         for config in (
-            ExperimentConfig(experiment="sweep_c", m=10, n=20),
-            ExperimentConfig(experiment="sweep_c", m=10, n=0),
-            ExperimentConfig(experiment="sweep_n", m=10, n=[0, 5]),
-            ExperimentConfig(experiment="sweep_n", m=10, n=[5, 20]),
+            ExperimentConfig(m=10, n=20),
+            ExperimentConfig(m=10, n=0),
+            ExperimentConfig(m=10, n=[0, 5]),
+            ExperimentConfig(m=10, n=[5, 20]),
         ):
             # The generators' own rule and message, so a valid config
             # never fails in generation.
@@ -118,7 +138,7 @@ class TestConfig:
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
-            "schema_version": 1, "experiment": "sweep_c", "m": 100, "n": 10,
+            "schema_version": 2, "m": 100, "n": 10,
             "c_list": [20, 30], "kappa": 1e6, "trials": 2, "master_seed": 5,
         }))
         cfg = load_config(path)
@@ -126,16 +146,18 @@ class TestConfig:
 
     def test_load_config_requires_schema_version(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": "sweep_c", "m": 10, "n": 2}))
+        path.write_text(json.dumps({"m": 10, "n": 2}))
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_load_config_names_a_missing_experiment(self, tmp_path):
+    def test_load_config_rejects_schema_1(self, tmp_path):
+        # Schema 1 files set experiment; no alias reads them.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schema_version": 1, "n": 5}))
         with pytest.raises(ConfigError) as exc:
             load_config(path)
-        assert str(exc.value) == f"{path}: missing key experiment"
+        assert str(exc.value) == \
+            f"{path}: missing or unsupported schema_version"
 
     @pytest.mark.parametrize("text, reason", [
         (None, "cannot read config"), ("{", "invalid config syntax")])
@@ -149,12 +171,13 @@ class TestConfig:
             load_config(path)
 
     def test_load_config_rejects_unknown_keys(self, tmp_path):
-        # n_list and c were point keys once: no alias keeps them.
+        # n_list, c, experiment and output_path were keys once: no alias
+        # keeps them.
         path = tmp_path / "cfg.json"
         for key in ("samples", "regenerate_matrix_per_trial",
-                    "retry_on_rank_deficient", "n_list", "c"):
-            path.write_text(json.dumps({"schema_version": 1,
-                                        "experiment": "sweep_c", "n": 5,
+                    "retry_on_rank_deficient", "n_list", "c", "experiment",
+                    "output_path"):
+            path.write_text(json.dumps({"schema_version": 2, "n": 5,
                                         key: 3}))
             with pytest.raises(ConfigError) as exc:
                 load_config(path)
@@ -162,30 +185,30 @@ class TestConfig:
 
     @pytest.mark.parametrize("text", [
         "[1, 2]",
-        '{"schema_version": true, "experiment": "sweep_c", "n": 5}',
-        '{"schema_version": 1.0, "experiment": "sweep_c", "n": 5}',
-        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
+        '{"schema_version": true, "n": 5}',
+        '{"schema_version": 2.0, "n": 5}',
+        '{"schema_version": 2, "n": 5, '
         '"trials": 2.5}',
-        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, "m": 200.0}',
-        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
+        '{"schema_version": 2, "n": 5, "m": 200.0}',
+        '{"schema_version": 2, "n": 5, '
         '"trials": true}',
-        '{"schema_version": 1, "experiment": "sweep_n", "n": [5.0]}',
-        '{"schema_version": 1, "experiment": "sweep_n", "n": "5"}',
-        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
+        '{"schema_version": 2, "n": [5.0]}',
+        '{"schema_version": 2, "n": "5"}',
+        '{"schema_version": 2, "n": 5, '
         '"master_seed": -1}',
-        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
-        '"output_path": 1}',
-        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
+        '{"schema_version": 2, "n": 5, '
+        '"method": ["rp", "rp"]}',
+        '{"schema_version": 2, "n": 5, '
         '"kappa": true}',
-        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
+        '{"schema_version": 2, "n": 5, '
         '"kappa": "1e7"}',
-        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
+        '{"schema_version": 2, "n": 5, '
         '"kappa": 1' + "0" * 400 + '}',
-        '{"schema_version": 1, "experiment": "sweep_c", "n": 5, '
+        '{"schema_version": 2, "n": 5, '
         '"c_list": 20}',
-        '{"schema_version": 1, "experiment": "sweep_c", "n": [5, 30], '
+        '{"schema_version": 2, "n": [5, 30], '
         '"c_list": [20]}',
-        '{"schema_version": 1, "experiment": "compare_cqr2", '
+        '{"schema_version": 2, "method": ["rp", "cqr2"], '
         '"matrix_kind": "haar_rotated", "n": [5, 30], "c_list": [20]}',
     ])
     def test_load_config_rejects_malformed_values(self, tmp_path, text):
@@ -195,24 +218,24 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize("config, key", [
-        (dict(experiment="sweep_n"), "n"),
-        (dict(experiment="sweep_c", c_list=[20]), "n"),
-        (dict(experiment="sweep_n", n=[5, 5.0]), "n"),
-        (dict(experiment="sweep_n", n=(5,)), "n"),
-        (dict(experiment="sweep_c", n=[5], c_list=[20.0]), "c_list"),
-        (dict(experiment="sweep_c", n=[5, 6], c_list=[[20]]), "c_list"),
-        (dict(experiment="sweep_c", n=5, c_list=20), "c_list"),
-        (dict(experiment="sweep_c", n=5, c_list="20"), "c_list"),
-        (dict(experiment="sweep_c", n=5, c_list=[50], method="basic"),
+        (dict(), "n"),
+        (dict(c_list=[20]), "n"),
+        (dict(n=[5, 5.0]), "n"),
+        (dict(n=(5,)), "n"),
+        (dict(n=[5], c_list=[20.0]), "c_list"),
+        (dict(n=[5, 6], c_list=[[20]]), "c_list"),
+        (dict(n=5, c_list=20), "c_list"),
+        (dict(n=5, c_list="20"), "c_list"),
+        (dict(n=5, c_list=[50], method="basic"),
          "c_list"),
-        (dict(experiment="sweep_c", n=5, c_list=[20, 30], method="cqr2"),
+        (dict(n=5, c_list=[20, 30], method="cqr2"),
          "c_list"),
-        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=5,
-              c_list=[20], method="basic"), "method"),
-        (dict(experiment=["sweep_c"], n=5, c_list=[20]), "experiment"),
-        (dict(experiment="sweep_c", n=5, matrix_kind=["haar_rotated"]),
+        (dict(n=5, c_list=[20], method=["cqr2", "basic"]), "c_list"),
+        (dict(n=5, c_list=[20], method=[]), "method"),
+        (dict(n=5, c_list=[20], method=("rp",)), "method"),
+        (dict(n=5, matrix_kind=["haar_rotated"]),
          "matrix_kind"),
-        (dict(experiment="sweep_c", n=5, method=["rp"]), "method"),
+        (dict(n=5, method=[["rp"]]), "method"),
     ])
     def test_validate_names_an_ignored_or_malformed_point_key(self, config,
                                                               key):
@@ -221,9 +244,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", [
         f.name for f in fields(ExperimentConfig)
-        if f.name not in ("c_list", "output_path")])
+        if f.name != "c_list"])
     def test_validate_names_a_null_key(self, key):
-        # Only c_list and output_path may be None; the message names the
+        # Only c_list may be None; the message names the
         # null key and no other.
         config = replace(small_sweep_config(), **{key: None})
         with pytest.raises(ConfigError) as exc:
@@ -231,43 +254,44 @@ class TestConfig:
         named = set(re.findall(r"\w+", str(exc.value)))
         assert named & {f.name for f in fields(ExperimentConfig)} == {key}
 
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
-    def test_validate_accepts_exactly_the_tabled_point_keys(self, experiment):
+    @pytest.mark.parametrize("method", METHOD_VALUES, ids=METHOD_IDS)
+    def test_validate_accepts_exactly_the_tabled_point_keys(self, method):
         # n, one or a list, with or without c_list: every grid passes.
         for n in (5, [5], [5, 6]):
             for c_list in (None, [20], [20, 30]):
-                point_config(experiment, n=n, c_list=c_list).validate()
+                point_config(method, n=n, c_list=c_list).validate()
         for c_list in (None, [20]):
             with pytest.raises(ConfigError) as exc:
-                point_config(experiment, c_list=c_list).validate()
+                point_config(method, c_list=c_list).validate()
             assert str(exc.value) == ("n must be an integer or a non-empty "
                                       "list of integers, got None")
 
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("method", METHOD_VALUES, ids=METHOD_IDS)
     @pytest.mark.parametrize("empty", ["n", "c_list"])
-    def test_empty_list_is_an_error(self, tmp_path, experiment, empty):
+    def test_empty_list_is_an_error(self, tmp_path, method, empty):
         path = tmp_path / "cfg.json"
         for keys in (("n",), ("n", "c_list")):
-            config = replace(point_config(experiment, keys), **{empty: []})
+            config = replace(point_config(method, keys), **{empty: []})
             with pytest.raises(ConfigError):
                 config.validate()
             raw = {k: v for k, v in vars(config).items() if v is not None}
-            path.write_text(json.dumps(dict(raw, schema_version=1)))
+            path.write_text(json.dumps(dict(raw, schema_version=2)))
             with pytest.raises(ConfigError):
                 load_config(path)
 
-    def test_configs_readme_tables_the_experiments(self):
-        # The Keys section tables the experiments (two cells a row) and
-        # the config keys (three cells a row).
-        keys = (CONFIGS / "README.md").read_text().split("## Keys")[1]
-        keys = keys.split("\n## ")[0]
-        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|$", keys, re.M)
-        assert {name: None if methods == "`method`"
-                else tuple(re.findall(r"`(\w+)`", methods))
-                for name, methods in rows} == harness.EXPERIMENTS
+    def test_configs_readme_tables_the_figures_and_keys(self):
+        # The figure table names each config's methods, in order, and the
+        # Keys section tables the config keys (three cells a row).
+        text = (CONFIGS / "README.md").read_text()
+        figures = re.findall(r"^\| fig\d \| (fig\d) \| ([^|]+) \|", text,
+                             re.M)
+        assert {name: re.findall(r"`(\w+)`", methods)
+                for name, methods in figures} == {
+            p.stem: harness._methods(load_config(p))
+            for p in CONFIGS.glob("*.json")}
+        keys = text.split("## Keys")[1].split("\n## ")[0]
         assert re.findall(r"^\| `(\w+)` \|[^|]+\|[^|]+\|$", keys, re.M) == [
             f.name for f in fields(ExperimentConfig)]
-        assert list(EXPERIMENTS) == list(harness.EXPERIMENTS)
 
     def test_configs_readme_tables_the_csv_columns(self):
         # One table row per column, in order; the `m`, `n` row names two.
@@ -285,8 +309,7 @@ class TestConfig:
         "name", [p.stem for p in sorted(CONFIGS.glob("*.json"))])
     def test_shipped_configs(self, name):
         config = load_config(CONFIGS / f"{name}.json")
-        sub = next(a for a in build_parser()._actions if a.dest == "command")
-        assert config.experiment.replace("_", "-") in sub.choices
+        assert config.method == SHIPPED_METHODS[name]
         assert sweep_points(config) == SHIPPED_POINTS[name]
 
     def test_shipped_configs_are_distinct(self):
@@ -316,7 +339,7 @@ class TestSeedDerivation:
 
 class TestRunOneTrial:
     def test_rp_on_singular_matrix(self):
-        cfg = ExperimentConfig(experiment="sweep_c", m=500, n=50, kappa=1e15,
+        cfg = ExperimentConfig(m=500, n=50, kappa=1e15,
                                c_list=[150], method="rp", trials=1,
                                master_seed=3)
         rows = run_experiment(cfg)
@@ -325,7 +348,7 @@ class TestRunOneTrial:
         assert rows[0]["kappa_A1"] is not None and rows[0]["eta"] is not None
 
     def test_basic_on_orthonormal_input(self):
-        cfg = ExperimentConfig(experiment="sweep_c", m=300, n=30, kappa=1.0,
+        cfg = ExperimentConfig(m=300, n=30, kappa=1.0,
                                matrix_kind="haar_rotated", method="basic",
                                trials=1, master_seed=4)
         rows = run_experiment(cfg)
@@ -334,7 +357,7 @@ class TestRunOneTrial:
         assert rows[0]["eta"] is None
 
     def test_deterministic_modulo_wall_time(self):
-        cfg = ExperimentConfig(experiment="sweep_c", m=200, n=20, kappa=1e10,
+        cfg = ExperimentConfig(m=200, n=20, kappa=1e10,
                                c_list=[60], method="rp", trials=1,
                                master_seed=5)
         (r1,) = run_experiment(cfg)
@@ -345,7 +368,7 @@ class TestRunOneTrial:
         assert r1["seed"] == r2["seed"]
 
     def test_basic_breakdown_recorded_not_raised(self):
-        cfg = ExperimentConfig(experiment="sweep_c", m=400, n=40, kappa=1e15,
+        cfg = ExperimentConfig(m=400, n=40, kappa=1e15,
                                method="basic", trials=1, master_seed=6)
         rows = run_experiment(cfg)
         assert rows[0]["breakdown"]
@@ -354,19 +377,19 @@ class TestRunOneTrial:
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_is_one_point_one_trial_sweep(self, method):
         # A one-trial run is trial 0 at the first point of any longer sweep:
-        # seeds derive from (point, trial, method), not from the experiment
-        # or the trial count.  A method that samples no rows takes no c.
+        # seeds derive from (point, trial, method), not from the trial count
+        # or the list's other methods.  A method that samples no rows takes
+        # no c.
         samples = METHODS[method].samples_c
-        one = ExperimentConfig(experiment="sweep_c", m=200, n=20, kappa=1e10,
+        one = ExperimentConfig(m=200, n=20, kappa=1e10,
                                c_list=[60] if samples else None,
                                method=method, trials=1, master_seed=12)
         (row,) = run_experiment(one)
         points = dict(c_list=[60, 80]) if samples else dict(n=[20, 30])
-        swept = run_experiment(replace(one, experiment="sweep_n", trials=3,
+        other = "basic" if method == "cqr2" else "cqr2"
+        swept = run_experiment(replace(one, trials=3, method=[other, method],
                                        **points))
-        ignored = ("experiment", "wall_time_s")
-        assert {k: v for k, v in row.items() if k not in ignored} == \
-            {k: v for k, v in swept[0].items() if k not in ignored}
+        assert _stripped([row]) == _stripped(swept[1:2])
 
 
 class TestSweeps:
@@ -377,7 +400,7 @@ class TestSweeps:
         assert len(format_summary(cfg, rows).splitlines()) == 1 + 2
 
     def test_sweep_n_uses_3n_samples(self):
-        cfg = ExperimentConfig(experiment="sweep_n", m=300, kappa=1e12,
+        cfg = ExperimentConfig(m=300, kappa=1e12,
                                n=[10, 20], trials=2, master_seed=7)
         rows = run_experiment(cfg)
         assert {r["c"] for r in rows} == {30, 60}
@@ -397,21 +420,25 @@ class TestSweeps:
                 format_summary(cfg, rows).splitlines()[1:]] == [
             ["20", "60"], ["20", "90"], ["30", "60"], ["30", "90"]]
 
-    def test_compare_cqr2_pairs_methods(self):
-        cfg = ExperimentConfig(experiment="compare_cqr2",
+    def test_method_list_runs_in_its_order(self):
+        cfg = ExperimentConfig(method=["rp", "cqr2"],
                                matrix_kind="haar_rotated", m=300, n=30,
                                kappa=1e5, c_list=[90], trials=2,
                                master_seed=8)
         rows = run_experiment(cfg)
-        assert {r["method"] for r in rows} == {"rp", "cqr2"}
-        assert len(rows) == 4
+        assert [r["method"] for r in rows] == ["rp", "cqr2"] * 2
         assert [line.split()[2] for line in
                 format_summary(cfg, rows).splitlines()[1:]] == ["rp", "cqr2"]
+        # The reversed list runs the same rows, each trial's cqr2 first.
+        reversed_rows = run_experiment(replace(cfg, method=["cqr2", "rp"]))
+        assert [r["method"] for r in reversed_rows] == ["cqr2", "rp"] * 2
+        assert _stripped(reversed_rows) == _stripped(
+            [rows[1], rows[0], rows[3], rows[2]])
 
     @pytest.mark.parametrize("entry, config", [
-        ("sweep_c", dict(experiment="sweep_c", m=100, n=10, kappa=1e10,
+        ("sweep_c", dict(m=100, n=10, kappa=1e10,
                          c_list=[20, 30], trials=2, master_seed=19)),
-        ("compare_cqr2", dict(experiment="compare_cqr2",
+        ("compare_cqr2", dict(method=["rp", "cqr2"],
                               matrix_kind="haar_rotated", m=100, n=10,
                               kappa=1e5, c_list=[30], trials=2,
                               master_seed=20)),
@@ -434,7 +461,7 @@ class TestSweeps:
             raise CholeskyBreakdown(0, -1.0, stage=1)
 
         monkeypatch.setattr(harness, "cholesky_qr2", fake)
-        cfg = ExperimentConfig(experiment="compare_cqr2",
+        cfg = ExperimentConfig(method=["rp", "cqr2"],
                                matrix_kind="haar_rotated", m=100, n=10,
                                kappa=1e3, c_list=[30, 40], trials=2,
                                master_seed=13)
@@ -456,7 +483,7 @@ class TestSweeps:
 
         for name in counts:
             monkeypatch.setattr(harness, name, counting(name))
-        cfg = ExperimentConfig(experiment="compare_cqr2",
+        cfg = ExperimentConfig(method=["rp", "cqr2"],
                                matrix_kind="haar_rotated", m=100, n=10,
                                kappa=1e5, c_list=[30, 40], trials=3,
                                master_seed=15)
@@ -466,9 +493,9 @@ class TestSweeps:
                           "cholesky_qr2": 2}
 
     @pytest.mark.parametrize("config", [
-        dict(experiment="compare_cqr2", matrix_kind="haar_rotated", n=15,
+        dict(method=["rp", "cqr2"], matrix_kind="haar_rotated", n=15,
              kappa=1e7, c_list=[30, 45]),
-        *(dict(experiment="sweep_n", n=[10, 15], kappa=1e12, method=m)
+        *(dict(n=[10, 15], kappa=1e12, method=m)
           for m in ("basic", "cqr2", "precond")),
     ], ids=["compare_cqr2", "sweep_n-basic", "sweep_n-cqr2",
             "sweep_n-precond"])
@@ -476,7 +503,7 @@ class TestSweeps:
         # The oracle runs every (trial, method) on the generator's own
         # matrix; the harness runs a seed-free method once per point.
         cfg = ExperimentConfig(m=150, trials=3, master_seed=24, **config)
-        methods = ["rp", "cqr2"] if "c_list" in config else [cfg.method]
+        methods = harness._methods(cfg)
         expected = []
         for i, (n, c) in enumerate(sweep_points(cfg)):
             A = MATRIX_KINDS[cfg.matrix_kind](
@@ -509,16 +536,16 @@ class TestSweeps:
         for name in ("rp_cholesky_qr", "cholesky_qr2"):
             monkeypatch.setattr(harness, name, capturing(name))
         run_experiment(ExperimentConfig(
-            experiment="compare_cqr2", matrix_kind="haar_rotated", m=100,
+            method=["rp", "cqr2"], matrix_kind="haar_rotated", m=100,
             n=10, kappa=1e5, c_list=[30], trials=2, master_seed=25))
         assert flags == [("rp_cholesky_qr", True, False),
                          ("cholesky_qr2", True, False),
                          ("rp_cholesky_qr", True, False)]
 
     @pytest.mark.parametrize("config", [
-        dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
+        dict(method=["rp", "cqr2"], matrix_kind="haar_rotated", m=150,
              n=15, kappa=1e7, c_list=[30, 45], trials=2, master_seed=16),
-        dict(experiment="sweep_c", matrix_kind="worst_coherence", m=150,
+        dict(matrix_kind="worst_coherence", m=150,
              n=15, kappa=1e15, c_list=[30, 45], trials=2, master_seed=17),
     ], ids=["compare_cqr2", "sweep_c"])
     def test_rows_replay_from_their_columns(self, config):
@@ -545,7 +572,7 @@ class TestSweeps:
             assert row["residual"] == rel_residual(A, f)
 
     def test_breakdowns_become_rows(self):
-        cfg = ExperimentConfig(experiment="sweep_n", m=300, n=30,
+        cfg = ExperimentConfig(m=300, n=30,
                                kappa=1e15, trials=2, method="basic",
                                master_seed=9)
         rows = run_experiment(cfg)
@@ -612,24 +639,24 @@ class TestParallelPoints:
         faulthandler.cancel_dump_traceback_later()
 
     @pytest.mark.parametrize("config, points", [
-        (dict(experiment="sweep_c", m=150, n=15, kappa=1e15,
+        (dict(m=150, n=15, kappa=1e15,
               c_list=[30, 45, 60], trials=2), 3),
-        (dict(experiment="sweep_n", m=150, n=[5, 10, 15], kappa=1e12,
+        (dict(m=150, n=[5, 10, 15], kappa=1e12,
               trials=2), 3),
-        (dict(experiment="sweep_n", m=150, n=[10, 15], kappa=1e15,
+        (dict(m=150, n=[10, 15], kappa=1e15,
               method="basic", trials=2), 2),
-        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
+        (dict(method=["rp", "cqr2"], matrix_kind="haar_rotated", m=150,
               n=15, kappa=1e7, c_list=[30, 45], trials=2), 2),
-        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
+        (dict(method=["rp", "cqr2"], matrix_kind="haar_rotated", m=150,
               n=[5, 10, 15], kappa=1e7, trials=2), 3),
-        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
+        (dict(method=["rp", "cqr2"], matrix_kind="haar_rotated", m=150,
               n=[10, 15], c_list=[30, 45], kappa=1e7, trials=2), 4),
-        (dict(experiment="sweep_c", m=150, n=15, kappa=1e15, trials=1), 1),
+        (dict(m=150, n=15, kappa=1e15, trials=1), 1),
         # The smallest point's 3 trials split 1 + 2 between the workers.
-        (dict(experiment="sweep_c", m=150, n=15, kappa=1e15,
+        (dict(m=150, n=15, kappa=1e15,
               c_list=[30, 45, 60, 75, 90], trials=3), 5),
         # The smallest point's one trial is one task, not 0 + 1.
-        (dict(experiment="compare_cqr2", matrix_kind="haar_rotated", m=150,
+        (dict(method=["rp", "cqr2"], matrix_kind="haar_rotated", m=150,
               n=[5, 10, 15], kappa=1e7, trials=1), 3),
     ], ids=["sweep_c", "sweep_n", "sweep_n-basic", "compare_cqr2-c_list",
             "compare_cqr2-n-list", "compare_cqr2-grid", "sweep_c-one-trial",
@@ -650,11 +677,37 @@ class TestParallelPoints:
                                  set()).add(row["wall_time_s"])
         assert all(len(wall) == 1 for wall in walls.values())
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rp_cqr2_list_keeps_the_compare_cqr2_rows(self, pools, jobs):
+        # fig7 and fig8's list gives the rows of the compare_cqr2 experiment
+        # it replaced, at any jobs: each seed, pinned from that experiment,
+        # comes from (point, trial, method), and each row's accuracy to
+        # four digits.
+        cfg = ExperimentConfig(method=["rp", "cqr2"],
+                               matrix_kind="haar_rotated", m=150, n=15,
+                               kappa=1e7, c_list=[30, 45], trials=2,
+                               master_seed=23, jobs=jobs)
+        rows = run_experiment(cfg)
+        assert pools == ([2] if jobs == 2 else [])
+        assert [(r["c"], r["trial"], r["seed"], r["method"],
+                 f"{r['deviation']:.3e}", f"{r['residual']:.3e}")
+                for r in rows] == [
+            (30, 0, 13530773724581049940, "rp", "1.878e-15", "1.471e-16"),
+            (None, 0, 15931572296149698646, "cqr2", "4.926e-16", "1.149e-16"),
+            (30, 1, 11002032494793026582, "rp", "3.334e-15", "1.553e-16"),
+            (None, 1, 11031798946714651281, "cqr2", "4.926e-16", "1.149e-16"),
+            (45, 0, 15326728224645665625, "rp", "1.026e-15", "1.596e-16"),
+            (None, 0, 9495037028395851827, "cqr2", "1.345e-15", "9.035e-17"),
+            (45, 1, 8896585314658823669, "rp", "1.122e-15", "1.462e-16"),
+            (None, 1, 1775949281841939904, "cqr2", "1.345e-15", "9.035e-17")]
+        assert {r["matrix_kind"] for r in rows} == {"haar_rotated"}
+        assert "experiment" not in rows[0]
+
     def test_serial_run_deals_tasks_and_places_rows_by_key(self,
                                                            monkeypatch):
         # Each trial its own task, in reverse order: the rows still land at
         # their (point, trial, method), as the run with whole points.
-        cfg = ExperimentConfig(experiment="compare_cqr2",
+        cfg = ExperimentConfig(method=["rp", "cqr2"],
                                matrix_kind="haar_rotated", m=150, n=15,
                                kappa=1e7, c_list=[30, 45], trials=3,
                                master_seed=23)
@@ -750,7 +803,7 @@ class TestParallelPoints:
         assert len(run_experiment(small_sweep_config(jobs=1))) == 2 * 3
         one_point = small_sweep_config(c_list=[40], jobs=2)
         assert len(run_experiment(one_point)) == 3
-        one_row = ExperimentConfig(experiment="sweep_c", m=200, n=20,
+        one_row = ExperimentConfig(m=200, n=20,
                                    trials=1, jobs=2)
         assert len(run_experiment(one_row)) == 1
         with pytest.raises(ConfigError):
@@ -765,7 +818,7 @@ class TestParallelPoints:
             return measure(A, *args, **kwargs)
 
         monkeypatch.setattr(harness, "measure", failing)
-        cfg = ExperimentConfig(experiment="sweep_n", m=150, n=[5, 10, 15],
+        cfg = ExperimentConfig(m=150, n=[5, 10, 15],
                                kappa=1e12, trials=2, jobs=2)
         with pytest.raises(_PlantedError, match="^planted$"):
             run_experiment(cfg)
@@ -797,7 +850,7 @@ class TestRankDeficientSample:
 
         monkeypatch.setattr(harness, "rp_cholesky_qr", deficient)
         (row,) = run_experiment(ExperimentConfig(
-            experiment="sweep_c", m=200, n=20, kappa=1e10, c_list=[60],
+            m=200, n=20, kappa=1e10, c_list=[60],
             method="rp", trials=1, master_seed=14))
         assert row["breakdown"] and row["deviation"] is None
         assert row["kappa_A1"] is None and row["eta"] is None
@@ -806,7 +859,7 @@ class TestRankDeficientSample:
 
 class TestEmitCsv:
     def test_schema_and_empty_cells(self, tmp_path):
-        cfg = ExperimentConfig(experiment="sweep_c", m=100, n=10, kappa=1e15,
+        cfg = ExperimentConfig(m=100, n=10, kappa=1e15,
                                method="basic", trials=1, master_seed=10)
         rows = run_experiment(cfg)
         path = tmp_path / "out.csv"
@@ -821,7 +874,7 @@ class TestEmitCsv:
 
     def test_unwritable_path_is_named(self, tmp_path):
         rows = run_experiment(ExperimentConfig(
-            experiment="sweep_c", m=100, n=10, method="basic", trials=1))
+            m=100, n=10, method="basic", trials=1))
         path = tmp_path / "no_dir" / "out.csv"
         with pytest.raises(OSError, match=f"^{re.escape(str(path))}: "
                                           "cannot write CSV: "):
@@ -844,8 +897,9 @@ class TestEmitCsv:
 
 class TestCli:
     def test_one_trial_runs(self, capsys):
-        rc = main(["sweep-c", "--m", "200", "--n", "20", "--trials", "1",
-                   "--kappa", "1e10", "--matrix", "worst", "--method", "rp",
+        rc = main(["run", "--m", "200", "--n", "20", "--trials", "1",
+                   "--kappa", "1e10", "--matrix", "worst_coherence",
+                   "--method", "rp",
                    "--seed", "3"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
@@ -856,7 +910,7 @@ class TestCli:
 
     def test_trials_one_runs_one_trial_at_each_point(self, tmp_path, capsys):
         out = tmp_path / "one.csv"
-        rc = main(["sweep-c", "--m", "200", "--n", "20", "--c", "40,60",
+        rc = main(["run", "--m", "200", "--n", "20", "--c", "40,60",
                    "--trials", "1", "--out", str(out)])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
@@ -870,7 +924,7 @@ class TestCli:
 
     def test_sweep_c_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        rc = main(["sweep-c", "--m", "200", "--n", "20", "--c", "40,60",
+        rc = main(["run", "--m", "200", "--n", "20", "--c", "40,60",
                    "--kappa", "1e12", "--trials", "2", "--seed", "1",
                    "--out", str(out)])
         assert rc == 0
@@ -885,9 +939,8 @@ class TestCli:
     ], ids=["trials", "jobs", "master_seed", "m", "n", "no-n"])
     def test_null_or_missing_key_is_named(self, tmp_path, capsys, key, raw):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"schema_version": 1, "m": 100,
-                                    "experiment": "sweep_c", **raw}))
-        assert main(["sweep-c", "--config", str(path)]) == 1
+        path.write_text(json.dumps({"schema_version": 2, "m": 100, **raw}))
+        assert main(["run", "--config", str(path)]) == 1
         kind = ("an integer or a non-empty list of integers" if key == "n"
                 else "an integer")
         assert capsys.readouterr() == (
@@ -899,76 +952,89 @@ class TestCli:
         array.write_text("[]")
         syntax.write_text("{")
         fractional.write_text(json.dumps({
-            "schema_version": 1, "experiment": "sweep_c", "n": 10,
-            "m": 200.0}))
+            "schema_version": 2, "n": 10, "m": 200.0}))
         for argv in (
-            ["sweep-c", "--m", "100", "--n", "200", "--c", "300"],
-            ["sweep-c", "--n", "100", "--c", "50"],
-            ["compare-cqr2", "--c", "10", "--n", "20"],
-            ["sweep-c", "--n", "10", "--kappa", "nan"],
-            ["sweep-c", "--n", "10", "--kappa", "inf"],
-            ["sweep-c", "--n", "10", "--kappa", "0.5"],
-            ["sweep-c", "--n", "0"],
-            ["sweep-n", "--n", "0,10"],
-            ["sweep-c", "--config", str(CONFIGS / "fig1.json"),
+            ["run", "--m", "100", "--n", "200", "--c", "300"],
+            ["run", "--n", "100", "--c", "50"],
+            ["run", "--method", "rp,cqr2", "--c", "10", "--n", "20"],
+            ["run", "--n", "10", "--kappa", "nan"],
+            ["run", "--n", "10", "--kappa", "inf"],
+            ["run", "--n", "10", "--kappa", "0.5"],
+            ["run", "--n", "0"],
+            ["run", "--n", "0,10"],
+            ["run", "--config", str(CONFIGS / "fig1.json"),
              "--n", "10,300"],
-            ["sweep-c", "--n", "10,40", "--c", "30"],
-            ["sweep-n", "--config", str(CONFIGS / "fig3.json"), "--c", "50"],
-            ["sweep-c", "--method", "basic", "--m", "100", "--n", "10",
+            ["run", "--n", "10,40", "--c", "30"],
+            ["run", "--config", str(CONFIGS / "fig3.json"), "--c", "50"],
+            ["run", "--method", "basic", "--m", "100", "--n", "10",
              "--c", "50"],
-            ["sweep-c", "--method", "cqr2", "--m", "100", "--n", "10",
+            ["run", "--method", "cqr2", "--m", "100", "--n", "10",
              "--c", "20,30"],
-            ["sweep-c", "--n", "10", "--seed", "-1"],
-            ["sweep-c", "--m", "100", "--n", "10", "--c", "20,30",
+            ["run", "--n", "10", "--seed", "-1"],
+            ["run", "--m", "100", "--n", "10", "--c", "20,30",
              "--jobs", "0"],
-            ["compare-cqr2", "--method", "basic", "--matrix", "haar",
+            ["run", "--method", "rp,basic,rp", "--matrix", "haar_rotated",
              "--m", "200", "--n", "10", "--c", "30", "--trials", "1",
              "--kappa", "1e3"],
-            ["sweep-c", "--config", str(array)],
-            ["sweep-c", "--config", str(fractional)],
+            ["run", "--n", "10", "--method", "bogus"],
+            ["run", "--n", "10", "--method", "rp,"],
+            ["run", "--config", str(array)],
+            ["run", "--config", str(fractional)],
             ["bounds", "--kappa-a1", "10", "--eta", "nan"],
             ["bounds", "--kappa-a1", "10", "--eta", "-3"],
             ["bounds", "--kappa-a1", "10", "--eta", "20"],
             ["bounds", "--eps", "-1", "--kappa-a1", "10"],
-            ["sweep-c", "--config", str(tmp_path / "missing.json")],
-            ["sweep-c", "--config", str(syntax)],
+            ["run", "--config", str(tmp_path / "missing.json")],
+            ["run", "--config", str(syntax)],
         ):
             rc = main(argv)
             assert rc == 1, argv
             assert capsys.readouterr().err.startswith("error: "), argv
 
-    @pytest.mark.parametrize("command, name, experiment", [
-        ("sweep-c", "fig7", "compare_cqr2"),
-        ("sweep-n", "fig1", "sweep_c"),
-    ])
-    def test_subcommand_must_match_the_config(self, command, name,
-                                              experiment, capsys):
-        path = CONFIGS / f"{name}.json"
-        assert main([command, "--config", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {path} sets experiment {experiment}, so it cannot run "
-            f"as {command}\n")
+    @pytest.mark.parametrize("name", ["fig7", "fig1"])
+    def test_schema_1_file_is_named(self, tmp_path, name, capsys):
+        # A shipped config as schema 1 wrote it: no alias reads it.
+        raw = json.loads((CONFIGS / f"{name}.json").read_text())
+        method = raw.pop("method")
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(
+            raw, schema_version=1,
+            experiment="sweep_c" if method == "rp" else "compare_cqr2")))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}: missing or unsupported schema_version\n")
 
-    def test_single_is_not_a_subcommand(self, tmp_path, capsys):
-        # One trial is --trials 1 on a sweep; no alias keeps the old name.
+    @pytest.mark.parametrize(
+        "command", ["single", "sweep-c", "sweep-n", "compare-cqr2"])
+    def test_old_subcommands_are_usage_errors(self, tmp_path, command,
+                                              capsys):
+        # Every sweep is `run`; no alias keeps an old name.
         with pytest.raises(SystemExit) as exc:
-            main(["single", "--n", "10"])
+            main([command, "--n", "10"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice" in err
         assert re.findall(r"[\w-]+", err.split("choose from")[1]) == [
-            "sweep-c", "sweep-n", "compare-cqr2", "bounds"]
-        path = tmp_path / "single.json"
-        path.write_text(json.dumps({"schema_version": 1,
-                                    "experiment": "single", "n": 10}))
-        assert main(["sweep-c", "--config", str(path)]) == 1
+            "run", "bounds"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"schema_version": 2,
+                                    "experiment": "sweep_c", "n": 10}))
+        assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err == \
-            "error: unknown experiment 'single'\n"
+            f"error: {path}: unknown config keys ['experiment']\n"
+
+    def test_m_beyond_numpys_size_limit_is_named(self, capsys):
+        # Before any array is made: numpy could not even shape it.
+        assert main(["run", "--m", "1" + "0" * 30, "--n", "5",
+                     "--trials", "1"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: an m x n float64 array is beyond numpy's size limit, "
+            f"got m={10 ** 30}, n=5\n"))
 
     @pytest.mark.parametrize("argv", [
-        ["sweep-c", "--n", ","],
-        ["sweep-c", "--n", "5", "--c", ","],
-        ["sweep-c", "--n", "abc"],
+        ["run", "--n", ","],
+        ["run", "--n", "5", "--c", ","],
+        ["run", "--n", "abc"],
     ])
     def test_int_list_without_ints_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -978,14 +1044,24 @@ class TestCli:
         assert "expected comma-separated ints" in err
         assert "Traceback" not in err
 
-    def test_method_choices_come_from_method_table(self):
+    def test_method_help_comes_from_method_table(self):
+        # --method takes any list of names; validate, not argparse, rejects
+        # an unknown one (exit 1), as for a config file's method.
         sub = next(a for a in build_parser()._actions if a.dest == "command")
-        method = next(a for a in sub.choices["sweep-c"]._actions
+        method = next(a for a in sub.choices["run"]._actions
                       if a.dest == "method")
-        assert method.choices == sorted(METHODS)
+        assert method.choices is None
+        assert re.findall(r"\w+", method.help.split(", or")[0])[2:] == \
+            list(METHODS)
+        for argv, value in ((["--method", "cqr2"], ["cqr2"]),
+                            (["--method", "rp,cqr2"], ["rp", "cqr2"]),
+                            ([], ["rp", "cqr2"])):
+            args = build_parser().parse_args(
+                ["run", "--config", str(CONFIGS / "fig8.json"), *argv])
+            assert _build_config(args).method == value
 
     def test_io_error_exit_code(self, tmp_path, capsys):
-        rc = main(["sweep-c", "--m", "100", "--n", "10", "--c", "30",
+        rc = main(["run", "--m", "100", "--n", "10", "--c", "30",
                    "--trials", "1",
                    "--out", str(tmp_path / "no_dir" / "x.csv")])
         assert rc == 2
@@ -997,7 +1073,7 @@ class TestCli:
 
         monkeypatch.setattr("rpcqr.cli.run_experiment", no_trials)
         path = tmp_path / "no_dir" / "x.csv"
-        rc = main(["sweep-c", "--m", "400", "--n", "20", "--c", "40,60",
+        rc = main(["run", "--m", "400", "--n", "20", "--c", "40,60",
                    "--trials", "3", "--out", str(path)])
         assert rc == 2
         out, err = capsys.readouterr()
@@ -1018,8 +1094,8 @@ class TestCli:
                 raise
 
         monkeypatch.setattr(harness, "rp_cholesky_qr", spy)
-        rc = main(["sweep-c", "--m", "50", "--n", "10", "--c", "10",
-                   "--trials", "1", "--matrix", "haar", "--seed", "3"])
+        rc = main(["run", "--m", "50", "--n", "10", "--c", "10",
+                   "--trials", "1", "--matrix", "haar_rotated", "--seed", "3"])
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[1].split() == [
             "10", "10", "rp", "1", "-", "-", "-", "-"]
@@ -1057,7 +1133,8 @@ class TestCli:
     def test_summary_table_golden(self, capsys):
         # 2 points x 2 trials; cqr2 breaks down on the first point's matrix
         # only, and its lines, like its CSV cells, carry no c.
-        rc = main(["compare-cqr2", "--matrix", "haar", "--m", "100",
+        rc = main(["run", "--method", "rp,cqr2", "--matrix", "haar_rotated",
+                   "--m", "100",
                    "--n", "10", "--c", "20,30", "--kappa", "1e9",
                    "--trials", "2", "--seed", "2"])
         assert rc == 0
@@ -1077,7 +1154,7 @@ class TestCli:
                        for cell in line.split()[4:])
         # A geometric mean over exact zeros is 0, not a point with no data:
         # the one-column precond Q is exact.
-        assert main(["sweep-n", "--m", "10", "--n", "1,2", "--kappa", "1",
+        assert main(["run", "--m", "10", "--n", "1,2", "--kappa", "1",
                      "--trials", "1", "--method", "precond"]) == 0
         line = capsys.readouterr().out.splitlines()[1]
         assert line.split()[:6] == ["1", "-", "precond", "0", "0.000e+00",
@@ -1086,22 +1163,23 @@ class TestCli:
     def test_compare_cqr2_runs_on_worst_coherence(self, capsys):
         # Either matrix kind: at kappa 1e15 CholeskyQR2 breaks down where
         # the randomized method does not.
-        assert main(["compare-cqr2", "--m", "400", "--n", "40", "--kappa",
-                     "1e15", "--trials", "2", "--seed", "3"]) == 0
+        assert main(["run", "--method", "rp,cqr2", "--m", "400", "--n", "40",
+                     "--kappa", "1e15", "--trials", "2", "--seed", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[2:4] for line in lines[1:]] == [
             ["rp", "0"], ["cqr2", "2"]]
 
     def test_compare_cqr2_with_one_n_runs_at_three_n(self, capsys):
-        assert main(["compare-cqr2", "--m", "100", "--n", "10", "--kappa",
-                     "1e3", "--matrix", "haar", "--trials", "1"]) == 0
+        assert main(["run", "--method", "rp,cqr2", "--m", "100", "--n", "10",
+                     "--kappa", "1e3", "--matrix", "haar_rotated",
+                     "--trials", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[:3] for line in lines[1:]] == [
             ["10", "30", "rp"], ["10", "-", "cqr2"]]
 
     def test_breakdowns_do_not_affect_exit_code(self, tmp_path):
         out = tmp_path / "b.csv"
-        rc = main(["sweep-n", "--m", "300", "--n", "30",
+        rc = main(["run", "--m", "300", "--n", "30",
                    "--kappa", "1e15", "--method", "basic", "--trials", "2",
                    "--seed", "2", "--out", str(out)])
         assert rc == 0
@@ -1111,9 +1189,8 @@ class TestCli:
         # The file's c_list alone is invalid at its n; --c replaces it.
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
-            "schema_version": 1, "experiment": "sweep_c", "n": 50,
-            "c_list": [40]}))
-        argv = ["sweep-c", "--config", str(path), "--m", "600",
+            "schema_version": 2, "n": 50, "c_list": [40]}))
+        argv = ["run", "--config", str(path), "--m", "600",
                 "--trials", "1"]
         assert main(argv + ["--c", "100,150"]) == 0
         capsys.readouterr()
@@ -1122,75 +1199,77 @@ class TestCli:
             "error: every c must be >= n, got c=40, n=50\n"
 
     @pytest.mark.parametrize("argv, points", [
-        (["compare-cqr2", "--config", "fig7", "--c", "600"], [(200, 600)]),
-        (["compare-cqr2", "--config", "fig8", "--n", "50"], [(50, 150)]),
-        (["sweep-c", "--config", "fig1", "--c", "300"], [(100, 300)]),
-        (["sweep-c", "--config", "fig1", "--n", "50"],
+        (["run", "--config", "fig7", "--c", "600"], [(200, 600)]),
+        (["run", "--config", "fig8", "--n", "50"], [(50, 150)]),
+        (["run", "--config", "fig1", "--c", "300"], [(100, 300)]),
+        (["run", "--config", "fig1", "--n", "50"],
          [(50, c) for c in (200, 300, 400, 600, 800)]),
-        (["sweep-c", "--n", "10", "--c", "40"], [(10, 40)]),
-        (["compare-cqr2", "--n", "10", "--c", "40"], [(10, 40)]),
-        (["sweep-n", "--n", "10"], [(10, 30)]),
-        (["compare-cqr2", "--config", "fig8", "--n", "50", "--c", "300"],
+        (["run", "--n", "10", "--c", "40"], [(10, 40)]),
+        (["run", "--method", "rp,cqr2", "--n", "10", "--c", "40"],
+         [(10, 40)]),
+        (["run", "--n", "10"], [(10, 30)]),
+        (["run", "--config", "fig8", "--n", "50", "--c", "300"],
          [(50, 300)]),
-        (["sweep-n", "--n", "10,20"], [(10, 30), (20, 60)]),
-        (["sweep-c", "--config", "fig1", "--c", "300,400"],
+        (["run", "--n", "10,20"], [(10, 30), (20, 60)]),
+        (["run", "--config", "fig1", "--c", "300,400"],
          [(100, 300), (100, 400)]),
-        (["compare-cqr2", "--config", "fig7", "--c", "300,600"],
+        (["run", "--config", "fig7", "--c", "300,600"],
          [(200, 300), (200, 600)]),
-        (["compare-cqr2", "--config", "fig8", "--n", "50,60"],
+        (["run", "--config", "fig8", "--n", "50,60"],
          [(50, 150), (60, 180)]),
-        (["compare-cqr2", "--n", "10", "--c", "40,50"],
+        (["run", "--method", "rp,cqr2", "--n", "10", "--c", "40,50"],
          [(10, 40), (10, 50)]),
-        (["sweep-n", "--config", "fig3", "--n", "50", "--c", "200"],
+        (["run", "--config", "fig3", "--n", "50", "--c", "200"],
          [(50, 200)]),
-        (["sweep-c", "--n", "10,20"], [(10, 30), (20, 60)]),
-        (["sweep-n", "--n", "10", "--c", "40,50"], [(10, 40), (10, 50)]),
-        (["sweep-c", "--config", "fig1", "--n", "50,100"],
+        (["run", "--method", "precond,rp", "--n", "10,20"],
+         [(10, 30), (20, 60)]),
+        (["run", "--n", "10", "--c", "40,50"], [(10, 40), (10, 50)]),
+        (["run", "--config", "fig1", "--n", "50,100"],
          [(n, c) for n in (50, 100) for c in (200, 300, 400, 600, 800)]),
-        (["sweep-n", "--config", "fig3", "--c", "400,500"],
+        (["run", "--config", "fig3", "--c", "400,500"],
          [(n, c) for n in (50, 100, 150, 200) for c in (400, 500)]),
     ])
     def test_flag_replaces_the_files_whole_axis(self, argv, points):
         # --n sets n and --c sets c_list, with one value or several.
         argv = [str(CONFIGS / f"{a}.json") if a.startswith("fig") else a
                 for a in argv]
-        args = build_parser().parse_args(argv + ["--matrix", "haar"])
+        args = build_parser().parse_args(argv + ["--matrix", "haar_rotated"])
         assert sweep_points(_build_config(args)) == points
 
-    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("method", ["rp", "rp,cqr2", "cqr2,rp"])
     @pytest.mark.parametrize("flags, keys", [
         (["--n", "12"], dict(n=12)),
         (["--n", "12", "--c", "30"], dict(n=12, c_list=[30])),
     ], ids=["n", "c"])
     def test_one_value_flag_writes_the_scalar_keys_rows(
-            self, tmp_path, experiment, flags, keys):
-        # --n 12 sets n to the list [12], which runs as n = 12 does.
-        command = experiment.replace("_", "-")
-        common = ["--m", "120", "--kappa", "1e10", "--trials", "2",
-                  "--seed", "5"]
-        assert _build_config(build_parser().parse_args(
-            [command, *flags, *common])).n == [12]
+            self, tmp_path, method, flags, keys):
+        # --n 12 sets n to the list [12], which runs as n = 12 does, and
+        # --method rp the list ["rp"], which runs as "rp" does.
+        methods = method.split(",")
+        flags = ["run", *flags, "--method", method, "--m", "120",
+                 "--kappa", "1e10", "--trials", "2", "--seed", "5"]
+        config = _build_config(build_parser().parse_args(flags))
+        assert config.n == [12] and config.method == methods
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(
-            keys, schema_version=1, experiment=experiment, m=120,
-            kappa=1e10, trials=2, master_seed=5)))
+            keys, schema_version=2, m=120, kappa=1e10, trials=2,
+            master_seed=5, method=methods if len(methods) > 1 else method)))
         flagged, filed = tmp_path / "flag.csv", tmp_path / "file.csv"
-        assert main([command, *flags, *common, "--out", str(flagged)]) == 0
-        assert main([command, "--config", str(path), "--out",
+        assert main([*flags, "--out", str(flagged)]) == 0
+        assert main(["run", "--config", str(path), "--out",
                      str(filed)]) == 0
         lines = _strip_wall_time(flagged.read_text())
         assert lines == _strip_wall_time(filed.read_text())
-        assert len(lines) == 1 + 2 * (2 if experiment == "compare_cqr2"
-                                      else 1)
+        assert len(lines) == 1 + 2 * len(methods)
 
     def test_config_file_with_cli_override(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({
-            "schema_version": 1, "experiment": "sweep_c", "m": 150, "n": 15,
+            "schema_version": 2, "m": 150, "n": 15,
             "c_list": [30], "kappa": 1e8, "trials": 1, "master_seed": 4,
         }))
         out = tmp_path / "o.csv"
-        rc = main(["sweep-c", "--config", str(cfgp), "--trials", "2",
+        rc = main(["run", "--config", str(cfgp), "--trials", "2",
                    "--out", str(out)])
         assert rc == 0
         with open(out) as fh:
@@ -1207,7 +1286,7 @@ def _strip_wall_time(text):
 
 class TestDeterminism:
     def test_repeat_invocation_identical_modulo_wall_time(self, tmp_path):
-        args = ["sweep-c", "--m", "300", "--n", "30", "--c", "60,90",
+        args = ["run", "--m", "300", "--n", "30", "--c", "60,90",
                 "--kappa", "1e15", "--trials", "3", "--seed", "21"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(out1)]) == 0
@@ -1221,7 +1300,7 @@ class TestDeterminism:
         for name in ("x.csv", "y.csv"):
             out = tmp_path / name
             subprocess.run(
-                [sys.executable, "-m", "rpcqr.cli", "sweep-c", "--m", "120",
+                [sys.executable, "-m", "rpcqr.cli", "run", "--m", "120",
                  "--n", "12", "--trials", "1", "--kappa", "1e10", "--seed",
                  "9", "--out", str(out)],
                 check=True, capture_output=True,

@@ -2,14 +2,17 @@
 
     python3 tools/csv_drift.py BASE.csv NEW.csv
 
-Prints one line per column (``wall_time_s`` is skipped): how many cells
-differ, and the largest absolute and relative drift of the float cells,
-relative to BASE.  A float cell is one that parses as a float but not as an
-int, as ``emit_csv`` writes floats; one that changes from or to ``nan``, or
-from ``inf``, drifts by inf, absolute and relative.  Exits 1 when the headers or row counts
-differ or any other cell differs (an empty cell against a float counts),
-and 0 otherwise, so float drift alone passes and is reported.  A reader
-that closes the pipe early, such as ``head``, ends it quietly with status 1.
+Prints one line per column that both files have, matched by name and in
+BASE's order (``wall_time_s`` is skipped): how many cells differ, and the
+largest absolute and relative drift of the float cells, relative to BASE.
+A float cell is one that parses as a float but not as an int, as
+``emit_csv`` writes floats; one that changes from or to ``nan``, or from
+``inf``, drifts by inf, absolute and relative.  When the headers differ,
+it names the columns only one file has, then reports the shared ones.
+Exits 1 when the headers or row counts differ or any other cell differs
+(an empty cell against a float counts), and 0 otherwise, so float drift
+alone passes and is reported.  A reader that closes the pipe early, such
+as ``head``, ends it quietly with status 1.
 """
 
 import csv
@@ -40,16 +43,17 @@ def _read(path):
 def drift(base, new):
     """Per-column (differ, max_abs, max_rel, exact_mismatch) of two tables.
 
-    ``base`` and ``new`` are lists of rows, the header first; they must
-    have the same header and row count.
+    ``base`` and ``new`` are lists of rows, the header first, with the same
+    row count; only the columns both headers name are compared.
     """
-    header, out = base[0], {}
-    for j, name in enumerate(header):
-        if name in IGNORED:
+    new_index, out = {name: k for k, name in enumerate(new[0])}, {}
+    for j, name in enumerate(base[0]):
+        if name in IGNORED or name not in new_index:
             continue
+        k = new_index[name]
         differ, max_abs, max_rel, exact = 0, 0.0, 0.0, False
         for a_row, b_row in zip(base[1:], new[1:]):
-            a, b = a_row[j], b_row[j]
+            a, b = a_row[j], b_row[k]
             if a == b:
                 continue
             differ += 1
@@ -72,15 +76,20 @@ def main(argv=None):
         print("usage: csv_drift.py BASE.csv NEW.csv", file=sys.stderr)
         return 2
     base, new = _read(argv[0]), _read(argv[1])
-    if not base or not new or base[0] != new[0]:
-        print("headers differ", file=sys.stderr)
+    if not base or not new:
+        print("headers differ: a file is empty", file=sys.stderr)
         return 1
+    failed = base[0] != new[0]
+    if failed:
+        only = [[c for c in a[0] if c not in b[0]]
+                for a, b in ((base, new), (new, base))]
+        print(f"headers differ: only BASE has {only[0]}, only NEW has "
+              f"{only[1]}", file=sys.stderr)
     if len(base) != len(new):
         print(f"row counts differ: {len(base) - 1} vs {len(new) - 1}",
               file=sys.stderr)
         return 1
     rows = len(base) - 1
-    failed = False
     print(f"{'column':<14} {'differ':>9} {'max_abs':>10} {'max_rel':>10}")
     for name, (differ, max_abs, max_rel, exact) in drift(base, new).items():
         failed |= exact
