@@ -32,6 +32,9 @@ from .kernels import (
 from .transforms import (_as_integer, child_seeds, dct_columns,
                          rademacher_diag, sample_rows)
 
+#: The largest c a sample may draw: at about 7 ns a draw, some 30 s.
+MAX_C = 2 ** 32
+
 
 def cholesky_qr(A):
     """Basic Cholesky-QR: Gram matrix, Cholesky, triangular solve."""
@@ -99,6 +102,8 @@ def build_preconditioner(A, c, seed, rank_tol=0.0):
     m, n = A.shape
     if c < n:
         raise ValueError(f"need c >= cols, got c={c}, cols={n}")
+    if c > MAX_C:
+        raise ValueError(f"need c <= {MAX_C}, got c={c}")
     sign_seed, sample_seed = child_seeds([seed], 2)
     # FA, the m x n sign-flipped DCT, lives only until the rows are drawn.
     A_s = sample_rows(dct_columns(rademacher_diag(m, sign_seed)[:, None] * A),
@@ -121,9 +126,9 @@ def rp_cholesky_qr(A, c, seed, rank_tol=0.0):
 
     Returns (factors, R_s, R2): the factors of A, the preconditioner and
     the Cholesky factor R2 of A1^T A1, A1 = A R_s^{-1}, so R = R2 R_s.
-    Deterministic for fixed (A, c, seed); A is only read.  Only the
-    triangular factor of the sampled matrix is computed; its orthonormal
-    factor is never formed.
+    The number of row draws c runs from n to :data:`MAX_C`.  Deterministic
+    for fixed (A, c, seed); A is only read.  Only the triangular factor of
+    the sampled matrix is computed; its orthonormal factor is never formed.
     """
     A = as_tall_matrix(A)
     c = _as_integer(c, "c")

@@ -1,7 +1,7 @@
 """Seeded experiment sweeps and CSV emission.
 
-Every trial seed derives from (master_seed, sweep point index, trial index,
-method) through :func:`rpcqr.transforms.child_seeds`, whose hashing is
+An ``rp`` row's seed derives from (master_seed, sweep point index, trial
+index) through :func:`rpcqr.transforms.child_seeds`, whose hashing is
 documented stable, so any CSV row can be replayed in isolation.  The test
 matrix is fixed per sweep point, so each task that runs trials of a point
 makes it column-major, and takes its norm, once; a seed-free method (all
@@ -25,7 +25,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .algorithms import (cholesky_qr, cholesky_qr2,
+from .algorithms import (MAX_C, cholesky_qr, cholesky_qr2,
                          preconditioned_cholesky_qr, rp_cholesky_qr)
 from .errors import CholeskyBreakdown, RankDeficientSampleError
 from .genmat import _check, haar_rotated, worst_coherence_stack
@@ -33,7 +33,7 @@ from .kernels import householder_r, spectral_norm
 from .metrics import measure
 from .transforms import child_seeds
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CSV_COLUMNS = [
     "matrix_kind",
@@ -118,6 +118,8 @@ class ExperimentConfig:
                                   f"size limit, got m={self.m}, n={n}")
             if c < n:
                 raise ConfigError(f"every c must be >= n, got c={c}, n={n}")
+            if c > MAX_C:
+                raise ConfigError(f"every c must be <= {MAX_C}, got c={c}")
         return self
 
 
@@ -147,10 +149,10 @@ def _read_config(path):
     return ExperimentConfig(**raw)
 
 
-def derive_seed(master_seed, point_index, trial_index, method):
-    """Stable per-trial seed; distinct (point, trial, method) never collide."""
-    return child_seeds([master_seed, point_index, trial_index,
-                        METHODS[method].code])[0]
+def derive_seed(master_seed, point_index, trial_index):
+    """Stable seed of an ``rp`` row; distinct (point, trial) never collide."""
+    # The 3 was rp's method code in schema 2: every rp seed keeps its bits.
+    return child_seeds([master_seed, point_index, trial_index, 3])[0]
 
 
 def derive_matrix_seed(master_seed, point_index):
@@ -163,7 +165,7 @@ def sweep_points(config):
 
     Each n of ``n`` (one or a list) runs at every c of ``c_list``, else at
     3n, in n-major order.  A method that samples no rows ignores c, and its
-    rows leave the cell empty.
+    rows leave the c and seed cells empty.
     """
     ns = config.n if isinstance(config.n, list) else [config.n]
     return [(n, c) for n in ns for c in config.c_list or [3 * n]]
@@ -187,20 +189,20 @@ MATRIX_KINDS = {
 }
 
 
-Method = namedtuple("Method", "code samples_c run")
+Method = namedtuple("Method", "samples_c run")
 
-#: Factorization methods.  ``code`` enters every trial seed, so it must never
-#: change; ``samples_c`` marks the one method that uses c and its seed;
+#: Factorization methods.  ``samples_c`` marks the one method that draws a
+#: row sample, and so takes c and a seed; the others get None for both.
 #: ``run(A, c, seed)`` returns (factors, R_s or None, R2 or None), the
 #: triple of ``preconditioned_cholesky_qr`` and of ``rp_cholesky_qr``, which
 #: runs once, on exactly the row's seed.
 METHODS = {
-    "basic": Method(0, False, lambda A, c, seed: (cholesky_qr(A), None, None)),
-    "cqr2": Method(1, False, lambda A, c, seed: (cholesky_qr2(A), None, None)),
+    "basic": Method(False, lambda A, c, seed: (cholesky_qr(A), None, None)),
+    "cqr2": Method(False, lambda A, c, seed: (cholesky_qr2(A), None, None)),
     # Ideal-preconditioner baseline: exact triangular factor of A, unchecked.
-    "precond": Method(2, False, lambda A, c, seed: preconditioned_cholesky_qr(
+    "precond": Method(False, lambda A, c, seed: preconditioned_cholesky_qr(
         A, householder_r(A), "preconditioned")),
-    "rp": Method(3, True, lambda A, c, seed: rp_cholesky_qr(A, c, seed)),
+    "rp": Method(True, lambda A, c, seed: rp_cholesky_qr(A, c, seed)),
 }
 
 
@@ -208,8 +210,10 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
     """One factorization plus metrics, as a CSV row.
 
     ``norm_A`` is ‖A‖₂; breakdowns and rank-deficient samples become rows.
+    A method that draws no sample gets no c or seed: both cells stay empty.
     ``wall_time_s`` times the factorization; sweeps reuse seed-free rows.
     """
+    c, seed = (c, seed) if METHODS[method].samples_c else (None, None)
     t0 = time.perf_counter()
     try:
         f, R_s, R2 = METHODS[method].run(A, c, seed)
@@ -218,8 +222,7 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
     wall = time.perf_counter() - t0
     row = dict.fromkeys(CSV_COLUMNS)
     row.update(
-        matrix_kind=config.matrix_kind, m=config.m, n=n,
-        c=c if METHODS[method].samples_c else None,
+        matrix_kind=config.matrix_kind, m=config.m, n=n, c=c,
         kappa_target=float(config.kappa), trial=trial, seed=seed,
         method=method, breakdown=f is None, wall_time_s=wall)
     if f is not None:
@@ -230,13 +233,13 @@ def run_trial(config, A, norm_A, n, c, trial, method, seed):
 def run_experiment(config):
     """Run ``config`` over :func:`sweep_points`; return its rows.
 
-    Each point runs ``trials`` trials, each of every method of ``method``,
-    in the list's order.  Its :func:`_tasks`, dealt for
-    ``min(jobs, points, cores)`` jobs, the cores being those of the CPU
-    affinity mask (else ``os.cpu_count()``), run here at one job (also
-    without ``fork``, as on Windows), else in forked workers, which inherit
-    the modules, rebound names and BLAS threads.  Rows come point by point,
-    trial by trial, each found by its own (point, trial, method).
+    Each point runs ``trials`` trials of every method of ``method``, in the
+    list's order.  Its :func:`_tasks`, dealt for ``min(jobs, points, cores)``
+    jobs, the cores being those of the CPU affinity mask (else
+    ``os.cpu_count()``), run here at one job (also without ``fork``, as on
+    Windows), else in forked workers, which inherit the modules, rebound names
+    and BLAS threads.  Rows come point by point, trial by trial, each found by
+    its (point, trial, method); a seed-free row copies trial 0's.
     """
     config.validate()
     points = [(i, n, c) for i, (n, c) in enumerate(sweep_points(config))]
@@ -257,9 +260,7 @@ def run_experiment(config):
             pool.join()
     ran = {(task[0], row["trial"], row["method"]): row
            for task, task_rows in zip(tasks, done) for row in task_rows}
-    seed = partial(derive_seed, config.master_seed)
-    return [ran.get((i, t, meth))
-            or dict(ran[i, 0, meth], trial=t, seed=seed(i, t, meth))
+    return [ran.get((i, t, meth)) or dict(ran[i, 0, meth], trial=t)
             for i, _, _ in points for t in range(config.trials)
             for meth in methods]
 
@@ -306,7 +307,7 @@ def _task_rows(config, methods, point_index, n, c, start, stop):
     A.setflags(write=False)
     norm_A = spectral_norm(A)
     seed = partial(derive_seed, config.master_seed, point_index)
-    return [run_trial(config, A, norm_A, n, c, t, meth, seed(t, meth))
+    return [run_trial(config, A, norm_A, n, c, t, meth, seed(t))
             for t in range(start, stop) for meth in methods
             if t == 0 or METHODS[meth].samples_c]
 

@@ -283,6 +283,25 @@ class TestRpCholeskyQR:
         with pytest.raises(ValueError):
             rp_cholesky_qr(A, 5, seed=23)
 
+    def test_bounds_c_before_any_draw(self, monkeypatch):
+        # sample_rows draws ~7 ns an index: 2**32 draws take about 30 s,
+        # 1e20 millennia.  2**32 reaches the draw; one more is rejected.
+        class Drawn(Exception):
+            pass
+
+        def no_draw(*args):
+            raise Drawn
+
+        monkeypatch.setattr(algorithms, "sample_rows", no_draw)
+        A = haar_rotated(20, 2, 10.0, seed=0)
+        assert algorithms.MAX_C == 2 ** 32
+        with pytest.raises(Drawn):
+            rp_cholesky_qr(A, 2 ** 32, seed=0)
+        for c in (2 ** 32 + 1, 10 ** 20):
+            with pytest.raises(ValueError,
+                               match=rf"^need c <= {2 ** 32}, got c={c}$"):
+                rp_cholesky_qr(A, c, seed=0)
+
     @pytest.mark.parametrize("c", [30.7, 30.0])
     def test_rejects_non_integral_c(self, c):
         A = haar_rotated(200, 20, 1e2, seed=24)

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +119,21 @@ def test_header_mismatch_names_the_columns_and_compares_the_rest(
     assert cells["residual"][0] == "1/4"
     assert all(cells[c] == ["0/4", "0", "0"] for c in cells
                if c != "residual")
+
+
+@pytest.mark.parametrize("unreadable", ["missing.csv", "."],
+                         ids=["missing", "directory"])
+def test_unreadable_path_is_one_error_line(tmp_path, capsys, rows,
+                                           unreadable):
+    # Exit 2, as for a usage error, with one line naming the path.
+    base = write(tmp_path, "base.csv", rows)
+    path = str(tmp_path / unreadable)
+    for argv in ([path, base], [base, path]):
+        assert csv_drift.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(rf"error: {re.escape(path)}: cannot read CSV: "
+                            r".+\n", err)
 
 
 def test_closed_pipe_exits_quietly(tmp_path, rows):

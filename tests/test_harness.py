@@ -26,6 +26,7 @@ from rpcqr.harness import (
     CSV_COLUMNS,
     MATRIX_KINDS,
     METHODS,
+    SCHEMA_VERSION,
     ConfigError,
     ExperimentConfig,
     derive_matrix_seed,
@@ -41,6 +42,11 @@ from rpcqr.metrics import measure
 from svd_bound import BOUND, a1, svd_ratios
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_text(keys):
+    """A config file's text at the current schema, with ``keys`` after."""
+    return f'{{"schema_version": {SCHEMA_VERSION}, {keys}}}'
 
 
 def small_sweep_config(**overrides):
@@ -116,6 +122,14 @@ class TestConfig:
                     rf"got m={m}, n={n}$")):
                 ExperimentConfig(m=m, n=n).validate()
 
+    def test_validate_bounds_c_by_2_to_the_32(self):
+        # About 30 s of draws; validate draws none, so 2**32 passes at once.
+        ExperimentConfig(n=5, c_list=[20, 2 ** 32]).validate()
+        for c in (2 ** 32 + 1, 10 ** 20):
+            with pytest.raises(ConfigError, match=(
+                    rf"^every c must be <= {2 ** 32}, got c={c}$")):
+                ExperimentConfig(n=5, c_list=[20, c]).validate()
+
     def test_validate_rejects_n_above_m(self):
         for config in (
             ExperimentConfig(m=10, n=20),
@@ -138,7 +152,7 @@ class TestConfig:
     def test_load_config_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
-            "schema_version": 2, "m": 100, "n": 10,
+            "schema_version": SCHEMA_VERSION, "m": 100, "n": 10,
             "c_list": [20, 30], "kappa": 1e6, "trials": 2, "master_seed": 5,
         }))
         cfg = load_config(path)
@@ -177,8 +191,8 @@ class TestConfig:
         for key in ("samples", "regenerate_matrix_per_trial",
                     "retry_on_rank_deficient", "n_list", "c", "experiment",
                     "output_path"):
-            path.write_text(json.dumps({"schema_version": 2, "n": 5,
-                                        key: 3}))
+            path.write_text(json.dumps({"schema_version": SCHEMA_VERSION,
+                                        "n": 5, key: 3}))
             with pytest.raises(ConfigError) as exc:
                 load_config(path)
             assert str(exc.value) == f"{path}: unknown config keys ['{key}']"
@@ -186,30 +200,22 @@ class TestConfig:
     @pytest.mark.parametrize("text", [
         "[1, 2]",
         '{"schema_version": true, "n": 5}',
-        '{"schema_version": 2.0, "n": 5}',
-        '{"schema_version": 2, "n": 5, '
-        '"trials": 2.5}',
-        '{"schema_version": 2, "n": 5, "m": 200.0}',
-        '{"schema_version": 2, "n": 5, '
-        '"trials": true}',
-        '{"schema_version": 2, "n": [5.0]}',
-        '{"schema_version": 2, "n": "5"}',
-        '{"schema_version": 2, "n": 5, '
-        '"master_seed": -1}',
-        '{"schema_version": 2, "n": 5, '
-        '"method": ["rp", "rp"]}',
-        '{"schema_version": 2, "n": 5, '
-        '"kappa": true}',
-        '{"schema_version": 2, "n": 5, '
-        '"kappa": "1e7"}',
-        '{"schema_version": 2, "n": 5, '
-        '"kappa": 1' + "0" * 400 + '}',
-        '{"schema_version": 2, "n": 5, '
-        '"c_list": 20}',
-        '{"schema_version": 2, "n": [5, 30], '
-        '"c_list": [20]}',
-        '{"schema_version": 2, "method": ["rp", "cqr2"], '
-        '"matrix_kind": "haar_rotated", "n": [5, 30], "c_list": [20]}',
+        # The current version as a float.
+        f'{{"schema_version": {float(SCHEMA_VERSION)}, "n": 5}}',
+        config_text('"n": 5, "trials": 2.5'),
+        config_text('"n": 5, "m": 200.0'),
+        config_text('"n": 5, "trials": true'),
+        config_text('"n": [5.0]'),
+        config_text('"n": "5"'),
+        config_text('"n": 5, "master_seed": -1'),
+        config_text('"n": 5, "method": ["rp", "rp"]'),
+        config_text('"n": 5, "kappa": true'),
+        config_text('"n": 5, "kappa": "1e7"'),
+        config_text('"n": 5, "kappa": 1' + "0" * 400),
+        config_text('"n": 5, "c_list": 20'),
+        config_text('"n": [5, 30], "c_list": [20]'),
+        config_text('"method": ["rp", "cqr2"], "matrix_kind": "haar_rotated", '
+                    '"n": [5, 30], "c_list": [20]'),
     ])
     def test_load_config_rejects_malformed_values(self, tmp_path, text):
         path = tmp_path / "cfg.json"
@@ -275,7 +281,8 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 config.validate()
             raw = {k: v for k, v in vars(config).items() if v is not None}
-            path.write_text(json.dumps(dict(raw, schema_version=2)))
+            path.write_text(json.dumps(dict(raw,
+                                            schema_version=SCHEMA_VERSION)))
             with pytest.raises(ConfigError):
                 load_config(path)
 
@@ -322,19 +329,19 @@ class TestConfig:
 
 class TestSeedDerivation:
     def test_stable(self):
-        assert derive_seed(1, 2, 3, "rp") == derive_seed(1, 2, 3, "rp")
+        assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
 
     def test_golden_values(self):
-        assert derive_seed(0, 0, 0, "rp") == 7559663011601410144
+        # Schema 2's rp seeds: only rp rows carry one, with the same bits.
+        assert derive_seed(0, 0, 0) == 7559663011601410144
         assert derive_matrix_seed(101, 0) == 15300423673866037780
 
     def test_no_collisions_across_axes(self):
         seeds = {
-            derive_seed(ms, p, t, meth)
+            derive_seed(ms, p, t)
             for ms in range(3) for p in range(4) for t in range(5)
-            for meth in ("basic", "cqr2", "precond", "rp")
         }
-        assert len(seeds) == 3 * 4 * 5 * 4
+        assert len(seeds) == 3 * 4 * 5
 
 
 class TestRunOneTrial:
@@ -377,9 +384,8 @@ class TestRunOneTrial:
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_is_one_point_one_trial_sweep(self, method):
         # A one-trial run is trial 0 at the first point of any longer sweep:
-        # seeds derive from (point, trial, method), not from the trial count
-        # or the list's other methods.  A method that samples no rows takes
-        # no c.
+        # seeds derive from (point, trial), not from the trial count or the
+        # list's other methods.  A method that samples no rows takes no c.
         samples = METHODS[method].samples_c
         one = ExperimentConfig(m=200, n=20, kappa=1e10,
                                c_list=[60] if samples else None,
@@ -510,7 +516,7 @@ class TestSweeps:
                 cfg.m, n, cfg.kappa, derive_matrix_seed(cfg.master_seed, i))
             expected += [harness.run_trial(
                 cfg, A, spectral_norm(A), n, c, t, meth,
-                derive_seed(cfg.master_seed, i, t, meth))
+                derive_seed(cfg.master_seed, i, t))
                 for t in range(cfg.trials) for meth in methods]
         rows = run_experiment(cfg)
         assert _stripped(rows) == _stripped(expected)
@@ -567,6 +573,7 @@ class TestSweeps:
                 assert max(svd_ratios(row, A, a1(A, R_s), R_s)) <= BOUND
             else:
                 f = cholesky_qr2(A)
+                assert row["c"] is None and row["seed"] is None
                 assert row["kappa_A1"] is None and row["eta"] is None
             assert row["deviation"] == ortho_deviation(f.Q)
             assert row["residual"] == rel_residual(A, f)
@@ -680,9 +687,9 @@ class TestParallelPoints:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rp_cqr2_list_keeps_the_compare_cqr2_rows(self, pools, jobs):
         # fig7 and fig8's list gives the rows of the compare_cqr2 experiment
-        # it replaced, at any jobs: each seed, pinned from that experiment,
-        # comes from (point, trial, method), and each row's accuracy to
-        # four digits.
+        # it replaced, at any jobs: each rp seed, pinned from that
+        # experiment, comes from (point, trial), and each row's accuracy to
+        # four digits.  A cqr2 row draws no sample, so it has no seed.
         cfg = ExperimentConfig(method=["rp", "cqr2"],
                                matrix_kind="haar_rotated", m=150, n=15,
                                kappa=1e7, c_list=[30, 45], trials=2,
@@ -693,15 +700,39 @@ class TestParallelPoints:
                  f"{r['deviation']:.3e}", f"{r['residual']:.3e}")
                 for r in rows] == [
             (30, 0, 13530773724581049940, "rp", "1.878e-15", "1.471e-16"),
-            (None, 0, 15931572296149698646, "cqr2", "4.926e-16", "1.149e-16"),
+            (None, 0, None, "cqr2", "4.926e-16", "1.149e-16"),
             (30, 1, 11002032494793026582, "rp", "3.334e-15", "1.553e-16"),
-            (None, 1, 11031798946714651281, "cqr2", "4.926e-16", "1.149e-16"),
+            (None, 1, None, "cqr2", "4.926e-16", "1.149e-16"),
             (45, 0, 15326728224645665625, "rp", "1.026e-15", "1.596e-16"),
-            (None, 0, 9495037028395851827, "cqr2", "1.345e-15", "9.035e-17"),
+            (None, 0, None, "cqr2", "1.345e-15", "9.035e-17"),
             (45, 1, 8896585314658823669, "rp", "1.122e-15", "1.462e-16"),
-            (None, 1, 1775949281841939904, "cqr2", "1.345e-15", "9.035e-17")]
+            (None, 1, None, "cqr2", "1.345e-15", "9.035e-17")]
         assert {r["matrix_kind"] for r in rows} == {"haar_rotated"}
         assert "experiment" not in rows[0]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_only_a_drawn_sample_has_sample_cells(self, pools, jobs):
+        # Every method in one run: a row's c and seed are empty exactly when
+        # its method draws no sample.  An rp row's seed is its (point,
+        # trial)'s; a seed-free row is its trial-0 row with another trial.
+        cfg = ExperimentConfig(method=list(METHODS),
+                               matrix_kind="haar_rotated", m=150, n=15,
+                               kappa=1e7, c_list=[30, 45], trials=3,
+                               master_seed=23, jobs=jobs)
+        rows = run_experiment(cfg)
+        assert pools == ([2] if jobs == 2 else [])
+        per_point = cfg.trials * len(METHODS)
+        for k, row in enumerate(rows):
+            point, samples = k // per_point, METHODS[row["method"]].samples_c
+            assert (row["c"] is None) == (row["seed"] is None) == (
+                not samples)
+            if samples:
+                assert row["seed"] == derive_seed(cfg.master_seed, point,
+                                                  row["trial"])
+            else:
+                first = rows[point * per_point
+                             + list(METHODS).index(row["method"])]
+                assert row == dict(first, trial=row["trial"])
 
     def test_serial_run_deals_tasks_and_places_rows_by_key(self,
                                                            monkeypatch):
@@ -870,6 +901,7 @@ class TestEmitCsv:
         row = dict(zip(CSV_COLUMNS, lines[1].split(",")))
         assert row["method"] == "basic"
         assert row["c"] == "" and row["kappa_A1"] == "" and row["eta"] == ""
+        assert row["seed"] == ""
         assert row["breakdown"] in ("true", "false")
 
     def test_unwritable_path_is_named(self, tmp_path):
@@ -939,7 +971,8 @@ class TestCli:
     ], ids=["trials", "jobs", "master_seed", "m", "n", "no-n"])
     def test_null_or_missing_key_is_named(self, tmp_path, capsys, key, raw):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"schema_version": 2, "m": 100, **raw}))
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION,
+                                    "m": 100, **raw}))
         assert main(["run", "--config", str(path)]) == 1
         kind = ("an integer or a non-empty list of integers" if key == "n"
                 else "an integer")
@@ -952,7 +985,7 @@ class TestCli:
         array.write_text("[]")
         syntax.write_text("{")
         fractional.write_text(json.dumps({
-            "schema_version": 2, "n": 10, "m": 200.0}))
+            "schema_version": SCHEMA_VERSION, "n": 10, "m": 200.0}))
         for argv in (
             ["run", "--m", "100", "--n", "200", "--c", "300"],
             ["run", "--n", "100", "--c", "50"],
@@ -1004,6 +1037,17 @@ class TestCli:
         assert capsys.readouterr() == (
             "", f"error: {path}: missing or unsupported schema_version\n")
 
+    @pytest.mark.parametrize("name", ["fig7", "fig1"])
+    def test_schema_2_file_is_named(self, tmp_path, name, capsys):
+        # A shipped config as schema 2 wrote it, when every row had a seed:
+        # no alias reads it.
+        raw = json.loads((CONFIGS / f"{name}.json").read_text())
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(raw, schema_version=2)))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {path}: missing or unsupported schema_version\n")
+
     @pytest.mark.parametrize(
         "command", ["single", "sweep-c", "sweep-n", "compare-cqr2"])
     def test_old_subcommands_are_usage_errors(self, tmp_path, command,
@@ -1017,7 +1061,7 @@ class TestCli:
         assert re.findall(r"[\w-]+", err.split("choose from")[1]) == [
             "run", "bounds"]
         path = tmp_path / "old.json"
-        path.write_text(json.dumps({"schema_version": 2,
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION,
                                     "experiment": "sweep_c", "n": 10}))
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err == \
@@ -1030,6 +1074,17 @@ class TestCli:
         assert capsys.readouterr() == ("", (
             "error: an m x n float64 array is beyond numpy's size limit, "
             f"got m={10 ** 30}, n=5\n"))
+
+    @pytest.mark.parametrize("c", [2 ** 32 + 1, 10 ** 20])
+    def test_c_above_2_to_the_32_is_named(self, c, capsys, monkeypatch):
+        # Before any trial: 1e20 draws would run for millennia.
+        def no_trials(config):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("rpcqr.cli.run_experiment", no_trials)
+        assert main(["run", "--n", "5", "--c", str(c), "--trials", "1"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: every c must be <= {2 ** 32}, got c={c}\n")
 
     @pytest.mark.parametrize("argv", [
         ["run", "--n", ","],
@@ -1189,7 +1244,7 @@ class TestCli:
         # The file's c_list alone is invalid at its n; --c replaces it.
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
-            "schema_version": 2, "n": 50, "c_list": [40]}))
+            "schema_version": SCHEMA_VERSION, "n": 50, "c_list": [40]}))
         argv = ["run", "--config", str(path), "--m", "600",
                 "--trials", "1"]
         assert main(argv + ["--c", "100,150"]) == 0
@@ -1252,7 +1307,7 @@ class TestCli:
         assert config.n == [12] and config.method == methods
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(
-            keys, schema_version=2, m=120, kappa=1e10, trials=2,
+            keys, schema_version=SCHEMA_VERSION, m=120, kappa=1e10, trials=2,
             master_seed=5, method=methods if len(methods) > 1 else method)))
         flagged, filed = tmp_path / "flag.csv", tmp_path / "file.csv"
         assert main([*flags, "--out", str(flagged)]) == 0
@@ -1265,7 +1320,7 @@ class TestCli:
     def test_config_file_with_cli_override(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({
-            "schema_version": 2, "m": 150, "n": 15,
+            "schema_version": SCHEMA_VERSION, "m": 150, "n": 15,
             "c_list": [30], "kappa": 1e8, "trials": 1, "master_seed": 4,
         }))
         out = tmp_path / "o.csv"

@@ -11,8 +11,10 @@ A float cell is one that parses as a float but not as an int, as
 it names the columns only one file has, then reports the shared ones.
 Exits 1 when the headers or row counts differ or any other cell differs
 (an empty cell against a float counts), and 0 otherwise, so float drift
-alone passes and is reported.  A reader that closes the pipe early, such
-as ``head``, ends it quietly with status 1.
+alone passes and is reported.  Exits 2 on a usage error or on a path it
+cannot read as a text CSV, after one ``error: PATH: cannot read CSV:``
+line.  A reader that closes the pipe early, such as ``head``, ends it
+quietly with status 1.
 """
 
 import csv
@@ -33,11 +35,6 @@ def _float(cell):
         return float(cell)
     except ValueError:
         return None
-
-
-def _read(path):
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
 
 
 def drift(base, new):
@@ -75,7 +72,15 @@ def main(argv=None):
     if len(argv) != 2:
         print("usage: csv_drift.py BASE.csv NEW.csv", file=sys.stderr)
         return 2
-    base, new = _read(argv[0]), _read(argv[1])
+    tables = []
+    for path in argv:
+        try:
+            with open(path, newline="") as fh:
+                tables.append(list(csv.reader(fh)))
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            print(f"error: {path}: cannot read CSV: {exc}", file=sys.stderr)
+            return 2
+    base, new = tables
     if not base or not new:
         print("headers differ: a file is empty", file=sys.stderr)
         return 1
